@@ -24,6 +24,7 @@ See ``bench/README.md``.
 from __future__ import annotations
 
 import argparse
+import compileall
 import importlib
 import json
 import os
@@ -349,6 +350,10 @@ def main(argv=None):
     if not (SRC / "levitype" / "__init__.py").is_file():
         fail(f"no levitype sources under {SRC}; run from a source checkout")
     sys.path.insert(0, str(SRC))
+    # levitype is imported as an installed package is: from bytecode.
+    # Compiling it here, outside every timed region, keeps the source
+    # compiler out of setup_s whether or not PYTHONDONTWRITEBYTECODE is set.
+    compileall.compile_dir(str(SRC / "levitype"), quiet=1)
 
     wl = workloads.make_workload(args.workload, args.seed)
     speed = Speed()

@@ -8,8 +8,9 @@ gives the same inputs.
 A round is the fixed list of operations of one workload.  Each operation
 has a shape: its dimension, caps, and which monomials of phi and which
 entries of the structure are nonzero.  Shapes come from a random stream keyed
-by the workload and the shape's index alone, so they are the same for every
-seed; the seed draws the coefficients, jets and scan points.  Exact rational
+by the workload name alone, so they are the same for every seed (see
+nonintegrable_structure for the one exception); the seed draws the
+coefficients, jets and scan points.  Exact rational
 arithmetic costs what the monomial structure makes it cost, so two seeds
 give rounds of nearly the same cost while no two seeds give the same inputs.
 """
@@ -46,7 +47,7 @@ SCAN_SHAPES = ((2, 6, 10), (3, 8, 10))
 
 # Non-standard structures: (n, cap, k_max, nilpotent entries, phi terms).
 # The last, cheap shape moves the median query into a cluster of queries of
-# similar cost; without it the median sat on a 12 % gap between two.
+# similar cost; without it the median sat on a 12 % gap between two queries.
 NONSTANDARD_SHAPES = ((2, 8, 6, 3, 4), (2, 8, 6, 4, 4), (2, 7, 5, 4, 5),
                       (3, 7, 5, 3, 4), (3, 7, 5, 4, 5), (3, 6, 4, 5, 5),
                       (3, 6, 4, 4, 5), (4, 6, 4, 3, 5), (4, 6, 4, 5, 6),
@@ -244,7 +245,9 @@ def nonintegrable_structure(shape_rng, rng, n, entries):
     one coordinate, so A^-1 = I - N + N^2 - ... terminates and J^2 = -I is
     an exact polynomial identity.  ``shape_rng`` places the entries and
     ``rng`` draws their coefficients; draws repeat until the Nijenhuis
-    tensor is nonzero at the origin, so J is not integrable there.
+    tensor is nonzero at the origin, so J is not integrable there.  Only
+    when sixteen coefficient draws in a row leave J integrable are the
+    entries placed anew, which changes the shape for that seed.
     """
     d = 2 * n
     slots = [(i, k) for i in range(d) for k in range(i + 1, d)]
