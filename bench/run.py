@@ -354,6 +354,7 @@ def main(argv=None):
     # Compiling it here, outside every timed region, keeps the source
     # compiler out of setup_s whether or not PYTHONDONTWRITEBYTECODE is set.
     compileall.compile_dir(str(SRC / "levitype"), quiet=1)
+    OUT.mkdir(exist_ok=True)
 
     wl = workloads.make_workload(args.workload, args.seed)
     speed = Speed()
@@ -403,7 +404,6 @@ def main(argv=None):
             speed.scale(loop.marks[i])
             for first, end in traced_rounds for i in range(first, end))
         metrics = tracer.metrics(rounds, factor)
-        OUT.mkdir(exist_ok=True)
         tracer.write(OUT / f"trace-{args.workload}-{args.seed}.jsonl", env)
     else:
         loop.run_for(args.seconds)
@@ -434,7 +434,6 @@ def main(argv=None):
         "metrics": {name: {"value": value, "unit": unit}
                     for name, (value, unit) in metrics.items()},
     }
-    OUT.mkdir(exist_ok=True)
     name = f"result-{args.workload}-{args.seed}-trace{args.trace}.json"
     samples = {"op_scaled_s": loop.scaled(), "op_raw_s": loop.raw}
     (OUT / name).write_text(json.dumps({"env": env, **result, **samples}))
