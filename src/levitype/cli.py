@@ -74,8 +74,8 @@ def _parse_strategy(text: str, n: int):
                 if "/" in step else Q(int(step))
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad grid step {step!r}") from None
-        if s <= 0:
-            raise ParseError("grid step must be positive")
+        if not 0 < s <= 1:
+            raise ParseError("grid step must be in (0, 1]")
         return ("grid", s)
     if text.startswith("dirs:"):
         path = text[len("dirs:"):]
@@ -200,7 +200,7 @@ def _document(spec: ProblemSpec, result: dict) -> dict:
 
 def _cmd_levi(spec, m, j):
     mat = levi.hermitian_levi_matrix(m, j)
-    cls = levi.classify_point(m, j)
+    cls = mat.classify()
     basis = [[str(c) for c in b.at_zero()] for b in mat.basis]
     entries = [[[str(e.re), str(e.im)] for e in row] for row in mat.entries]
     return {
@@ -230,11 +230,6 @@ def _cmd_scan(spec, m, j, points):
 
 
 def _cmd_validate(spec, m, j):
-    if any(c != 0 for c in spec.point):
-        pt = spec.point
-        if m.phi.evaluate(list(pt)) != 0:
-            pt = project_point_to_surface(m, pt)
-        m, j, _ = recenter(m, j, pt)
     rep = engine.type_search(m, j, spec.k_max, strategy=spec.strategy)
     doc = _type_doc(rep)
     if rep.witness_disk is None:
@@ -280,6 +275,13 @@ def run_command(spec: ProblemSpec) -> dict:
     if spec.command == "catalog":
         return _document(spec, _cmd_catalog(spec))
     m, j = build_problem(spec)
+    # type and scan recenter each point inside engine.scan_type
+    if spec.command in ("levi", "classify", "validate") \
+            and any(c != 0 for c in spec.point):
+        pt = spec.point
+        if m.phi.evaluate(list(pt)) != 0:
+            pt = project_point_to_surface(m, pt)
+        m, j, _ = recenter(m, j, pt)
     if spec.command == "levi":
         result = _cmd_levi(spec, m, j)
     elif spec.command == "classify":
@@ -413,6 +415,8 @@ def _spec_from_args(args) -> ProblemSpec:
     if n < 2:
         raise ParseError("n must be at least 2")
     k_max = getattr(args, "kmax", 2)
+    if k_max < 2:
+        raise ParseError("--kmax must be at least 2")
     cap = args.cap if args.cap is not None else k_max + 4
     if getattr(args, "J_perturb", None) is not None:
         jspec = ("perturbed", args.J_perturb)

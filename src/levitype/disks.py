@@ -24,7 +24,7 @@ from math import factorial
 
 from .errors import CapError, GeometryError, TheoremViolation
 from .geometry import ACStructure, Hypersurface, apply_jstd
-from .jets import TruncatedSeries
+from .jets import TruncatedSeries, mat_vec
 from .rational import Q, ZERO, rat
 
 
@@ -145,13 +145,12 @@ def propagate_cr_jet(x_derivs, j: ACStructure, order: int | None = None) -> Disk
                         if p >= 1 and p + q <= low and vec[i] != 0:
                             terms[(p - 1, q)] = vec[i] * p
                     ux.append(TruncatedSeries(2, low, terms))
-                r_rows = [TruncatedSeries.zero(2, low) for _ in range(n2)]
+                zero = TruncatedSeries.zero(2, low)
+                jpu = [[zero] * n2 for _ in range(n2)]  # (J - J_std) o u
                 for a, b, e in j_plus:
-                    if ux[b].is_zero():
-                        continue
-                    composed = e.truncate(low).compose(comps)
-                    if not composed.is_zero():
-                        r_rows[a] = r_rows[a] + composed * ux[b]
+                    if not ux[b].is_zero():
+                        jpu[a][b] = e.truncate(low).compose(comps)
+                r_rows = mat_vec(jpu, ux)
             for q in range(m):
                 prev = coeff[(m - q, q)]
                 top = apply_jstd(prev)
@@ -183,17 +182,11 @@ def is_cr_jet(u: DiskJet, j: ACStructure) -> bool:
     ux = [c.partial(0) for c in u.components]
     uy = [c.partial(1) for c in u.components]
     comps = [c.truncate(low) for c in u.components]
-    n2 = 2 * u.n
-    for i in range(n2):
-        acc = TruncatedSeries.zero(2, low)
-        for b in range(n2):
-            e = j.entries[i][b]
-            if e.is_zero() or ux[b].is_zero():
-                continue
-            acc = acc + e.truncate(low).compose(comps) * ux[b]
-        if not (uy[i] - acc).is_zero():
-            return False
-    return True
+    zero = TruncatedSeries.zero(2, low)
+    ju = [[zero if e.is_zero() or ux[b].is_zero()
+           else e.truncate(low).compose(comps) for b, e in enumerate(row)]
+          for row in j.entries]
+    return all((a - b).is_zero() for a, b in zip(uy, mat_vec(ju, ux)))
 
 
 class DiskTrace:

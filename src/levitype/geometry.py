@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .errors import CapError, GeometryError
-from .jets import TruncatedSeries
+from .jets import TruncatedSeries, mat_vec
 from .rational import Q, ZERO
 
 
@@ -188,13 +188,13 @@ class ACStructure:
                     )
         if self.is_standard:
             return
+        # columns of J*J, scanned in row-major order for the error message
+        cols = [mat_vec(self.entries, [row[j] for row in self.entries])
+                for j in range(n2)]
+        one = TruncatedSeries.constant(1, n2, self.cap)
         for i in range(n2):
             for j in range(n2):
-                acc = TruncatedSeries.zero(n2, self.cap)
-                for k in range(n2):
-                    acc = acc + self.entries[i][k] * self.entries[k][j]
-                if i == j:
-                    acc = acc + TruncatedSeries.constant(1, n2, self.cap)
+                acc = cols[j][i] + one if i == j else cols[j][i]
                 if not acc.is_zero():
                     raise GeometryError(
                         f"J*J != -I through cap {self.cap} at entry ({i},{j})"
@@ -230,53 +230,10 @@ class ACStructure:
             return VectorField(self.n, comps)
         cap = min(self.cap, x.cap)
         xt = [c.truncate(cap) for c in x.components]
-        comps = []
-        for i in range(2 * self.n):
-            acc = TruncatedSeries.zero(2 * self.n, cap)
-            for j in range(2 * self.n):
-                e = self.entries[i][j]
-                if not e.is_zero():
-                    acc = acc + e.truncate(cap) * xt[j]
-            comps.append(acc)
-        return VectorField(self.n, comps)
+        return VectorField(self.n, mat_vec(self.truncate(cap).entries, xt))
 
     def value_at_zero(self):
         return [[e.constant_term() for e in row] for row in self.entries]
-
-    def entry_derivative(self, direction: VectorField):
-        """Matrix of series (direction . J): entrywise directional derivative."""
-        if self.cap == 0:
-            raise CapError("cannot differentiate a structure with cap 0")
-        cap = min(self.cap - 1, direction.cap)
-        dirs = [c.truncate(cap) for c in direction.components]
-        out = []
-        for row in self.entries:
-            orow = []
-            for e in row:
-                acc = TruncatedSeries.zero(2 * self.n, cap)
-                if not e.is_zero():
-                    for j in range(2 * self.n):
-                        pe = e.partial(j)
-                        if not pe.is_zero():
-                            acc = acc + pe.truncate(cap) * dirs[j]
-                orow.append(acc)
-            out.append(orow)
-        return out
-
-
-def matrix_apply(matrix, x: VectorField, cap: int) -> VectorField:
-    """Apply a matrix of series (shared cap >= cap) to a field at the given cap."""
-    n = x.n
-    xt = [c.truncate(cap) for c in x.components]
-    comps = []
-    for i in range(2 * n):
-        acc = TruncatedSeries.zero(2 * n, cap)
-        for j in range(2 * n):
-            e = matrix[i][j]
-            if not e.is_zero():
-                acc = acc + e.truncate(cap) * xt[j]
-        comps.append(acc)
-    return VectorField(n, comps)
 
 
 @dataclass
@@ -665,9 +622,8 @@ def perturbed_structure(n: int, cap: int, seed: int) -> ACStructure:
         nmat[0][n2 - 1] = rand_linear()
 
     def smat_mul(a, b):
-        return [[sum((a[i][t] * b[t][k] for t in range(n2)
-                      if not (a[i][t].is_zero() or b[t][k].is_zero())), zero)
-                 for k in range(n2)] for i in range(n2)]
+        cols = [mat_vec(a, [row[k] for row in b]) for k in range(n2)]
+        return [list(row) for row in zip(*cols)]
 
     ident = [[TruncatedSeries.constant(1 if i == k else 0, n2, cap)
               for k in range(n2)] for i in range(n2)]

@@ -115,9 +115,6 @@ class TruncatedSeries:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_unit(self) -> bool:
-        return self.constant_term() != 0
-
     def total_degree(self):
         """Max total degree of a stored term, or None for the zero series."""
         if not self._terms:
@@ -134,11 +131,6 @@ class TruncatedSeries:
         """Terms in graded lexicographic order."""
         for exps in sorted(self._terms, key=graded_key):
             yield exps, self._terms[exps]
-
-    def homogeneous_part(self, degree: int) -> dict:
-        if degree > self.cap:
-            raise CapError(f"degree {degree} stratum is beyond cap {self.cap}")
-        return {e: c for e, c in self._terms.items() if sum(e) == degree}
 
     # ------------------------------------------------------------ arithmetic
 
@@ -451,28 +443,20 @@ class TruncatedSeries:
         return [[list(e), str(c)] for e, c in self.terms()]
 
 
-def ring_ops(a: TruncatedSeries, b, op: str) -> TruncatedSeries:
-    """Dispatch the basic ring operations by name.
+def mat_vec(matrix, vector):
+    """The series vector out[i] = sum_j matrix[i][j] * vector[j].
 
-    op is one of "add", "sub", "scale"; for "scale" the second argument is
-    a rational scalar rather than a series.
+    Every entry and component shares one num_vars and one cap; zero entries
+    and zero components are skipped.
     """
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "scale":
-        return a.scale(b)
-    raise ValueError(f"unknown ring operation {op!r}")
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a * b
-
-
-def series_compose(f: TruncatedSeries, g) -> TruncatedSeries:
-    return f.compose(list(g))
-
-
-def series_partial(f: TruncatedSeries, var: int) -> TruncatedSeries:
-    return f.partial(var)
+    zero = TruncatedSeries.zero(vector[0].num_vars, vector[0].cap)
+    live = [(j, v) for j, v in enumerate(vector) if v._terms]
+    out = []
+    for row in matrix:
+        acc = zero
+        for j, v in live:
+            e = row[j]
+            if e._terms:
+                acc = acc + e * v
+        out.append(acc)
+    return out

@@ -150,6 +150,14 @@ def levi_polar(m: Hypersurface, j: ACStructure, x: VectorField,
     return QC(re, im)
 
 
+@dataclass(frozen=True)
+class Classification:
+    label: str
+    positive: int
+    negative: int
+    zero: int
+
+
 @dataclass
 class HermitianLeviMatrix:
     """Polar form on a basis of the complex tangent space at 0."""
@@ -173,6 +181,34 @@ class HermitianLeviMatrix:
                 out[i + d][k + d] = a
         return out
 
+    def classify(self) -> Classification:
+        """Pseudoconvexity label from the signature of the polar form.
+
+        The signature is computed on the realified matrix, where every
+        eigenvalue appears twice; the reported counts are complex (halved).
+        """
+        if self.is_zero():
+            return Classification("levi_flat", 0, 0, len(self.entries))
+        pos2, neg2, zero2 = linalg.real_symmetric_signature(self.realified())
+        if pos2 % 2 or neg2 % 2 or zero2 % 2:
+            raise ArithmeticError("realified signature must have even counts")
+        pos, neg, zero = pos2 // 2, neg2 // 2, zero2 // 2
+        if zero == 0:
+            if neg == 0:
+                label = "strictly_pseudoconvex"
+            elif pos == 0:
+                label = "strictly_pseudoconcave"
+            else:
+                label = "indefinite"
+        else:
+            if neg == 0 and pos > 0:
+                label = "pseudoconvex_degenerate"
+            elif pos == 0 and neg > 0:
+                label = "pseudoconcave_degenerate"
+            else:
+                label = "indefinite"
+        return Classification(label, pos, neg, zero)
+
 
 def hermitian_levi_matrix(m: Hypersurface, j: ACStructure,
                           basis=None) -> HermitianLeviMatrix:
@@ -193,45 +229,11 @@ def hermitian_levi_matrix(m: Hypersurface, j: ACStructure,
     return mat
 
 
-@dataclass(frozen=True)
-class Classification:
-    label: str
-    positive: int
-    negative: int
-    zero: int
-
-
 def classify_point(m: Hypersurface, j: ACStructure) -> Classification:
-    """Exact pseudoconvexity label at 0 from the signature of the polar form.
-
-    The signature is computed on the realified matrix, where every eigenvalue
-    appears twice; the reported counts are complex (halved).
-    """
+    """Exact pseudoconvexity label at 0 from the signature of the polar form."""
     if m.n == 1:
         return Classification("levi_flat", 0, 0, 0)
-    mat = hermitian_levi_matrix(m, j)
-    d = len(mat.entries)
-    if mat.is_zero():
-        return Classification("levi_flat", 0, 0, d)
-    pos2, neg2, zero2 = linalg.real_symmetric_signature(mat.realified())
-    if pos2 % 2 or neg2 % 2 or zero2 % 2:
-        raise ArithmeticError("realified signature must have even counts")
-    pos, neg, zero = pos2 // 2, neg2 // 2, zero2 // 2
-    if zero == 0:
-        if neg == 0:
-            label = "strictly_pseudoconvex"
-        elif pos == 0:
-            label = "strictly_pseudoconcave"
-        else:
-            label = "indefinite"
-    else:
-        if neg == 0 and pos > 0:
-            label = "pseudoconvex_degenerate"
-        elif pos == 0 and neg > 0:
-            label = "pseudoconcave_degenerate"
-        else:
-            label = "indefinite"
-    return Classification(label, pos, neg, zero)
+    return hermitian_levi_matrix(m, j).classify()
 
 
 def higher_levi(m: Hypersurface, j: ACStructure, x_jet, p: int, q: int):

@@ -2,8 +2,9 @@
 
 Dense Gaussian elimination with deterministic pivoting (first nonzero entry
 in column order), affine solves returning particular solution plus nullspace,
-matrix inverse, and the Faddeev-LeVerrier characteristic polynomial.  All
-matrices are lists of lists of rationals; sizes here are tiny (<= ~10).
+matrix inverse, and the inertia of a symmetric matrix by symmetric
+elimination.  All matrices are lists of lists of rationals; sizes here are
+tiny (<= ~10).
 """
 
 from __future__ import annotations
@@ -43,10 +44,6 @@ def mat_vec(a, v):
                 s = s + x * y
         out.append(s)
     return out
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)]
 
 
 @dataclass
@@ -124,54 +121,44 @@ def mat_inverse(a):
     return [row[m:] for row in aug]
 
 
-def rank(a) -> int:
-    if not a:
-        return 0
-    sol = solve_affine(a, [ZERO] * len(a))
-    return len(a[0]) - len(sol.nullspace)
-
-
-def char_poly(a):
-    """Coefficients [1, c1, ..., cm] of det(tI - A) = t^m + c1 t^(m-1) + ... + cm."""
-    m = len(a)
-    coeffs = [Q(1)]
-    mk = identity(m)
-    for k in range(1, m + 1):
-        if k > 1:
-            shifted = [[mk[i][j] + (coeffs[k - 1] if i == j else ZERO)
-                        for j in range(m)] for i in range(m)]
-            mk = mat_mul(a, shifted)
-        else:
-            mk = [list(map(Q, row)) for row in a]
-        trace = sum((mk[i][i] for i in range(m)), ZERO)
-        coeffs.append(-trace / k)
-    return coeffs
-
-
-def _sign_changes(coeffs) -> int:
-    signs = [1 if c > 0 else -1 for c in coeffs if c != 0]
-    return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
-
-
 def real_symmetric_signature(a):
     """(positive, negative, zero) eigenvalue counts of a symmetric rational matrix.
 
-    Uses Descartes' rule on the characteristic polynomial, which is exact for
-    polynomials with all real roots.
+    Symmetric elimination a -> E a E^T reduces a to diagonal form; by
+    Sylvester's law of inertia the signs of the pivots are the signs of the
+    eigenvalues.  When every remaining diagonal entry is zero but a[i][k] is
+    not, adding row k to row i and column k to column i makes 2 a[i][k] the
+    next pivot.
     """
     m = len(a)
     for i in range(m):
         for j in range(i):
             if a[i][j] != a[j][i]:
                 raise ValueError("matrix is not symmetric")
-    p = char_poly(a)  # [1, c1, ..., cm] for t^m + c1 t^(m-1) + ...
-    zero = 0
-    while zero < m and p[m - zero] == 0:
-        zero += 1
-    pos = _sign_changes(p)
-    # p(-t) up to sign: flip coefficients of odd powers of t
-    neg_poly = [c if (m - i) % 2 == 0 else -c for i, c in enumerate(p)]
-    neg = _sign_changes(neg_poly)
-    if pos + neg + zero != m:
-        raise ArithmeticError("signature bookkeeping failed; matrix not real-rooted?")
-    return pos, neg, zero
+    a = [list(map(Q, row)) for row in a]
+    live = list(range(m))
+    pos = neg = 0
+    while live:
+        p = next((i for i in live if a[i][i] != 0), None)
+        if p is None:
+            pair = next(((i, k) for i in live for k in live if a[i][k] != 0),
+                        None)
+            if pair is None:
+                break
+            p, k = pair
+            for t in live:
+                a[p][t] += a[k][t]
+            for t in live:
+                a[t][p] += a[t][k]
+        pivot = a[p][p]
+        if pivot > 0:
+            pos += 1
+        else:
+            neg += 1
+        live.remove(p)
+        for r in live:
+            f = a[r][p] / pivot
+            if f != 0:
+                for c in live:
+                    a[r][c] -= f * a[p][c]
+    return pos, neg, m - pos - neg

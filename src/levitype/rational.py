@@ -24,7 +24,6 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
 Q = _Q
 
 ZERO = Q(0)
-ONE = Q(1)
 
 
 def rat(value, den=None):
@@ -38,10 +37,6 @@ def rat(value, den=None):
     if den is not None:
         return Q(value) / Q(den)
     return Q(value)
-
-
-def rat_str(q) -> str:
-    return str(q)
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,13 @@ class TestRunCommand:
         assert doc["result"]["classification"] == "strictly_pseudoconvex"
         assert doc["parameters"]["J"] == {"matrix": J_ROWS}
 
+    def test_levi_at_point_is_recentered(self):
+        # agrees with scan, which certifies type 2 at this point
+        point = (Q(1, 2), Q(0), Q(-1, 32), Q(0))
+        r = run_command(spec_for("levi", point=point))["result"]
+        assert r["signature"] == {"positive": 1, "negative": 0, "zero": 0}
+        assert r["classification"] == "strictly_pseudoconvex"
+
     def test_type_quartic(self):
         r = run_command(spec_for("type"))["result"]
         assert r["point"] == ["0", "0", "0", "0"]
@@ -227,6 +234,9 @@ class TestMain:
              "--strategy", "grid:0"],
             ["type", "--phi", QUARTIC_PHI, "--n", "2",
              "--strategy", "dirs:/no/such/file"],
+            ["type", "--phi", QUARTIC_PHI, "--n", "2", "--kmax", "1"],
+            ["type", "--phi", QUARTIC_PHI, "--n", "2",
+             "--strategy", "grid:2"],
         )
         for argv in bad:
             assert main(argv) == 2, argv

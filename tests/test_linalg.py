@@ -70,3 +70,12 @@ class TestSignature:
         v = [Q(1), Q(-2), Q(1, 2)]
         mat = [[vi * vj for vj in v] for vi in v]
         assert real_symmetric_signature(mat) == (1, 0, 2)
+
+    def test_zero_diagonal(self):
+        # no diagonal pivot: the pair step makes 2 a[i][k] the pivot
+        mat = [[Q(0), Q(1)], [Q(1), Q(0)]]
+        assert real_symmetric_signature(mat) == (1, 1, 0)
+        mat = [[Q(0), Q(1), Q(0)],
+               [Q(1), Q(0), Q(0)],
+               [Q(0), Q(0), Q(0)]]
+        assert real_symmetric_signature(mat) == (1, 1, 1)
