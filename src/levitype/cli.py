@@ -278,10 +278,7 @@ def run_command(spec: ProblemSpec) -> dict:
     # type and scan recenter each point inside engine.scan_type
     if spec.command in ("levi", "classify", "validate") \
             and any(c != 0 for c in spec.point):
-        pt = spec.point
-        if m.phi.evaluate(list(pt)) != 0:
-            pt = project_point_to_surface(m, pt)
-        m, j, _ = recenter(m, j, pt)
+        m, j, _ = recenter(m, j, project_point_to_surface(m, spec.point))
     if spec.command == "levi":
         result = _cmd_levi(spec, m, j)
     elif spec.command == "classify":

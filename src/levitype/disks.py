@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from .errors import CapError, GeometryError, TheoremViolation
-from .geometry import ACStructure, Hypersurface, apply_jstd
+from .geometry import ACStructure, Hypersurface, apply_jstd, standard_matrix
 from .jets import TruncatedSeries, mat_vec
 from .rational import Q, ZERO, rat
 
@@ -105,62 +105,49 @@ def propagate_cr_jet(x_derivs, j: ACStructure, order: int | None = None) -> Disk
         f *= m
         coeff[(m, 0)] = tuple(v / f for v in derivs[m - 1])
 
-    if j.is_standard:
-        for m in range(1, order + 1):
-            for q in range(m):
-                prev = coeff[(m - q, q)]
-                scale = Q(m - q, q + 1)
-                coeff[(m - 1 - q, q + 1)] = tuple(
-                    scale * v for v in apply_jstd(prev))
-    else:
-        n2 = 2 * n
-        std_const = {}
-        for i in range(n):
-            std_const[(2 * i, 2 * i + 1)] = Q(-1)
-            std_const[(2 * i + 1, 2 * i)] = Q(1)
-        j_plus = []
-        for a in range(n2):
-            for b in range(n2):
-                e = j.entries[a][b]
-                c0 = std_const.get((a, b), ZERO)
-                if c0 != 0:
-                    e = e - TruncatedSeries.constant(c0, n2, j.cap)
-                if not e.is_zero():
-                    j_plus.append((a, b, e))
-        for m in range(1, order + 1):
-            low = m - 1
-            r_rows = None
-            if low >= 1:
-                comps = []
-                for i in range(n2):
-                    terms = {}
-                    for (p, q), vec in coeff.items():
-                        if p + q <= low and vec[i] != 0:
-                            terms[(p, q)] = vec[i]
-                    comps.append(TruncatedSeries(2, low, terms))
-                ux = []
-                for i in range(n2):
-                    terms = {}
-                    for (p, q), vec in coeff.items():
-                        if p >= 1 and p + q <= low and vec[i] != 0:
-                            terms[(p - 1, q)] = vec[i] * p
-                    ux.append(TruncatedSeries(2, low, terms))
-                zero = TruncatedSeries.zero(2, low)
-                jpu = [[zero] * n2 for _ in range(n2)]  # (J - J_std) o u
-                for a, b, e in j_plus:
-                    if not ux[b].is_zero():
-                        jpu[a][b] = e.truncate(low).compose(comps)
-                r_rows = mat_vec(jpu, ux)
-            for q in range(m):
-                prev = coeff[(m - q, q)]
-                top = apply_jstd(prev)
-                scale = Q(m - q)
-                new = [scale * v for v in top]
-                if r_rows is not None:
-                    for i in range(n2):
-                        new[i] = new[i] + r_rows[i].coefficient((m - 1 - q, q))
+    n2 = 2 * n
+    std = standard_matrix(n)
+    # nonzero entries of J - J_std: as J(0) = J_std, those of nonconstant
+    # entries of J; none for J_std
+    j_plus = []
+    for a in range(n2):
+        for b in range(n2):
+            e = j.entries[a][b]
+            if e.total_degree():
+                c0 = TruncatedSeries.constant(std[a][b], n2, j.cap)
+                j_plus.append((a, b, e - c0))
+    for m in range(1, order + 1):
+        low = m - 1
+        r_rows = None
+        if low >= 1 and j_plus:
+            comps = []
+            for i in range(n2):
+                terms = {}
+                for (p, q), vec in coeff.items():
+                    if p + q <= low and vec[i] != 0:
+                        terms[(p, q)] = vec[i]
+                comps.append(TruncatedSeries(2, low, terms))
+            ux = []
+            for i in range(n2):
+                terms = {}
+                for (p, q), vec in coeff.items():
+                    if p >= 1 and p + q <= low and vec[i] != 0:
+                        terms[(p - 1, q)] = vec[i] * p
+                ux.append(TruncatedSeries(2, low, terms))
+            zero = TruncatedSeries.zero(2, low)
+            jpu = [[zero] * n2 for _ in range(n2)]  # (J - J_std) o u
+            for a, b, e in j_plus:
+                if not ux[b].is_zero():
+                    jpu[a][b] = e.truncate(low).compose(comps)
+            r_rows = mat_vec(jpu, ux)
+        for q in range(m):
+            scale = Q(m - q, q + 1)
+            new = [scale * v for v in apply_jstd(coeff[(m - q, q)])]
+            if r_rows is not None:
                 inv = Q(1, q + 1)
-                coeff[(m - 1 - q, q + 1)] = tuple(inv * v for v in new)
+                for i in range(n2):
+                    new[i] += inv * r_rows[i].coefficient((m - 1 - q, q))
+            coeff[(m - 1 - q, q + 1)] = tuple(new)
 
     comps = []
     for i in range(2 * n):
@@ -177,7 +164,7 @@ def is_cr_jet(u: DiskJet, j: ACStructure) -> bool:
     if u.cap == 0:
         return True
     low = u.cap - 1
-    if not j.is_standard and j.cap < low:
+    if j.cap < low:
         raise CapError("structure cap too small for the check")
     ux = [c.partial(0) for c in u.components]
     uy = [c.partial(1) for c in u.components]
@@ -253,7 +240,6 @@ def holomorphic_reparam_series(coeffs, cap: int):
     Coefficients are (re, im) pairs or rationals; theta(0) = 0 by shape and
     theta'(0) = coeffs[0] must be nonzero.
     """
-    from math import comb
     pairs = []
     for c in coeffs:
         if isinstance(c, tuple):
@@ -262,27 +248,16 @@ def holomorphic_reparam_series(coeffs, cap: int):
             pairs.append((rat(c), ZERO))
     if not pairs or (pairs[0][0] == 0 and pairs[0][1] == 0):
         raise GeometryError("reparametrization needs theta'(0) != 0")
-    re_terms: dict = {}
-    im_terms: dict = {}
-    for k, (a, b) in enumerate(pairs, start=1):
-        if k > cap or (a == 0 and b == 0):
-            continue
-        for s in range(k + 1):
-            c = Q(comb(k, s))
-            if s % 2 == 0:
-                re_zk = c if s % 4 == 0 else -c
-                im_zk = ZERO
-            else:
-                im_zk = c if s % 4 == 1 else -c
-                re_zk = ZERO
-            exps = (k - s, s)
-            re_val = a * re_zk - b * im_zk
-            im_val = a * im_zk + b * re_zk
-            if re_val != 0:
-                re_terms[exps] = re_terms.get(exps, ZERO) + re_val
-            if im_val != 0:
-                im_terms[exps] = im_terms.get(exps, ZERO) + im_val
-    return (TruncatedSeries(2, cap, re_terms), TruncatedSeries(2, cap, im_terms))
+    re = im = TruncatedSeries.zero(2, cap)
+    if cap == 0:
+        return re, im
+    x, y = TruncatedSeries.variables(2, cap)
+    zr, zi = TruncatedSeries.constant(1, 2, cap), re  # Re, Im of z^0
+    for a, b in pairs[:cap]:
+        zr, zi = zr * x - zi * y, zr * y + zi * x  # z^k = z^(k-1) (x + i y)
+        re = re + zr.scale(a) - zi.scale(b)
+        im = im + zi.scale(a) + zr.scale(b)
+    return re, im
 
 
 def reparametrize_disk_jet(u: DiskJet, coeffs,

@@ -9,6 +9,7 @@ disagreement is raised as TheoremViolation instead of being smoothed over.
 """
 
 from dataclasses import dataclass
+from itertools import product
 from math import factorial, isqrt
 
 from .disks import (
@@ -35,7 +36,7 @@ from .geometry import (
 )
 from .jets import TruncatedSeries
 from .levi import hermitian_levi_matrix, higher_levi
-from .linalg import real_symmetric_signature, solve_affine
+from .linalg import mat_vec, real_symmetric_signature, solve_affine
 from .rational import Q, ZERO, rat
 
 
@@ -90,17 +91,13 @@ def _dual_pair_forms(v, w):
     raise GeometryError("field value and its rotation are not independent")
 
 
-def _linear_form_series(indices, coeffs, num_vars, cap):
-    i1, i2 = indices
-    terms = {}
-    for idx, c in ((i1, coeffs[0]), (i2, coeffs[1])):
-        if c != 0:
-            terms[tuple(1 if t == idx else 0 for t in range(num_vars))] = c
-    return TruncatedSeries(num_vars, cap, terms)
+def _tangent_columns(taus):
+    """Matrix with columns tau_1, ..., tau_d, J_std tau_1, ..., J_std tau_d."""
+    return [list(row) for row in zip(*taus, *(apply_jstd(t) for t in taus))]
 
 
 def jet_extension_test(m: Hypersurface, j: ACStructure, x1: VectorField,
-                       xi: FieldJet, verify: bool = True) -> ExtensionResult:
+                       xi: FieldJet) -> ExtensionResult:
     """Extend x1 by one jet order to realize the target triangle xi.
 
     x1 must realize the order-(k) part of xi already; the top slots p+q=k+1
@@ -135,10 +132,7 @@ def jet_extension_test(m: Hypersurface, j: ACStructure, x1: VectorField,
         return ExtensionResult(True, x1, {}, None)
 
     basis = complex_tangent_basis(m, j)
-    taus = [b.at_zero() for b in basis]
-    cols = taus + [apply_jstd(t) for t in taus]
-    d = len(cols)
-    colmat = [[cols[c][r] for c in range(d)] for r in range(n2)]
+    colmat = _tangent_columns([b.at_zero() for b in basis])
 
     v0 = x1.at_zero()
     if _is_zero_vec(v0):
@@ -147,8 +141,8 @@ def jet_extension_test(m: Hypersurface, j: ACStructure, x1: VectorField,
     indices, dual = _dual_pair_forms(v0, w0)
 
     cap = min(x1.cap, min(b.cap for b in basis))
-    l1 = _linear_form_series(indices, dual[0], n2, cap)
-    l2 = _linear_form_series(indices, dual[1], n2, cap)
+    var = [TruncatedSeries.variable(i, n2, cap) for i in indices]
+    l1, l2 = (var[0].scale(c[0]) + var[1].scale(c[1]) for c in dual)
     # powers l1^p l2^q, shared across slots
     pw1 = [TruncatedSeries.constant(1, n2, cap)]
     pw2 = [TruncatedSeries.constant(1, n2, cap)]
@@ -185,12 +179,11 @@ def jet_extension_test(m: Hypersurface, j: ACStructure, x1: VectorField,
             jt = j.apply(t).truncate(cap)
             x = x + jt.scale_series(nu[i])
 
-    if verify:
-        got = field_jet(x, j, k1)
-        for (p, q), val in xi.entries.items():
-            if tuple(got.entry(p, q)) != tuple(val):
-                raise TheoremViolation(
-                    f"multiplier construction missed slot ({p},{q})")
+    got = field_jet(x, j, k1)
+    for (p, q), val in xi.entries.items():
+        if tuple(got.entry(p, q)) != tuple(val):
+            raise TheoremViolation(
+                f"multiplier construction missed slot ({p},{q})")
     return ExtensionResult(True, x, multipliers, None)
 
 
@@ -379,23 +372,13 @@ def commutation_defect(x: VectorField, j: ACStructure,
     def crit4():
         if k < 2:
             return k  # no word reaches the bracket, matches the others
-        br = (covariant_derivative(base[0], base[1])
-              - covariant_derivative(base[1], base[0]))
-        chains = {(): br}
-
-        def chain(bits):
-            f = chains.get(bits)
-            if f is None:
-                inner = chain(bits[1:])
-                f = covariant_derivative(base[bits[0]].truncate(inner.cap),
-                                         inner)
-                chains[bits] = f
-            return f
-
+        # the bracket [X, JX] is the innermost field of these words
+        word_fields[(2,)] = (covariant_derivative(base[0], base[1])
+                             - covariant_derivative(base[1], base[0]))
         for mlen in range(0, k - 1):
             for num in range(1 << mlen):
                 bits = tuple((num >> t) & 1 for t in range(mlen))
-                if not _is_zero_vec(chain(bits).at_zero()):
+                if not _is_zero_vec(word(bits + (2,)).at_zero()):
                     return mlen + 1
         return k
 
@@ -448,15 +431,6 @@ def _rational_isotropic(r0):
     """
     d = len(r0)
 
-    def qf(t):
-        acc = ZERO
-        for i in range(d):
-            if t[i] == 0:
-                continue
-            row = r0[i]
-            acc += t[i] * sum((row[p] * t[p] for p in range(d)), ZERO)
-        return acc
-
     def e(i):
         return tuple(Q(1) if p == i else ZERO for p in range(d))
 
@@ -480,7 +454,8 @@ def _rational_isotropic(r0):
                     for b in small:
                         t = list(e(i))
                         t[p], t[r] = a, b
-                        if qf(t) == 0:
+                        rt = mat_vec(r0, t)
+                        if sum(x * y for x, y in zip(t, rt)) == 0:
                             return tuple(t)
     return None
 
@@ -508,20 +483,13 @@ class _Stager:
         self.q0 = m.dphi_at_zero(self.jn0)
         self.basis = complex_tangent_basis(m, j)
         self.taus = [b.at_zero() for b in self.basis]
-        self.cols = self.taus + [apply_jstd(t) for t in self.taus]
-        self.d = len(self.cols)
-        n2 = 2 * m.n
-        self.colmat = [[self.cols[c][r] for c in range(self.d)]
-                       for r in range(n2)]
+        self.colmat = _tangent_columns(self.taus)
+        self.d = 2 * len(self.taus)
 
     # -- tangential coordinates
 
     def tangential(self, coords):
-        acc = _vec_zero(2 * self.m.n)
-        for c, col in zip(coords, self.cols):
-            if c != 0:
-                acc = _vec_add(acc, _vec_scale(c, col))
-        return acc
+        return mat_vec(self.colmat, coords)
 
     def coords_of(self, vec):
         sol = solve_affine(self.colmat, list(vec))
@@ -725,19 +693,10 @@ def _grid_candidates(d, step):
     while v <= 1:
         ticks.append(v)
         v = v + step
-    out = []
     for lead in range(d):
-        tail = d - lead - 1
-
-        def extend(prefix, left):
-            if left == 0:
-                out.append(tuple(prefix))
-                return
-            for t in ticks:
-                extend(prefix + [t], left - 1)
-
-        extend([ZERO] * lead + [Q(1)], tail)
-    return out
+        prefix = (ZERO,) * lead + (Q(1),)
+        for tail in product(ticks, repeat=d - lead - 1):
+            yield prefix + tail
 
 
 def type_search(m: Hypersurface, j: ACStructure, k_max: int,
@@ -757,8 +716,8 @@ def type_search(m: Hypersurface, j: ACStructure, k_max: int,
     if isinstance(strategy, tuple) and len(strategy) == 2:
         kind, arg = strategy
         if kind == "grid":
-            coord_sets = _grid_candidates(stager.d, arg)
-            candidates = [stager.tangential(c) for c in coord_sets]
+            candidates = (stager.tangential(c)
+                          for c in _grid_candidates(stager.d, arg))
         elif kind == "directions":
             if not arg:
                 raise ValueError("empty direction list")
@@ -864,9 +823,7 @@ def scan_type(m: Hypersurface, j: ACStructure, points, k_max: int,
     """
     out = []
     for point in points:
-        pt = [rat(c) for c in point]
-        if m.phi.evaluate(pt) != 0:
-            pt = project_point_to_surface(m, pt)
+        pt = project_point_to_surface(m, [rat(c) for c in point])
         mc, jc, _ = recenter(m, j, pt)
         rep = type_search(mc, jc, k_max, strategy)
         out.append(TypeReport(tuple(pt), rep.lower_bound, rep.certified_exact,

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 
 from . import linalg
 from .errors import CapError, GeometryError
-from .jets import TruncatedSeries, mat_vec
+from .jets import TruncatedSeries, mat_mul, mat_vec
 from .rational import Q, ZERO
 
 
@@ -30,6 +32,12 @@ def standard_matrix(n: int):
         m[2 * i][2 * i + 1] = Q(-1)
         m[2 * i + 1][2 * i] = Q(1)
     return m
+
+
+def constant_matrix(mat, num_vars: int, cap: int):
+    """A rational matrix as a matrix of constant series."""
+    return [[TruncatedSeries.constant(v, num_vars, cap) for v in row]
+            for row in mat]
 
 
 def apply_jstd(vec):
@@ -206,9 +214,7 @@ class ACStructure:
 
     @classmethod
     def standard(cls, n: int, cap: int) -> "ACStructure":
-        std = standard_matrix(n)
-        entries = [[TruncatedSeries.constant(std[i][j], 2 * n, cap)
-                    for j in range(2 * n)] for i in range(2 * n)]
+        entries = constant_matrix(standard_matrix(n), 2 * n, cap)
         return cls(n, entries, _validated=True)
 
     def truncate(self, cap: int) -> "ACStructure":
@@ -231,9 +237,6 @@ class ACStructure:
         cap = min(self.cap, x.cap)
         xt = [c.truncate(cap) for c in x.components]
         return VectorField(self.n, mat_vec(self.truncate(cap).entries, xt))
-
-    def value_at_zero(self):
-        return [[e.constant_term() for e in row] for row in self.entries]
 
 
 @dataclass
@@ -291,20 +294,9 @@ def covariant_derivative(x: VectorField, y: VectorField) -> VectorField:
         raise ValueError("covariant_derivative needs matching caps")
     if y.cap == 0:
         raise CapError("cannot differentiate a field with cap 0")
-    cap = y.cap - 1
-    n2 = 2 * x.n
-    xt = [c.truncate(cap) for c in x.components]
-    comps = []
-    for i in range(n2):
-        acc = TruncatedSeries.zero(n2, cap)
-        yi = y.components[i]
-        if not yi.is_zero():
-            for jv in range(n2):
-                p = yi.partial(jv)
-                if not p.is_zero():
-                    acc = acc + xt[jv] * p
-        comps.append(acc)
-    return VectorField(x.n, comps)
+    xt = [c.truncate(y.cap - 1) for c in x.components]
+    jacobian = [[yi.partial(v) for v in range(2 * x.n)] for yi in y.components]
+    return VectorField(x.n, mat_vec(jacobian, xt))
 
 
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
@@ -464,15 +456,10 @@ def recenter(m: Hypersurface, j: ACStructure, point):
         new_entries = entries_p
     else:
         # J(p) must itself square to -I for a linear conjugation to exist
-        sq = linalg.mat_mul(j0, j0)
-        for i in range(2 * m.n):
-            for k in range(2 * m.n):
-                want = Q(-1) if i == k else ZERO
-                if sq[i][k] != want:
-                    raise GeometryError(
-                        "J at the point does not square to -I exactly; "
-                        "cannot recenter"
-                    )
+        minus_id = [[-v for v in row] for row in linalg.identity(2 * m.n)]
+        if linalg.mat_mul(j0, j0) != minus_id:
+            raise GeometryError("J at the point does not square to -I "
+                                "exactly; cannot recenter")
         b = adapted_frame_matrix(j0)
         b_inv = linalg.mat_inverse(b)
         cap = m.cap
@@ -484,16 +471,8 @@ def recenter(m: Hypersurface, j: ACStructure, point):
         jcap = j.cap
         lin_j = [ls.truncate(jcap) for ls in lin] if jcap != cap else lin
         comp = [[e.compose(lin_j) for e in row] for row in entries_p]
-        new_entries = [[None] * (2 * m.n) for _ in range(2 * m.n)]
-        for i in range(2 * m.n):
-            for k in range(2 * m.n):
-                acc = TruncatedSeries.zero(2 * m.n, jcap)
-                for a in range(2 * m.n):
-                    for c in range(2 * m.n):
-                        f = b_inv[i][a] * b[c][k]
-                        if f != 0:
-                            acc = acc + comp[a][c].scale(f)
-                new_entries[i][k] = acc
+        new_entries = mat_mul(mat_mul(constant_matrix(b_inv, 2 * m.n, jcap),
+                                      comp), constant_matrix(b, 2 * m.n, jcap))
     return Hypersurface(m.n, new_phi), ACStructure(m.n, new_entries), b
 
 
@@ -523,69 +502,114 @@ def project_point_to_surface(m: Hypersurface, point):
 
 
 def _line_restriction(phi: TruncatedSeries, point, direction):
-    """Coefficients [c0, c1, ...] of t -> phi(point + t*direction)."""
-    coeffs = {}
-    for exps, c in phi._terms.items():
-        partial = {0: c}
-        for i, e in enumerate(exps):
-            if e == 0:
-                continue
-            new = {}
-            # (point_i + t*dir_i)^e expanded exactly
-            from math import comb as _comb
-            for k, v in partial.items():
-                for s in range(e + 1):
-                    coeff = v * _comb(e, s) * point[i] ** (e - s) * direction[i] ** s
-                    if coeff != 0:
-                        new[k + s] = new.get(k + s, ZERO) + coeff
-            partial = new
-        for k, v in partial.items():
-            coeffs[k] = coeffs.get(k, ZERO) + v
-    deg = max(coeffs) if coeffs else 0
-    return [coeffs.get(i, ZERO) for i in range(deg + 1)]
+    """Coefficients [c0, ..., c_cap] of t -> phi(point + t*direction).
+
+    Exact: phi has degree <= cap and the substitution is linear in t.
+    """
+    t = TruncatedSeries.variable(0, 1, phi.cap)
+    line = phi.shift(point).compose([t.scale(d) for d in direction])
+    return [line.coefficient((k,)) for k in range(phi.cap + 1)]
 
 
 def _rational_roots(coeffs):
-    """All rational roots of a polynomial with rational coefficients."""
+    """All rational roots of a polynomial with rational coefficients.
+
+    Sturm sequences isolate the real roots of the square-free part, and
+    bisection by sign narrows each below 1/(2 lead^2), where lead is the
+    leading coefficient of that part as a primitive integer polynomial.  A
+    rational root p/q has q dividing lead, so it is the fraction nearest the
+    narrowed interval with denominator <= |lead|: one exact check per real
+    root.  The interval of an irrational root may also snap to a nearby
+    rational root, which the check accepts; a set keeps each root once.
+    """
     while coeffs and coeffs[-1] == 0:
         coeffs = coeffs[:-1]
     if not coeffs:
         return [ZERO]
-    lead_zeros = 0
-    while coeffs[lead_zeros] == 0:
-        lead_zeros += 1
-    roots = set()
-    if lead_zeros:
-        roots.add(ZERO)
-        coeffs = coeffs[lead_zeros:]
     if len(coeffs) == 1:
-        return sorted(roots)
-    from math import lcm
-    denom = lcm(*(int(c.denominator) for c in coeffs))
-    ints = [int(c * denom) for c in coeffs]
-    a0, alead = abs(ints[0]), abs(ints[-1])
+        return []
+    common, rem = coeffs, _poly_deriv(coeffs)
+    while rem:
+        common, rem = rem, _poly_divmod(common, rem)[1]
+    sturm = [_poly_divmod(coeffs, common)[0]]  # square-free: simple roots
+    sturm.append(_poly_deriv(sturm[0]))
+    while len(sturm[-1]) > 1:  # ends in a nonzero constant
+        sturm.append([-c for c in _poly_divmod(sturm[-2], sturm[-1])[1]])
+    sturm = [_primitive(p) for p in sturm]
+    poly = sturm[0]
+    lead = abs(poly[-1])
 
-    def divisors(v):
-        out = []
-        d = 1
-        while d * d <= v:
-            if v % d == 0:
-                out.append(d)
-                out.append(v // d)
-            d += 1
-        return out
+    def changes(x):
+        vals = [v for v in (_poly_eval(p, x) for p in sturm) if v]
+        return sum((a > 0) != (b > 0) for a, b in zip(vals, vals[1:]))
 
-    for p in divisors(a0):
-        for q in divisors(alead):
-            for cand in (Q(p, q), Q(-p, q)):
-                if cand in roots:
-                    continue
-                val = ZERO
-                for c in reversed(ints):
-                    val = val * cand + c
-                if val == 0:
-                    roots.add(cand)
+    bound = 1 + max(abs(Q(c, lead)) for c in poly)
+    roots = set()
+    width = Q(1, 2 * lead * lead)
+    # half-open intervals (lo, hi] with the sign changes at both ends
+    stack = [(-bound, bound, changes(-bound), changes(bound))]
+    while stack:
+        lo, hi, c_lo, c_hi = stack.pop()
+        if c_lo - c_hi > 1:
+            mid = (lo + hi) / 2
+            c_mid = changes(mid)
+            stack += [(lo, mid, c_lo, c_mid), (mid, hi, c_mid, c_hi)]
+        elif c_lo - c_hi == 1:
+            # the root stays in [lo, hi]: poly keeps the sign of poly(hi)
+            # strictly on the side of hi
+            v_hi = _poly_eval(poly, hi)
+            while hi - lo >= width:
+                mid = (lo + hi) / 2
+                if _poly_eval(poly, mid) * v_hi > 0:
+                    hi = mid
+                else:
+                    lo = mid
+            cand = Q(Fraction((lo + hi) / 2).limit_denominator(lead))
+            if _poly_eval(poly, cand) == 0:
+                roots.add(cand)
     return sorted(roots)
+
+
+def _primitive(p):
+    """The primitive integer polynomial that is a positive multiple of p.
+
+    It has the signs of p and evaluates in integers.
+    """
+    k = lcm(*(int(c.denominator) for c in p))
+    ints = [int(c * k) for c in p]
+    g = gcd(*ints)
+    return [c // g for c in ints]
+
+
+def _poly_eval(p, x):
+    """b^deg p(a/b) for x = a/b, b > 0: an integer with the sign of p(x).
+
+    p holds integer coefficients, low to high.
+    """
+    a, b = int(x.numerator), int(x.denominator)
+    val, b_pow = 0, 1
+    for c in reversed(p):
+        val = val * a + c * b_pow
+        b_pow *= b
+    return val
+
+
+def _poly_deriv(p):
+    return [c * i for i, c in enumerate(p) if i]
+
+
+def _poly_divmod(a, b):
+    """(quotient, remainder) over Q; the remainder has no trailing zeros."""
+    a, quo = list(a), [ZERO] * (len(a) - len(b) + 1)
+    while len(a) >= len(b):
+        f = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        quo[shift] = f
+        for i, c in enumerate(b):
+            a[shift + i] -= f * c
+        while a and a[-1] == 0:
+            a.pop()
+    return quo, a
 
 
 def perturbed_structure(n: int, cap: int, seed: int) -> ACStructure:
@@ -621,12 +645,7 @@ def perturbed_structure(n: int, cap: int, seed: int) -> ACStructure:
     if placed == 0:
         nmat[0][n2 - 1] = rand_linear()
 
-    def smat_mul(a, b):
-        cols = [mat_vec(a, [row[k] for row in b]) for k in range(n2)]
-        return [list(row) for row in zip(*cols)]
-
-    ident = [[TruncatedSeries.constant(1 if i == k else 0, n2, cap)
-              for k in range(n2)] for i in range(n2)]
+    ident = constant_matrix(linalg.identity(n2), n2, cap)
     amat = [[ident[i][k] + nmat[i][k] for k in range(n2)] for i in range(n2)]
     ainv = [row[:] for row in ident]
     power = [row[:] for row in nmat]
@@ -634,10 +653,8 @@ def perturbed_structure(n: int, cap: int, seed: int) -> ACStructure:
     while any(not e.is_zero() for row in power for e in row):
         ainv = [[ainv[i][k] + power[i][k].scale(sign) for k in range(n2)]
                 for i in range(n2)]
-        power = smat_mul(power, nmat)
+        power = mat_mul(power, nmat)
         sign = -sign
-    std = standard_matrix(n)
-    jstd = [[TruncatedSeries.constant(std[i][k], n2, cap) for k in range(n2)]
-            for i in range(n2)]
-    j = smat_mul(smat_mul(amat, jstd), ainv)
+    jstd = constant_matrix(standard_matrix(n), n2, cap)
+    j = mat_mul(mat_mul(amat, jstd), ainv)
     return ACStructure(n, j)

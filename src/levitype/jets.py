@@ -460,3 +460,9 @@ def mat_vec(matrix, vector):
                 acc = acc + e * v
         out.append(acc)
     return out
+
+
+def mat_mul(a, b):
+    """The matrix product a . b of two matrices of series, via mat_vec."""
+    cols = [mat_vec(a, [row[k] for row in b]) for k in range(len(b[0]))]
+    return [list(row) for row in zip(*cols)]

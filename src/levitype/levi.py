@@ -5,14 +5,12 @@ origin.  A second route expresses the same number through the flat Hessian of
 phi plus a correction built from first derivatives of J; the two routes share
 no code and are cross-checked in tests.  The higher forms L^{p,q} are computed
 by their defining contract: propagate a disk jet from prescribed x-derivatives,
-compose with phi, take the Laplacian in the disk variables, and read one
-derivative at 0.
+compose with phi, and read one derivative of its disk Laplacian at 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
 
 from . import linalg
 from .disks import compose_phi_u, propagate_cr_jet
@@ -97,33 +95,31 @@ def levi_form_hessian(m: Hypersurface, j: ACStructure, x: VectorField) -> LeviRe
     h = _hessian_at_zero(m)
     x0 = x.at_zero()
     jx0 = apply_jstd(x0)
-    value = _bilinear(h, x0, x0) + _bilinear(h, jx0, jx0)
-    correction = ZERO
-    if not j.is_standard:
-        n2 = 2 * m.n
-        # (D_V J)(0) has entries sum_k V_k(0) * dJ_ab/dx_k (0)
-        def dj_at_zero(v0):
-            out = [[ZERO] * n2 for _ in range(n2)]
-            for a in range(n2):
-                for b in range(n2):
-                    e = j.entries[a][b]
-                    acc = ZERO
-                    for k in range(n2):
-                        if v0[k] == 0:
-                            continue
-                        exps = tuple(1 if t == k else 0 for t in range(n2))
-                        acc += v0[k] * e.coefficient(exps)
-                    out[a][b] = acc
-            return out
+    n2 = 2 * m.n
 
-        djx = dj_at_zero(jx0)   # D_{JX} J at 0
-        dx = dj_at_zero(x0)     # D_X J at 0
-        vec = [
-            sum((djx[a][b] * x0[b] - dx[a][b] * jx0[b] for b in range(n2)), ZERO)
-            for a in range(n2)
-        ]
-        correction = m.dphi_at_zero(vec)
-        value += correction
+    # (D_V J)(0) has entries sum_k V_k(0) * dJ_ab/dx_k (0); zero for J_std
+    def dj_at_zero(v0):
+        out = [[ZERO] * n2 for _ in range(n2)]
+        for a in range(n2):
+            for b in range(n2):
+                e = j.entries[a][b]
+                acc = ZERO
+                for k in range(n2):
+                    if v0[k] == 0:
+                        continue
+                    exps = tuple(1 if t == k else 0 for t in range(n2))
+                    acc += v0[k] * e.coefficient(exps)
+                out[a][b] = acc
+        return out
+
+    djx = dj_at_zero(jx0)   # D_{JX} J at 0
+    dx = dj_at_zero(x0)     # D_X J at 0
+    vec = [
+        sum((djx[a][b] * x0[b] - dx[a][b] * jx0[b] for b in range(n2)), ZERO)
+        for a in range(n2)
+    ]
+    correction = m.dphi_at_zero(vec)
+    value = _bilinear(h, x0, x0) + _bilinear(h, jx0, jx0) + correction
     return LeviReport(value, "hessian", correction)
 
 
@@ -240,9 +236,9 @@ def higher_levi(m: Hypersurface, j: ACStructure, x_jet, p: int, q: int):
     """L^{p,q}(u_1, ..., u_{p+q+1}) by the defining contract.
 
     Propagates the disk jet from the given x-derivatives with the
-    (p+q+2)-th derivative set to zero, composes with phi, forms the disk
-    Laplacian, and extracts the (p,q)-derivative at 0.  The value does not
-    depend on the padding.
+    (p+q+2)-th derivative set to zero, composes with phi, and reads the
+    (p,q)-derivative of the disk Laplacian at 0, a(p+2,q) + a(p,q+2).  The
+    value does not depend on the padding.
     """
     order = p + q + 2
     if order > m.cap:
@@ -254,9 +250,7 @@ def higher_levi(m: Hypersurface, j: ACStructure, x_jet, p: int, q: int):
         raise ValueError(f"need {p + q + 1} x-derivatives, got {len(jets)}")
     jets = jets[:p + q + 1]
     u = propagate_cr_jet(jets, j, order=order)
-    tr = compose_phi_u(m, u)
-    lap = tr.series.partial(0).partial(0) + tr.series.partial(1).partial(1)
-    return lap.coefficient((p, q)) * factorial(p) * factorial(q)
+    return compose_phi_u(m, u).levi_entry(p, q)
 
 
 def _dir_derivative(series: TruncatedSeries, vec):

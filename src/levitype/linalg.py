@@ -52,10 +52,6 @@ class AffineSolution:
     particular: list | None  # free variables set to zero
     nullspace: list  # basis vectors of the homogeneous solution space
 
-    @property
-    def unique(self) -> bool:
-        return self.consistent and not self.nullspace
-
 
 def solve_affine(a, b) -> AffineSolution:
     """Solve a x = b exactly; a is rows x cols, b length rows."""
@@ -101,24 +97,14 @@ def solve_affine(a, b) -> AffineSolution:
 
 
 def mat_inverse(a):
-    m = len(a)
-    aug = [list(map(Q, row)) + list(identity(m)[i]) for i, row in enumerate(a)]
-    for c in range(m):
-        pivot_row = None
-        for i in range(c, m):
-            if aug[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    """Inverse of a square matrix, column i solving a x = e_i."""
+    cols = []
+    for e in identity(len(a)):
+        sol = solve_affine(a, e)
+        if not sol.consistent or sol.nullspace:
             raise ValueError("matrix is singular")
-        aug[c], aug[pivot_row] = aug[pivot_row], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for i in range(m):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[m:] for row in aug]
+        cols.append(sol.particular)
+    return [list(row) for row in zip(*cols)]
 
 
 def real_symmetric_signature(a):

@@ -1,9 +1,14 @@
 """Command line front end: spec building, documents, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import levitype
 from levitype import CapError, Q
 from levitype.cli import CATALOG, ProblemSpec, main, run_command
 
@@ -272,3 +277,22 @@ class TestMain:
         assert main(["type", "--phi", QUARTIC_PHI, "--n", "2",
                      "--cap", "5", "--kmax", "6"]) == 4
         assert "cap error:" in capsys.readouterr().err
+
+
+RUN_MAIN = "import sys; from levitype.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def test_far_off_surface_point_ends_quickly():
+    # the gradient line from this point meets the surface at no rational t;
+    # finding that out must take bounded work and end in a geometry error
+    src = str(Path(levitype.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    argv = ["scan", "--phi", QUARTIC_PHI, "--n", "2",
+            "--point", "1000000007,0,0,0"]
+    proc = subprocess.run([sys.executable, "-c", RUN_MAIN, *argv],
+                          capture_output=True, text=True, env=env, timeout=20)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("geometry error:")
+    assert "Traceback" not in proc.stderr

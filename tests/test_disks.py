@@ -268,6 +268,16 @@ class TestReparametrization:
         v = reparametrize_disk_jet(u, [1, (0, 1)], j)
         assert is_cr_jet(v, j)
 
+    def test_structure_cap_guard_for_standard_structure(self):
+        u = propagate_cr_jet([(1, 0, 0, 0)], ACStructure.standard(2, 8),
+                             order=6)
+        with pytest.raises(CapError):
+            reparametrize_disk_jet(u, [1, 0, 1], ACStructure.standard(2, 3))
+
+    def test_cap_zero_series_are_zero(self):
+        re_s, im_s = holomorphic_reparam_series([1, (2, 3)], 0)
+        assert re_s.is_zero() and im_s.is_zero() and re_s.cap == 0
+
     def test_group_law(self):
         u = bent_disk()
         twice = reparametrize_disk_jet(reparametrize_disk_jet(u, [2]), [1, 1])

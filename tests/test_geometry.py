@@ -29,12 +29,14 @@ from levitype import (
     recenter,
 )
 from levitype.geometry import (
+    _rational_roots,
     apply_jstd,
     dpq_derivative,
     gradient_frame,
     project_point_to_surface,
     standard_matrix,
 )
+from levitype.linalg import mat_mul
 
 
 def surface(text, n, cap=6):
@@ -297,6 +299,22 @@ class TestRecenter:
                 assert j2.entries[a][b].coefficient((0, 0, 0, 0)) \
                     == std[a][b]
 
+    def test_recenter_conjugates_the_whole_structure(self):
+        # J'(y) = B^-1 J(p + B y) B, checked as B J'(y) = J(p + B y) B
+        j = perturbed_structure(2, 6, 2)
+        pt = (Q(1, 2), 0, Q(-1, 8), 0)
+        std = standard_matrix(2)
+        assert [[e.evaluate(pt) for e in row] for row in j.entries] != std
+        m2, j2, b = recenter(SPHERE, j, pt)
+        for y in ((Q(1, 3), 0, Q(-1), Q(2)), (Q(-2), Q(1, 2), 0, Q(1, 5)),
+                  (Q(1), Q(1), Q(1), Q(-1, 4))):
+            x = [p + sum(b[r][s] * y[s] for s in range(4))
+                 for r, p in enumerate(pt)]
+            jx = [[e.evaluate(x) for e in row] for row in j.entries]
+            jy = [[e.evaluate(y) for e in row] for row in j2.entries]
+            assert mat_mul(b, jy) == mat_mul(jx, b)
+            assert m2.phi.evaluate(y) == SPHERE.phi.evaluate(x)
+
     def test_project_point_already_on_surface(self):
         pt = (Q(1, 2), 0, Q(-1, 8), 0)
         assert tuple(project_point_to_surface(SPHERE, pt)) == pt
@@ -310,3 +328,35 @@ class TestRecenter:
         pt = (Q(1, 4), 0, Q(1, 4), 0)
         with pytest.raises(GeometryError):
             project_point_to_surface(SPHERE, pt)
+
+
+def poly_mul(a, b):
+    out = [Q(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for k, y in enumerate(b):
+            out[i + k] += x * y
+    return out
+
+
+class TestRationalRoots:
+    def test_products_of_linear_and_irreducible_quadratic_factors(self):
+        rng = make_rng("geometry-roots")
+        non_squares = (2, 3, 5, 6, 7, 10)
+        for _ in range(60):
+            poly = [Q(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 5]))]
+            want = set()
+            for _ in range(rng.randint(0, 4)):
+                root = Q(rng.randint(-9, 9), rng.randint(1, 7))
+                want.add(root)
+                for _ in range(rng.randint(1, 2)):
+                    poly = poly_mul(poly, [-root, Q(1)])
+            for _ in range(rng.randint(0, 2)):
+                # t^2 - c (two irrational real roots) or t^2 + c (none)
+                c = Q(rng.choice(non_squares), rng.choice([1, 3]) ** 2)
+                poly = poly_mul(poly, [rng.choice([c, -c]), Q(0), Q(1)])
+            assert _rational_roots(poly) == sorted(want)
+
+    def test_zero_polynomial_and_root_at_origin(self):
+        assert _rational_roots([Q(0), Q(0)]) == [Q(0)]
+        assert _rational_roots([Q(0), Q(0), Q(-2), Q(1)]) == [Q(0), Q(2)]
+        assert _rational_roots([Q(5)]) == []

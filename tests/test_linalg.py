@@ -2,7 +2,15 @@
 
 from conftest import make_rng, random_rational
 
-from levitype.linalg import real_symmetric_signature, solve_affine
+import pytest
+
+from levitype.linalg import (
+    identity,
+    mat_inverse,
+    mat_mul,
+    real_symmetric_signature,
+    solve_affine,
+)
 from levitype.rational import Q
 
 
@@ -47,6 +55,31 @@ class TestSolveAffine:
             assert mat_vec(mat, sol.particular) == rhs
             for vec in sol.nullspace:
                 assert mat_vec(mat, vec) == [Q(0)] * rows
+
+
+class TestInverse:
+    def test_randomized_inverse(self):
+        rng = make_rng("linalg-inverse")
+        tried = 0
+        while tried < 30:
+            size = rng.randint(1, 5)
+            mat = [[random_rational(rng) for _ in range(size)]
+                   for _ in range(size)]
+            try:
+                inv = mat_inverse(mat)
+            except ValueError:
+                continue
+            tried += 1
+            assert mat_mul(mat, inv) == identity(size)
+            assert mat_mul(inv, mat) == identity(size)
+
+    def test_singular_raises(self):
+        for mat in ([[Q(1), Q(2)], [Q(2), Q(4)]],
+                    [[Q(0), Q(0)], [Q(0), Q(1)]],
+                    [[Q(1), Q(0), Q(1)], [Q(0), Q(1), Q(1)],
+                     [Q(1), Q(1), Q(2)]]):
+            with pytest.raises(ValueError):
+                mat_inverse(mat)
 
 
 class TestSignature:
