@@ -9,6 +9,7 @@ disagreement is raised as TheoremViolation instead of being smoothed over.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from math import factorial, isqrt
 
@@ -28,14 +29,13 @@ from .geometry import (
     complex_tangent_basis,
     covariant_derivative,
     field_jet,
-    gradient_frame,
     is_complex_tangent,
     project_point_to_surface,
     project_to_complex_tangent,
     recenter,
 )
 from .jets import TruncatedSeries
-from .levi import hermitian_levi_matrix, higher_levi
+from .levi import hermitian_levi_matrix
 from .linalg import mat_vec, real_symmetric_signature, solve_affine
 from .rational import Q, ZERO, rat
 
@@ -107,6 +107,14 @@ def jet_extension_test(m: Hypersurface, j: ACStructure, x1: VectorField,
     coefficient polynomials are homogeneous of degree k+1 in two linear
     forms dual to (x1(0), J_0 x1(0)).
     """
+    return _extend_jet(m, j, x1, xi, lambda: complex_tangent_basis(m, j))
+
+
+def _extend_jet(m: Hypersurface, j: ACStructure, x1: VectorField,
+                xi: FieldJet, tangent_basis) -> ExtensionResult:
+    """jet_extension_test, taking the full-cap complex_tangent_basis(m, j)
+    from tangent_basis(), which is called only when a correction is nonzero.
+    """
     k1 = xi.order
     if k1 < 1:
         raise ValueError("target jet must have positive order")
@@ -131,7 +139,7 @@ def jet_extension_test(m: Hypersurface, j: ACStructure, x1: VectorField,
     if all_zero:
         return ExtensionResult(True, x1, {}, None)
 
-    basis = complex_tangent_basis(m, j)
+    basis = tangent_basis()
     colmat = _tangent_columns([b.at_zero() for b in basis])
 
     v0 = x1.at_zero()
@@ -212,13 +220,14 @@ def realize_field_from_disk(m: Hypersurface, j: ACStructure, u: DiskJet,
     if x.at_zero() != tuple(u1):
         raise TheoremViolation(
             "first derivative not preserved by tangential projection")
+    tangent_basis = cache(lambda: complex_tangent_basis(m, j))
     for kk in range(1, k + 1):
         entries = {}
         for p in range(kk + 1):
             for q in range(kk + 1 - p):
                 entries[(p, q)] = tuple(u.derivative(p + 1, q))
         xi = FieldJet(kk, m.n, entries)
-        res = jet_extension_test(m, j, x, xi)
+        res = _extend_jet(m, j, x, xi, tangent_basis)
         if not res.realizable:
             raise TheoremViolation(
                 f"jet of a contact-{co.order} disk not realizable at "
@@ -476,13 +485,13 @@ class _Stager:
         self.m = m
         self.j = j
         self.k_max = k_max
-        frame = gradient_frame(m, j)
-        self.n0 = frame.normal.at_zero()
-        self.jn0 = frame.j_normal.at_zero()
+        # the gradient frame at 0; J(0) = J_std
+        self.n0 = m.grad_at_zero()
+        self.jn0 = tuple(apply_jstd(self.n0))
         self.p0 = m.dphi_at_zero(self.n0)
         self.q0 = m.dphi_at_zero(self.jn0)
-        self.basis = complex_tangent_basis(m, j)
-        self.taus = [b.at_zero() for b in self.basis]
+        self.levi = hermitian_levi_matrix(m, j)
+        self.taus = [b.at_zero() for b in self.levi.basis]
         self.colmat = _tangent_columns(self.taus)
         self.d = 2 * len(self.taus)
 
@@ -656,8 +665,7 @@ class _Stager:
                                    False, True, None, realize)
 
     def run_exact(self):
-        mat = hermitian_levi_matrix(self.m, self.j, self.basis)
-        r0 = mat.realified()
+        r0 = self.levi.realified()
         pos, neg, zero = real_symmetric_signature(r0)
         if pos == 0 and neg == 0:
             u1 = self.taus[0]
@@ -796,8 +804,13 @@ def cross_validate(m: Hypersurface, j: ACStructure,
     x_jet = [u.derivative(mm, 0) for mm in range(1, k + 2)]
     slots = 0
     for s in range(k):
+        # every L^(p,q) with p + q = s reads the same disk: higher_levi's
+        # contract, with one transport for the whole degree
+        if s + 2 > m.cap:
+            raise CapError(f"L^(0,{s}) needs phi cap >= {s + 2}, have {m.cap}")
+        tr = compose_phi_u(m, propagate_cr_jet(x_jet[:s + 1], j, order=s + 2))
         for p in range(s + 1):
-            if higher_levi(m, j, x_jet[:s + 2], p, s - p) != 0:
+            if tr.levi_entry(p, s - p) != 0:
                 raise TheoremViolation(
                     f"L^({p},{s - p}) nonzero on a contact-{co.order} witness")
             slots += 1

@@ -147,6 +147,11 @@ class Hypersurface:
     def cap(self) -> int:
         return self.phi.cap
 
+    def truncate(self, cap: int) -> "Hypersurface":
+        if cap == self.cap:
+            return self
+        return Hypersurface(self.n, self.phi.truncate(cap))
+
     def grad_at_zero(self):
         return tuple(g.constant_term() for g in self.gradient)
 

@@ -255,16 +255,22 @@ class TruncatedSeries:
         return result
 
     def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse of a unit series (nonzero constant term)."""
+        """Multiplicative inverse of a unit series (nonzero constant term).
+
+        Newton iteration inv <- inv (2 - s inv): an inverse exact through
+        degree k becomes exact through 2k + 1, so each step works at the
+        doubled precision only.
+        """
         c = self.constant_term()
         if c == 0:
             raise ValueError("series with zero constant term has no inverse")
-        one = TruncatedSeries.constant(1, self.num_vars, self.cap)
-        h = one - self.scale(Q(1) / c)  # h has zero constant term
-        acc = one
-        for _ in range(self.cap):
-            acc = one + h * acc
-        return acc.scale(Q(1) / c)
+        inv = TruncatedSeries.constant(Q(1) / c, self.num_vars, 0)
+        while inv.cap < self.cap:
+            prec = min(2 * inv.cap + 1, self.cap)
+            inv = TruncatedSeries(self.num_vars, prec, inv._terms)
+            two = TruncatedSeries.constant(2, self.num_vars, prec)
+            inv = inv * (two - self.truncate(prec) * inv)
+        return inv
 
     # ------------------------------------------------------- reparametrizing
 

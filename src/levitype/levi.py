@@ -158,7 +158,7 @@ class Classification:
 class HermitianLeviMatrix:
     """Polar form on a basis of the complex tangent space at 0."""
 
-    basis: list
+    basis: list  # complex tangent fields of cap 1
     entries: list  # (n-1) x (n-1) complex rationals
 
     def is_zero(self) -> bool:
@@ -206,10 +206,17 @@ class HermitianLeviMatrix:
         return Classification(label, pos, neg, zero)
 
 
-def hermitian_levi_matrix(m: Hypersurface, j: ACStructure,
-                          basis=None) -> HermitianLeviMatrix:
-    if basis is None:
-        basis = complex_tangent_basis(m, j)
+def hermitian_levi_matrix(m: Hypersurface, j: ACStructure) -> HermitianLeviMatrix:
+    """Polar form on complex_tangent_basis, from the jets it reads.
+
+    Theta(X, Y) reads dphi(0), J(0) and the 1-jets of X, Y, JX and JY, so
+    the 2-jet of phi and the 1-jet of J.  The basis and the entries are built
+    on those.  J keeps cap 2 (or its own, if lower) because a non-standard J
+    of cap c gives complex_tangent_basis fields of cap c - 1; the basis
+    fields have cap 1 and agree with the full-cap ones through degree 1.
+    """
+    m, j = m.truncate(2), j.truncate(min(j.cap, 2))
+    basis = complex_tangent_basis(m, j)
     d = len(basis)
     entries = [[None] * d for _ in range(d)]
     for i in range(d):

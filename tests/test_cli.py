@@ -279,20 +279,36 @@ class TestMain:
         assert "cap error:" in capsys.readouterr().err
 
 
-RUN_MAIN = "import sys; from levitype.cli import main; sys.exit(main(sys.argv[1:]))"
+def run_levitype(*argv):
+    """``python -m levitype argv`` in a subprocess with a 20 s timeout."""
+    src = str(Path(levitype.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "levitype", *argv],
+                          capture_output=True, text=True, env=env, timeout=20)
+
+
+def test_module_entry_point():
+    proc = run_levitype("catalog")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("levitype")
 
 
 def test_far_off_surface_point_ends_quickly():
     # the gradient line from this point meets the surface at no rational t;
     # finding that out must take bounded work and end in a geometry error
-    src = str(Path(levitype.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    argv = ["scan", "--phi", QUARTIC_PHI, "--n", "2",
-            "--point", "1000000007,0,0,0"]
-    proc = subprocess.run([sys.executable, "-c", RUN_MAIN, *argv],
-                          capture_output=True, text=True, env=env, timeout=20)
+    proc = run_levitype("scan", "--phi", QUARTIC_PHI, "--n", "2",
+                        "--point", "1000000007,0,0,0")
     assert proc.returncode == 3
     assert proc.stderr.startswith("geometry error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_high_cap_perturbed_classify_ends_quickly():
+    # the Levi form reads the 2-jets only, whatever the cap
+    proc = run_levitype("classify", "--phi", QUARTIC_PHI, "--n", "2",
+                        "--J-perturb", "3", "--cap", "40")
+    assert proc.returncode == 0
     assert "Traceback" not in proc.stderr

@@ -1,5 +1,7 @@
 """Levi forms: route agreement, higher forms, printed formulas, classification."""
 
+from itertools import product as iproduct
+
 import pytest
 import sympy as sp
 
@@ -13,6 +15,7 @@ from levitype import (
     TruncatedSeries,
     VectorField,
     classify_point,
+    complex_tangent_basis,
     compose_phi_u,
     hermitian_levi_matrix,
     higher_levi,
@@ -332,6 +335,24 @@ class TestPolarForm:
         for i in range(2 * d):
             for k in range(2 * d):
                 assert real[i][k] == real[k][i]
+
+    def test_matrix_matches_the_full_cap_basis(self):
+        # the matrix is built on the 2-jet of phi and the 1-jet of J; the
+        # reference takes the polar form on the full-cap basis fields
+        rng = make_rng("levi-jets")
+        for n, perturbed, _ in iproduct((2, 3), (False, True), range(2)):
+            # a random quadratic part under random terms of degree <= 4
+            m = Hypersurface(n, random_phi(rng, n, 6, max_degree=2).phi
+                             + random_phi(rng, n, 6).phi)
+            j = (random_structure(rng, n, 6) if perturbed
+                 else ACStructure.standard(n, 6))
+            mat = hermitian_levi_matrix(m, j)
+            full = complex_tangent_basis(m, j)
+            assert [b.at_zero() for b in mat.basis] == \
+                [b.at_zero() for b in full]
+            for i, x in enumerate(full):
+                for k, y in enumerate(full):
+                    assert mat.entries[i][k] == levi_polar(m, j, x, y)
 
 
 class TestClassification:

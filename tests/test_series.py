@@ -172,6 +172,45 @@ class TestCalculusLaws:
         assert (a + b).truncate(k) == a.truncate(k) + b.truncate(k)
 
 
+def reference_inverse(s):
+    """The fixed-point iteration acc <- 1 + h acc with h = 1 - s / s(0)."""
+    c = s.constant_term()
+    one = TruncatedSeries.constant(1, s.num_vars, s.cap)
+    h = one - s.scale(Q(1) / c)
+    acc = one
+    for _ in range(s.cap):
+        acc = one + h * acc
+    return acc.scale(Q(1) / c)
+
+
+@st.composite
+def unit_series_st(draw):
+    num_vars, cap = draw(st.integers(1, 3)), draw(st.integers(0, 6))
+    f = draw(series_st(num_vars, cap))
+    c = draw(rational_st().filter(lambda q: q != 0))
+    return f + TruncatedSeries.constant(c - f.constant_term(), num_vars, cap)
+
+
+class TestInverse:
+    @settings(max_examples=60, deadline=None)
+    @given(unit_series_st())
+    def test_inverse_through_the_cap(self, s):
+        inv = s.inverse()
+        assert inv.cap == s.cap
+        assert s * inv == TruncatedSeries.constant(1, s.num_vars, s.cap)
+        assert inv == reference_inverse(s)
+
+    def test_geometric_series(self):
+        one = TruncatedSeries.constant(1, 1, 5)
+        assert (one - X(0, 1, 5)).inverse() == \
+            S(1, 5, {(k,): 1 for k in range(6)})
+
+    def test_zero_constant_term_rejected(self):
+        for f in (S(2, 3, {(1, 0): 1}), TruncatedSeries.zero(1, 0)):
+            with pytest.raises(ValueError):
+                f.inverse()
+
+
 class TestOrderingAndAccess:
     def test_graded_iteration_order(self):
         f = S(2, 4, {(0, 2): 1, (1, 0): 1, (2, 0): 1, (0, 1): 1})
