@@ -74,8 +74,10 @@ def _parse_strategy(text: str, n: int):
                 if "/" in step else Q(int(step))
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad grid step {step!r}") from None
-        if not 0 < s <= 1:
-            raise ParseError("grid step must be in (0, 1]")
+        try:
+            engine.grid_candidate_count(2 * (n - 1), s)
+        except ValueError as exc:
+            raise ParseError(str(exc)) from None
         return ("grid", s)
     if text.startswith("dirs:"):
         path = text[len("dirs:"):]

@@ -8,7 +8,7 @@ arithmetic.  The three routes are provably equivalent, so any observed
 disagreement is raised as TheoremViolation instead of being smoothed over.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from itertools import product
 from math import factorial, isqrt
@@ -417,6 +417,7 @@ class TypeReport:
     witness_disk: DiskJet | None
     witness_field_jet: FieldJet | None
     obstruction: str | None
+    witness_field: VectorField | None = None
 
 
 def _rational_sqrt(q):
@@ -614,7 +615,7 @@ class _Stager:
     # -- full runs
 
     def witness_report(self, jets, lower_bound, certified, cap_reached,
-                       obstruction, realize=True):
+                       obstruction):
         # an obstructed witness is padded out to the bound so the nonzero
         # stratum is inside the trace window; the stratum does not depend
         # on the padding
@@ -630,20 +631,16 @@ class _Stager:
                 raise TheoremViolation(
                     f"obstructed witness should have contact exactly "
                     f"{lower_bound}, got {co.order} (exact={co.exact})")
-        wj = None
-        if realize:
-            x = realize_field_from_disk(self.m, self.j, u, lower_bound - 2)
-            wj = field_jet(x, self.j, lower_bound - 2)
         origin = _vec_zero(2 * self.m.n)
         return TypeReport(origin, lower_bound, certified, cap_reached,
-                          u, wj, obstruction)
+                          u, None, obstruction)
 
-    def run_from_u1(self, u1, unique_start, certify, realize=True):
+    def run_from_u1(self, u1, unique_start, certify):
         vals = self.level_values([u1], 0)
         if vals[0] != 0:
             return self.witness_report(
                 [u1, self.support_u2(u1)], 2, False, False,
-                "chosen direction has nonzero Levi value", realize)
+                "chosen direction has nonzero Levi value")
         jets = [u1]
         unique = unique_start
         normals_next = self.force_normals(jets, 2)
@@ -655,14 +652,14 @@ class _Stager:
                 return self.witness_report(
                     jets + [normals_next], lb, certify and unique, False,
                     f"inconsistent affine system at stage {ell + 1} "
-                    f"(constraints L^(i,j), i+j={ell})", realize)
+                    f"(constraints L^(i,j), i+j={ell})")
             vec, nullspace = res
             if unique and not self.gauge_span_ok(u1, nullspace):
                 unique = False
             jets.append(vec)
             normals_next = self.force_normals(jets, len(jets) + 1)
         return self.witness_report(jets + [normals_next], self.k_max,
-                                   False, True, None, realize)
+                                   False, True, None)
 
     def run_exact(self):
         r0 = self.levi.realified()
@@ -691,20 +688,36 @@ class _Stager:
         return self.run_from_u1(u1, False, True)
 
 
-def _grid_candidates(d, step):
-    """Projective enumeration: leading coordinate 1, the rest on a grid."""
+# each grid candidate costs a full staged search
+GRID_CANDIDATE_LIMIT = 1000
+
+
+def grid_candidate_count(d, step) -> int:
+    """Number of grid candidates in d tangential coordinates.
+
+    Raises ValueError for a step outside (0, 1] or a count above
+    GRID_CANDIDATE_LIMIT.
+    """
     step = rat(step)
     if step <= 0 or step > 1:
         raise ValueError("grid step must be in (0, 1]")
-    ticks = []
-    v = Q(-1)
-    while v <= 1:
-        ticks.append(v)
-        v = v + step
-    for lead in range(d):
-        prefix = (ZERO,) * lead + (Q(1),)
-        for tail in product(ticks, repeat=d - lead - 1):
-            yield prefix + tail
+    ticks = int(2 / step) + 1
+    count = sum(ticks ** (d - lead - 1) for lead in range(d))
+    if count > GRID_CANDIDATE_LIMIT:
+        raise ValueError(
+            f"grid step {step} gives {count} candidates in {d} tangential "
+            f"coordinates, above the limit of {GRID_CANDIDATE_LIMIT}")
+    return count
+
+
+def _grid_candidates(d, step):
+    """Projective enumeration: leading coordinate 1, the rest on a grid."""
+    grid_candidate_count(d, step)
+    step = rat(step)
+    ticks = [Q(-1) + i * step for i in range(int(2 / step) + 1)]
+    return [(ZERO,) * lead + (Q(1),) + tail
+            for lead in range(d)
+            for tail in product(ticks, repeat=d - lead - 1)]
 
 
 def type_search(m: Hypersurface, j: ACStructure, k_max: int,
@@ -715,13 +728,14 @@ def type_search(m: Hypersurface, j: ACStructure, k_max: int,
     unsolvability when the stage-one form is definite or a later affine
     system is inconsistent with a gauge-only nullspace history.  grid and
     directions strategies try prescribed first derivatives and report lower
-    bounds only.
+    bounds only.  The report carries the witness disk, a complex tangent
+    field realizing its jet to order lower_bound - 2, and that field's
+    derivative triangle.
     """
     stager = _Stager(m, j, k_max)
     if strategy == "exact_staged":
-        return stager.run_exact()
-
-    if isinstance(strategy, tuple) and len(strategy) == 2:
+        rep = stager.run_exact()
+    elif isinstance(strategy, tuple) and len(strategy) == 2:
         kind, arg = strategy
         if kind == "grid":
             candidates = (stager.tangential(c)
@@ -740,20 +754,19 @@ def type_search(m: Hypersurface, j: ACStructure, k_max: int,
                     "no direction has a nonzero tangential part")
         else:
             raise ValueError(f"unknown strategy {kind!r}")
-        best = None
+        rep = None
         for cand in candidates:
-            rep = stager.run_from_u1(stager.normalize_u1(cand), False, False,
-                                     realize=False)
-            if best is None or rep.lower_bound > best.lower_bound:
-                best = rep
-            if best.lower_bound >= k_max:
+            r = stager.run_from_u1(stager.normalize_u1(cand), False, False)
+            if rep is None or r.lower_bound > rep.lower_bound:
+                rep = r
+            if rep.lower_bound >= k_max:
                 break
-        x = realize_field_from_disk(m, j, best.witness_disk,
-                                    best.lower_bound - 2)
-        best.witness_field_jet = field_jet(x, j, best.lower_bound - 2)
-        return best
-
-    raise ValueError(f"unknown strategy {strategy!r}")
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    # the one realization of the witness field; cross_validate checks it
+    k = rep.lower_bound - 2
+    x = realize_field_from_disk(m, j, rep.witness_disk, k)
+    return replace(rep, witness_field=x, witness_field_jet=field_jet(x, j, k))
 
 
 # ---------------------------------------------------------------------------
@@ -776,20 +789,23 @@ def cross_validate(m: Hypersurface, j: ACStructure,
                    report: TypeReport) -> ValidationRecord:
     """Check a witness against all three routes; failures are hard errors.
 
-    (a) the disk's jet is realizable by a tangent field to order k,
-    (b) that field commutes at 0 to order k+1,
-    (c) all trace combinations L^(p,q), p+q <= k-1, vanish on the x-jet,
-    (d) the field's pure x-derivatives match the disk's through k+1.
+    The report must come with its witness field, as type_search and
+    scan_type build it.
+    (a) that field is complex tangent and realizes the disk's jet to order k,
+    (b) it commutes at 0 to order k+1,
+    (c) all trace combinations L^(p,q), p+q <= k-1, vanish on the x-jet.
+    The k+1 pure x-derivatives are among the slots (a) matches.
     """
-    if report.witness_disk is None:
-        raise ValueError("report carries no witness disk")
-    u = report.witness_disk
+    if report.witness_disk is None or report.witness_field is None:
+        raise ValueError("report carries no witness disk and field")
+    u, x = report.witness_disk, report.witness_field
     k = report.lower_bound - 2
     co = contact_order(m, u)
     if co.order < k + 2:
         raise TheoremViolation(
             f"witness contact {co.order} below reported bound {k + 2}")
-    x = realize_field_from_disk(m, j, u, k)
+    if not is_complex_tangent(m, j, x):
+        raise GeometryError("witness field is not complex tangent")
     fj = field_jet(x, j, k + 1)
     for p in range(k + 1):
         for q in range(k + 1 - p):
@@ -814,14 +830,8 @@ def cross_validate(m: Hypersurface, j: ACStructure,
                 raise TheoremViolation(
                     f"L^({p},{s - p}) nonzero on a contact-{co.order} witness")
             slots += 1
-    matches = 0
-    for mm in range(1, k + 2):
-        if tuple(fj.entry(mm - 1, 0)) != tuple(u.derivative(mm, 0)):
-            raise TheoremViolation(
-                f"pure derivative mismatch at order {mm}")
-        matches += 1
     return ValidationRecord(k, co.order, k, crep.max_vanishing_order,
-                            slots, matches)
+                            slots, k + 1)
 
 
 def scan_type(m: Hypersurface, j: ACStructure, points, k_max: int,
@@ -839,7 +849,5 @@ def scan_type(m: Hypersurface, j: ACStructure, points, k_max: int,
         pt = project_point_to_surface(m, [rat(c) for c in point])
         mc, jc, _ = recenter(m, j, pt)
         rep = type_search(mc, jc, k_max, strategy)
-        out.append(TypeReport(tuple(pt), rep.lower_bound, rep.certified_exact,
-                              rep.cap_reached, rep.witness_disk,
-                              rep.witness_field_jet, rep.obstruction))
+        out.append(replace(rep, point=tuple(pt)))
     return out

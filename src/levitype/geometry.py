@@ -80,10 +80,6 @@ class VectorField:
         vec = [1 if j == i else 0 for j in range(2 * n)]
         return cls.constant(n, vec, cap)
 
-    @classmethod
-    def zero(cls, n: int, cap: int) -> "VectorField":
-        return cls.constant(n, [0] * (2 * n), cap)
-
     def at_zero(self):
         return tuple(c.constant_term() for c in self.components)
 
@@ -321,13 +317,6 @@ class FieldJet:
 
     def entry(self, p: int, q: int):
         return self.entries[(p, q)]
-
-    def restrict(self, order: int) -> "FieldJet":
-        if order > self.order:
-            raise ValueError("cannot extend a jet by restriction")
-        return FieldJet(order, self.n,
-                        {k: v for k, v in self.entries.items()
-                         if k[0] + k[1] <= order})
 
     def __eq__(self, other):
         if not isinstance(other, FieldJet):

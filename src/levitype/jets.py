@@ -192,67 +192,37 @@ class TruncatedSeries:
         return res
 
     def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            self._check_binary(other)
-            cap = self.cap
-            # sorted by degree so the inner loop can stop early
-            a = sorted(((sum(e), e, c) for e, c in self._terms.items()),
-                       key=lambda t: t[0])
-            b = sorted(((sum(e), e, c) for e, c in other._terms.items()),
-                       key=lambda t: t[0])
-            if len(a) > len(b):
-                a, b = b, a
-            out = {}
-            for da, ea, ca in a:
-                limit = cap - da
-                for db, eb, cb in b:
-                    if db > limit:
-                        break
-                    key = tuple(x + y for x, y in zip(ea, eb))
-                    acc = out.get(key)
-                    prod = ca * cb
-                    if acc is None:
-                        out[key] = prod
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        self._check_binary(other)
+        cap = self.cap
+        # sorted by degree so the inner loop can stop early
+        a = sorted(((sum(e), e, c) for e, c in self._terms.items()),
+                   key=lambda t: t[0])
+        b = sorted(((sum(e), e, c) for e, c in other._terms.items()),
+                   key=lambda t: t[0])
+        if len(a) > len(b):
+            a, b = b, a
+        out = {}
+        for da, ea, ca in a:
+            limit = cap - da
+            for db, eb, cb in b:
+                if db > limit:
+                    break
+                key = tuple(x + y for x, y in zip(ea, eb))
+                acc = out.get(key)
+                prod = ca * cb
+                if acc is None:
+                    out[key] = prod
+                else:
+                    acc = acc + prod
+                    if acc == 0:
+                        del out[key]
                     else:
-                        acc = acc + prod
-                        if acc == 0:
-                            del out[key]
-                        else:
-                            out[key] = acc
-            res = TruncatedSeries(self.num_vars, cap)
-            res._terms = out
-            return res
-        try:
-            return self.scale(other)
-        except TypeError:
-            return NotImplemented
-
-    def __rmul__(self, other):
-        try:
-            return self.scale(other)
-        except TypeError:
-            return NotImplemented
-
-    def __truediv__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return self * other.inverse()
-        c = _coerce_scalar(other)
-        if c == 0:
-            raise ZeroDivisionError("division by zero scalar")
-        return self.scale(Q(1) / c)
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("series powers take non-negative integer exponents")
-        result = TruncatedSeries.constant(1, self.num_vars, self.cap)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+                        out[key] = acc
+        res = TruncatedSeries(self.num_vars, cap)
+        res._terms = out
+        return res
 
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse of a unit series (nonzero constant term).

@@ -46,33 +46,11 @@ class QC:
     re: object
     im: object
 
-    @staticmethod
-    def of(re, im=0) -> "QC":
-        return QC(Q(re), Q(im))
-
-    def __add__(self, other: "QC") -> "QC":
-        return QC(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "QC") -> "QC":
-        return QC(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: "QC") -> "QC":
-        return QC(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def __neg__(self) -> "QC":
-        return QC(-self.re, -self.im)
-
     def conj(self) -> "QC":
         return QC(self.re, -self.im)
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
-
-    def abs2(self):
-        return self.re * self.re + self.im * self.im
 
     def __str__(self) -> str:
         return f"{self.re}{'+' if self.im >= 0 else ''}{self.im}i"

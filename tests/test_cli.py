@@ -242,6 +242,9 @@ class TestMain:
             ["type", "--phi", QUARTIC_PHI, "--n", "2", "--kmax", "1"],
             ["type", "--phi", QUARTIC_PHI, "--n", "2",
              "--strategy", "grid:2"],
+            # 4,002 staged searches: refused before the first one
+            ["type", "--phi", QUARTIC_PHI, "--n", "2",
+             "--strategy", "grid:1/2000"],
         )
         for argv in bad:
             assert main(argv) == 2, argv

@@ -1,9 +1,11 @@
 """Engine-level behavior: realizability, commutation, staged search, scans."""
 
+from dataclasses import replace
 from itertools import combinations, product
 
 import pytest
 
+import levitype.engine as engine
 from levitype import (
     ACStructure,
     CapError,
@@ -387,6 +389,27 @@ class TestSearchStrategies:
         assert contact_order(QUARTIC, rep.witness_disk) == ContactOrder(4, True)
         assert rep.witness_field_jet is not None
 
+    @pytest.mark.parametrize("strategy", ["exact_staged", ("grid", Q(1, 2))])
+    def test_report_carries_the_field_of_its_jet(self, strategy):
+        rep = type_search(QUARTIC, JSTD, 6, strategy)
+        k = rep.lower_bound - 2
+        assert field_jet(rep.witness_field, JSTD, k) == rep.witness_field_jet
+
+    def test_grid_candidate_budget(self, monkeypatch):
+        count = engine.grid_candidate_count
+        assert count(2, Q(1, 2)) == 6
+        assert count(4, Q(1, 2)) == 156
+        assert count(4, Q(1, 4)) == 820
+        for d, step in ((2, Q(1, 2000)), (4, Q(1, 5))):
+            with pytest.raises(ValueError, match="above the limit"):
+                count(d, step)
+
+        def no_search(*args):
+            raise AssertionError("searched before counting the candidates")
+        monkeypatch.setattr(engine._Stager, "run_from_u1", no_search)
+        with pytest.raises(ValueError, match="4002 candidates"):
+            type_search(QUARTIC, JSTD, 6, ("grid", Q(1, 2000)))
+
     def test_directions_find_the_quartic_bound(self):
         rep = type_search(QUARTIC, JSTD, 6,
                           ("directions", [(1, 0, 0, 0), (0, 1, 0, 0)]))
@@ -439,6 +462,24 @@ class TestCrossValidation:
         bare = TypeReport((0, 0, 0, 0), 2, False, False, None, None, None)
         with pytest.raises(ValueError):
             cross_validate(SPHERE, JSTD, bare)
+        rep = type_search(SPHERE, JSTD, 4)
+        with pytest.raises(ValueError):
+            cross_validate(SPHERE, JSTD, replace(rep, witness_field=None))
+
+    def test_checks_the_reported_field_without_rebuilding_it(self,
+                                                              monkeypatch):
+        rep = type_search(QUARTIC, JSTD, 6)
+
+        def no_realization(*args):
+            raise AssertionError("witness field realized again")
+        monkeypatch.setattr(engine, "realize_field_from_disk", no_realization)
+        assert cross_validate(QUARTIC, JSTD, rep).k == 2
+
+    def test_rejects_a_field_that_is_not_complex_tangent(self):
+        rep = type_search(QUARTIC, JSTD, 6)
+        normal = replace(rep, witness_field=constant_field(2, (0, 0, 1, 0)))
+        with pytest.raises(GeometryError):
+            cross_validate(QUARTIC, JSTD, normal)
 
 
 class TestScan:
