@@ -141,9 +141,8 @@ def _type_doc(rep: engine.TypeReport):
         "lower_bound": rep.lower_bound,
         "certified_exact": rep.certified_exact,
         "cap_reached": rep.cap_reached,
-        "witness_disk": _disk_doc(rep.witness_disk) if rep.witness_disk else None,
-        "witness_field_jet": (rep.witness_field_jet.to_dict()
-                              if rep.witness_field_jet else None),
+        "witness_disk": _disk_doc(rep.witness_disk),
+        "witness_field_jet": rep.witness_field_jet.to_dict(),
         "obstruction": rep.obstruction,
     }
 
@@ -233,12 +232,8 @@ def _cmd_scan(spec, m, j, points):
 
 def _cmd_validate(spec, m, j):
     rep = engine.type_search(m, j, spec.k_max, strategy=spec.strategy)
-    doc = _type_doc(rep)
-    if rep.witness_disk is None:
-        return {"report": doc, "validation": None,
-                "note": "no witness disk to validate"}
     rec = engine.cross_validate(m, j, rep)
-    return {"report": doc, "validation": _validation_doc(rec)}
+    return {"report": _type_doc(rep), "validation": _validation_doc(rec)}
 
 
 CATALOG = (
@@ -306,10 +301,9 @@ def _render_type_text(doc, out):
     out.append(f"  cap_reached: {doc['cap_reached']}")
     if doc["obstruction"]:
         out.append(f"  obstruction: {doc['obstruction']}")
-    if doc["witness_disk"]:
-        out.append("  witness disk components:")
-        for i, comp in enumerate(doc["witness_disk"]["components"]):
-            out.append(f"    u[{i}] = {comp['expression']}")
+    out.append("  witness disk components:")
+    for i, comp in enumerate(doc["witness_disk"]["components"]):
+        out.append(f"    u[{i}] = {comp['expression']}")
 
 
 def render_text(doc: dict) -> str:
@@ -342,13 +336,10 @@ def render_text(doc: dict) -> str:
     elif cmd == "validate":
         _render_type_text(r["report"], out)
         v = r["validation"]
-        if v is None:
-            out.append(f"  {r['note']}")
-        else:
-            out.append(f"validated: k={v['k']} contact={v['contact_order']} "
-                       f"commutation={v['commutation_order']} "
-                       f"levi_slots={v['levi_slots_checked']} "
-                       f"derivatives={'ok' if v['derivative_matches'] else 'FAIL'}")
+        out.append(f"validated: k={v['k']} contact={v['contact_order']} "
+                   f"commutation={v['commutation_order']} "
+                   f"levi_slots={v['levi_slots_checked']} "
+                   f"derivatives={'ok' if v['derivative_matches'] else 'FAIL'}")
     elif cmd == "catalog":
         for e in r["entries"]:
             flags = []

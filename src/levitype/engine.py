@@ -9,7 +9,6 @@ disagreement is raised as TheoremViolation instead of being smoothed over.
 """
 
 from dataclasses import dataclass, replace
-from functools import cache
 from itertools import product
 from math import factorial, isqrt
 
@@ -107,14 +106,6 @@ def jet_extension_test(m: Hypersurface, j: ACStructure, x1: VectorField,
     coefficient polynomials are homogeneous of degree k+1 in two linear
     forms dual to (x1(0), J_0 x1(0)).
     """
-    return _extend_jet(m, j, x1, xi, lambda: complex_tangent_basis(m, j))
-
-
-def _extend_jet(m: Hypersurface, j: ACStructure, x1: VectorField,
-                xi: FieldJet, tangent_basis) -> ExtensionResult:
-    """jet_extension_test, taking the full-cap complex_tangent_basis(m, j)
-    from tangent_basis(), which is called only when a correction is nonzero.
-    """
     k1 = xi.order
     if k1 < 1:
         raise ValueError("target jet must have positive order")
@@ -139,7 +130,7 @@ def _extend_jet(m: Hypersurface, j: ACStructure, x1: VectorField,
     if all_zero:
         return ExtensionResult(True, x1, {}, None)
 
-    basis = tangent_basis()
+    basis = complex_tangent_basis(m, j)
     colmat = _tangent_columns([b.at_zero() for b in basis])
 
     v0 = x1.at_zero()
@@ -202,7 +193,9 @@ def realize_field_from_disk(m: Hypersurface, j: ACStructure, u: DiskJet,
     Produces X with D^(p,q)X(0) = d^(p+q+1)u/dx^(p+1)dy^q (0) for all
     p+q <= k.  Requires contact order at least k+2; the compatibility of the
     corrections at each induction step is then a theorem, so a failure deeper
-    in the recursion is reported as TheoremViolation.
+    in the recursion is reported as TheoremViolation.  The triangle and the
+    brackets up to length k+1 read only the (k+1)-jet of X, so X is built on
+    phi and J truncated at cap k+2 and has cap k+1 (less if they carry less).
     """
     co = contact_order(m, u)
     max_k = co.order - 2
@@ -216,18 +209,18 @@ def realize_field_from_disk(m: Hypersurface, j: ACStructure, u: DiskJet,
     u1 = u.derivative(1, 0)
     if _is_zero_vec(u1):
         raise GeometryError("disk is not regular at 0")
+    m, j = m.truncate(min(m.cap, k + 2)), j.truncate(min(j.cap, k + 2))
     x = project_to_complex_tangent(m, j, VectorField.constant(m.n, u1, m.cap - 1))
     if x.at_zero() != tuple(u1):
         raise TheoremViolation(
             "first derivative not preserved by tangential projection")
-    tangent_basis = cache(lambda: complex_tangent_basis(m, j))
     for kk in range(1, k + 1):
         entries = {}
         for p in range(kk + 1):
             for q in range(kk + 1 - p):
                 entries[(p, q)] = tuple(u.derivative(p + 1, q))
         xi = FieldJet(kk, m.n, entries)
-        res = _extend_jet(m, j, x, xi, tangent_basis)
+        res = jet_extension_test(m, j, x, xi)
         if not res.realizable:
             raise TheoremViolation(
                 f"jet of a contact-{co.order} disk not realizable at "
@@ -408,7 +401,10 @@ def commutation_defect(x: VectorField, j: ACStructure,
 
 @dataclass
 class TypeReport:
-    """Result of a contact-type search at one surface point."""
+    """Result of a contact-type search at one surface point.
+
+    witness_field has cap lower_bound - 1: its jet and brackets read no more.
+    """
 
     point: tuple
     lower_bound: int
@@ -729,8 +725,8 @@ def type_search(m: Hypersurface, j: ACStructure, k_max: int,
     system is inconsistent with a gauge-only nullspace history.  grid and
     directions strategies try prescribed first derivatives and report lower
     bounds only.  The report carries the witness disk, a complex tangent
-    field realizing its jet to order lower_bound - 2, and that field's
-    derivative triangle.
+    field realizing its jet to order k = lower_bound - 2, and that field's
+    derivative triangle; the field has cap k+1, all that its checks read.
     """
     stager = _Stager(m, j, k_max)
     if strategy == "exact_staged":
@@ -806,7 +802,7 @@ def cross_validate(m: Hypersurface, j: ACStructure,
             f"witness contact {co.order} below reported bound {k + 2}")
     if not is_complex_tangent(m, j, x):
         raise GeometryError("witness field is not complex tangent")
-    fj = field_jet(x, j, k + 1)
+    fj = field_jet(x, j, k)
     for p in range(k + 1):
         for q in range(k + 1 - p):
             if tuple(fj.entry(p, q)) != tuple(u.derivative(p + 1, q)):

@@ -25,6 +25,10 @@ _TOKEN = _re.compile(r"""
 _VAR = _re.compile(r"^([xyz])([1-9][0-9]*)$")
 _FUNCTIONS = ("Re", "Im", "conj", "abs2")
 
+# Largest total degree parse_expression expands: it works at a cap no smaller
+# than the degree, so (x1+1)^3000 would take most of a minute.
+MAX_DEGREE = 64
+
 
 def _tokenize(text):
     out = []
@@ -212,12 +216,17 @@ def parse_expression(text: str, n: int, cap: int | None = None) -> TruncatedSeri
 
     Evaluation runs at a cap no smaller than the expression's total degree,
     so the expansion is an exact polynomial identity; the result is then
-    re-capped to the requested truncation order.
+    re-capped to the requested truncation order.  A degree above MAX_DEGREE
+    raises ParseError before any expansion.
     """
     if n < 1:
         raise ValueError("n must be positive")
     node = _Parser(_tokenize(text), n).parse()
-    work = max(_degree(node), cap or 0, 2)
+    degree = _degree(node)
+    if degree > MAX_DEGREE:
+        raise ParseError(
+            f"expression has degree {degree}, above the limit of {MAX_DEGREE}")
+    work = max(degree, cap or 0, 2)
     re_, im_ = _eval(node, n, work)
     if not im_.is_zero():
         raise ParseError("expression is not real-valued")

@@ -245,6 +245,9 @@ class TestMain:
             # 4,002 staged searches: refused before the first one
             ["type", "--phi", QUARTIC_PHI, "--n", "2",
              "--strategy", "grid:1/2000"],
+            # degrees above parser.MAX_DEGREE: refused before any expansion
+            ["levi", "--phi", "2*x2+x1^10000000", "--n", "2"],
+            ["levi", "--phi", "(x1+1)^3000", "--n", "2"],
         )
         for argv in bad:
             assert main(argv) == 2, argv

@@ -23,8 +23,10 @@ from levitype import (
     disk_from_commuting_field,
     field_jet,
     higher_levi,
+    is_complex_tangent,
     jet_extension_test,
     lie_bracket,
+    parse_expression,
     perturbed_structure,
     propagate_cr_jet,
     realize_field_from_disk,
@@ -35,7 +37,8 @@ from levitype import (
 )
 from levitype import classify_point
 
-from conftest import make_rng, random_field, random_phi, random_structure
+from conftest import (make_rng, monomials, random_field, random_phi,
+                      random_rational, random_structure)
 
 CAP = 10
 JSTD = ACStructure.standard(2, CAP)
@@ -164,6 +167,40 @@ class TestRealizeFieldFromDisk:
         u = propagate_cr_jet([zero, (0, 0, -1, 0)], JSTD, 3)
         with pytest.raises(GeometryError):
             realize_field_from_disk(HARMONIC, JSTD, u, 0)
+
+    def test_contact_past_the_cap(self):
+        # k defaults to contact - 2 = 7, one past what phi at cap 8 can
+        # carry; the field stops at phi's cap instead of raising it
+        flat8 = surface(2, 8, {(0, 0, 1, 0): 2})
+        j8 = ACStructure.standard(2, 8)
+        u = propagate_cr_jet([E1], j8, 8)
+        assert contact_order(flat8, u) == ContactOrder(9, False)
+        x = realize_field_from_disk(flat8, j8, u)
+        assert x.cap == 7
+        fj = field_jet(x, j8, 7)
+        for p in range(8):
+            for q in range(8 - p):
+                assert tuple(fj.entry(p, q)) == u.derivative(p + 1, q)
+
+    def test_builds_nothing_above_cap_k_plus_1(self, monkeypatch):
+        j = perturbed_structure(3, 8, 1)
+        rep = type_search(INDEF3, j, 6)
+        k = rep.lower_bound - 2
+        caps = []
+
+        def recording(fn, cap_of):
+            def wrapped(*args):
+                out = fn(*args)
+                caps.append(cap_of(out))
+                return out
+            return wrapped
+        monkeypatch.setattr(engine, "project_to_complex_tangent", recording(
+            engine.project_to_complex_tangent, lambda x: x.cap))
+        monkeypatch.setattr(engine, "complex_tangent_basis", recording(
+            engine.complex_tangent_basis, lambda b: max(t.cap for t in b)))
+        x = realize_field_from_disk(INDEF3, j, rep.witness_disk, k)
+        assert x.cap == k + 1
+        assert caps and max(caps) == k + 1
 
 
 class TestCommutation:
@@ -424,6 +461,38 @@ class TestSearchStrategies:
             type_search(SPHERE, JSTD, 4, ("directions", []))
         with pytest.raises(GeometryError):
             type_search(SPHERE, JSTD, 4, ("directions", [(0, 0, 1, 0)]))
+
+
+def degenerate_phi(rng, n, cap):
+    """2*x_n + |z1|^4 (+ |z2|^2 at n = 3) plus random terms of degree 5..6:
+    Levi-degenerate along z1, so the search goes past stage one."""
+    text = f"2*x{n} + abs2(z1)^2" + (" + abs2(z2)" if n == 3 else "")
+    extra = {e: random_rational(rng)
+             for e in rng.sample(monomials(2 * n, 5, 6), 3)}
+    return Hypersurface(n, parse_expression(text, n, cap=cap)
+                        + TruncatedSeries(2 * n, cap, extra))
+
+
+class TestRealizationContract:
+    """The report's field lives at cap lower_bound - 1, the order it is read."""
+
+    def test_seeded_reports(self):
+        rng = make_rng("engine-realization")
+        for n, k_max in ((2, 6), (3, 4)):
+            cap = k_max + 2
+            for m in (random_phi(rng, n, cap), degenerate_phi(rng, n, cap)):
+                for j in (ACStructure.standard(n, cap),
+                          random_structure(rng, n, cap)):
+                    rep = type_search(m, j, k_max)
+                    x, u = rep.witness_field, rep.witness_disk
+                    k = rep.lower_bound - 2
+                    assert x.cap == k + 1
+                    assert is_complex_tangent(m, j, x)
+                    fj = field_jet(x, j, k)
+                    assert fj == rep.witness_field_jet
+                    for p in range(k + 1):
+                        for q in range(k + 1 - p):
+                            assert tuple(fj.entry(p, q)) == u.derivative(p + 1, q)
 
 
 class TestCrossValidation:

@@ -45,6 +45,12 @@ ARGV = _catalog_argv() + [
      "--kmax", "4"),
     ("validate", "--phi", "2*x2 + Re(z1^2)", "--n", "2", "--J-perturb", "5",
      "--kmax", "4"),
+    ("validate", "--phi", "2*x2 + abs2(z1)^3", "--n", "2", "--J-perturb", "2",
+     "--kmax", "8"),
+    ("validate", "--phi", "2*x3 + abs2(z1)^2 + abs2(z2)", "--n", "3",
+     "--J-perturb", "1", "--kmax", "6"),
+    ("validate", "--phi", "2*x3 + abs2(z1)^2", "--n", "3", "--J-perturb", "4",
+     "--kmax", "6"),
     ("type",) + QUARTIC + ("--strategy", "grid:1/2"),
     ("validate",) + QUARTIC + ("--strategy", "grid:1/2"),
     ("scan",) + QUARTIC + ("--point", "0,0,0,0", "--point", "1/2,0,-1/32,0",

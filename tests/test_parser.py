@@ -3,6 +3,7 @@
 import pytest
 
 from levitype import ParseError, Q, TruncatedSeries, parse_expression, series_to_expression
+from levitype.parser import MAX_DEGREE
 
 from conftest import make_rng, monomials, random_rational
 
@@ -81,6 +82,14 @@ class TestGrammar:
                      "", "x1 x1", "Re x1"):
             with pytest.raises(ParseError):
                 parse_expression(text, 2)
+
+    def test_degree_limit(self):
+        assert MAX_DEGREE == 64
+        assert parse_expression("x1^64", 1).cap == 64
+        for text in ("x1^65", "abs2(z1)^33", "x1^10000000", "(x1+1)^3000",
+                     "x1^8*(x1^8)^8"):
+            with pytest.raises(ParseError, match="above the limit of 64"):
+                parse_expression(text, 1)
 
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
