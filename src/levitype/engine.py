@@ -29,6 +29,7 @@ from .geometry import (
     covariant_derivative,
     field_jet,
     is_complex_tangent,
+    lie_bracket,
     project_point_to_surface,
     project_to_complex_tangent,
     recenter,
@@ -263,18 +264,18 @@ class CommutationReport:
     """Vanishing orders of the four equivalent commutation criteria."""
 
     order_tested: int
-    defects: dict  # bracket word -> value at 0, first failing length only
+    # Lyndon bracket -> value at 0, first failing length only; the Lyndon
+    # brackets span all brackets of their length, so they fail first
+    defects: dict
     max_vanishing_order: int
     criterion_orders: dict  # criterion index 1..4 -> vanishing order
     agreement: bool
 
 
-def _word_label(tree) -> str:
-    if tree == 0:
-        return "X"
-    if tree == 1:
-        return "JX"
-    return f"[{_word_label(tree[0])},{_word_label(tree[1])}]"
+def _lyndon_words(length: int) -> list:
+    """Words on {0, 1} of the given length strictly below each rotation."""
+    return [w for w in product((0, 1), repeat=length)
+            if all(w < w[i:] + w[:i] for i in range(1, length))]
 
 
 def commutation_defect(x: VectorField, j: ACStructure,
@@ -287,6 +288,12 @@ def commutation_defect(x: VectorField, j: ACStructure,
     vanish at 0; (4) derivatives of [X, JX] of orders <= k-2 vanish at 0.
     All four are equivalent at the same order, so the report carries an
     agreement flag and disagreement raises TheoremViolation.
+
+    Criterion 3 brackets only the Lyndon words on {X, JX}, each as [[u], [v]]
+    with v its longest proper Lyndon suffix.  These brackets span every
+    bracket of the same length over the integers (Chen-Fox-Lyndon;
+    Reutenauer, Free Lie Algebras, ch. 5), so all brackets of a length
+    vanish at 0 exactly when the Lyndon ones do, and the order is the same.
     """
     if k < 1:
         raise ValueError("commutation order must be at least 1")
@@ -337,46 +344,28 @@ def commutation_defect(x: VectorField, j: ACStructure,
     defects = {}
 
     def crit3():
-        trees = [0, 1]
-        index = {0: 0, 1: 1}
-        fields = {0: base[0], 1: base[1]}
-        by_len = {1: [0, 1]}
-        order3 = k
+        fields = {(0,): base[0], (1,): base[1]}
+        labels = {(0,): "X", (1,): "JX"}
         for length in range(2, k + 1):
-            by_len[length] = []
-            failed = False
-            for la in range(1, length // 2 + 1):
-                lb = length - la
-                for a in by_len[la]:
-                    for b in by_len[lb]:
-                        if la == lb and index[a] >= index[b]:
-                            continue
-                        fa, fb = fields[a], fields[b]
-                        c = min(fa.cap, fb.cap)
-                        if c < 1:
-                            continue
-                        tree = (a, b)
-                        fld = (covariant_derivative(fa.truncate(c), fb.truncate(c))
-                               - covariant_derivative(fb.truncate(c), fa.truncate(c)))
-                        index[tree] = len(trees)
-                        trees.append(tree)
-                        fields[tree] = fld
-                        by_len[length].append(tree)
-                        val = fld.at_zero()
-                        if not _is_zero_vec(val):
-                            failed = True
-                            defects[_word_label(tree)] = val
-            if failed:
-                order3 = length - 1
-                break
-        return order3
+            for w in _lyndon_words(length):
+                v = next(w[i:] for i in range(1, length) if w[i:] in fields)
+                u = w[:length - len(v)]
+                c = min(fields[u].cap, fields[v].cap)
+                fields[w] = lie_bracket(fields[u].truncate(c),
+                                        fields[v].truncate(c))
+                labels[w] = f"[{labels[u]},{labels[v]}]"
+                val = fields[w].at_zero()
+                if not _is_zero_vec(val):
+                    defects[labels[w]] = val
+            if defects:
+                return length - 1
+        return k
 
     def crit4():
         if k < 2:
             return k  # no word reaches the bracket, matches the others
         # the bracket [X, JX] is the innermost field of these words
-        word_fields[(2,)] = (covariant_derivative(base[0], base[1])
-                             - covariant_derivative(base[1], base[0]))
+        word_fields[(2,)] = lie_bracket(base[0], base[1])
         for mlen in range(0, k - 1):
             for num in range(1 << mlen):
                 bits = tuple((num >> t) & 1 for t in range(mlen))

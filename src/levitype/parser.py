@@ -30,6 +30,15 @@ _FUNCTIONS = ("Re", "Im", "conj", "abs2")
 MAX_DEGREE = 64
 
 
+def _int(text, at):
+    """int(text), with Python's digit limit reported as a ParseError."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"number of {len(text)} digits is too long",
+                         at) from None
+
+
 def _tokenize(text):
     out = []
     for m in _TOKEN.finditer(text):
@@ -109,7 +118,7 @@ class _Parser:
                 nk, nv, at = self.take()
                 if nk != "num" or "/" in nv:
                     raise ParseError("exponent must be a natural number", at)
-                node = ("pow", node, int(nv))
+                node = ("pow", node, _int(nv, at))
             else:
                 return node
 
@@ -117,11 +126,11 @@ class _Parser:
         kind, val, at = self.take()
         if kind == "num":
             if "/" in val:
-                a, b = val.split("/")
-                if int(b) == 0:
+                a, b = (_int(t, at) for t in val.split("/"))
+                if b == 0:
                     raise ParseError("zero denominator", at)
-                return ("num", Q(int(a), int(b)))
-            return ("num", Q(int(val)))
+                return ("num", Q(a, b))
+            return ("num", Q(_int(val, at)))
         if kind == "name":
             if val in _FUNCTIONS:
                 self.expect_op("(")
@@ -130,7 +139,7 @@ class _Parser:
                 return ("fun", val, inner)
             m = _VAR.match(val)
             if m:
-                idx = int(m.group(2))
+                idx = _int(m.group(2), at)
                 if idx > self.n:
                     raise ParseError(
                         f"variable {val} out of range for n={self.n}", at)

@@ -248,6 +248,9 @@ class TestMain:
             # degrees above parser.MAX_DEGREE: refused before any expansion
             ["levi", "--phi", "2*x2+x1^10000000", "--n", "2"],
             ["levi", "--phi", "(x1+1)^3000", "--n", "2"],
+            # numbers above Python's 4,300-digit limit on int()
+            ["levi", "--phi", "2*x2+x1^" + "9" * 5000, "--n", "2"],
+            ["levi", "--phi", "2*x2+" + "1" * 5000 + "*x1^2", "--n", "2"],
         )
         for argv in bad:
             assert main(argv) == 2, argv

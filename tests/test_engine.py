@@ -241,6 +241,31 @@ class TestCommutation:
             assert len(set(rep.criterion_orders.values())) == 1
             assert rep.max_vanishing_order == rep.criterion_orders[3]
 
+    def test_lyndon_words_follow_witt(self):
+        # Witt's formula for the free Lie algebra on two generators
+        words = {length: engine._lyndon_words(length) for length in range(1, 11)}
+        assert [len(words[length]) for length in range(1, 11)] == [
+            2, 1, 2, 3, 6, 9, 18, 30, 56, 99]
+        for length, ws in words.items():
+            for w in ws:
+                assert all(w < w[i:] + w[:i] for i in range(1, length))
+
+    @pytest.mark.parametrize("a, b", [(a, d - a) for d in range(1, 7)
+                                      for a in range(d + 1)])
+    def test_first_failure_at_each_length(self, a, b):
+        # X = d/dx1 + x1^a y1^b d/dx2: the first nonzero bracket has length
+        # a + b + 1, so every criterion reports order a + b
+        one = TruncatedSeries.constant(Q(1), 4, CAP)
+        mono = TruncatedSeries(4, CAP, {(a, b, 0, 0): Q(1)})
+        zero = TruncatedSeries.zero(4, CAP)
+        x = VectorField(2, [one, zero, mono, zero])
+        rep = commutation_defect(x, JSTD, 8)
+        assert rep.criterion_orders == {c: a + b for c in (1, 2, 3, 4)}
+        assert rep.max_vanishing_order == a + b
+        assert rep.defects
+        if (a, b) == (1, 0):
+            assert set(rep.defects) == {"[X,JX]"}
+
     def test_order_and_cap_guards(self):
         x = constant_field(2, E1, cap=2)
         with pytest.raises(ValueError):

@@ -51,6 +51,12 @@ ARGV = _catalog_argv() + [
      "--J-perturb", "1", "--kmax", "6"),
     ("validate", "--phi", "2*x3 + abs2(z1)^2", "--n", "3", "--J-perturb", "4",
      "--kmax", "6"),
+    # commutation checked deep: order 11 under J_std, order 7 under a
+    # non-standard J
+    ("validate", "--phi", "2*x2 + Re(z1^2)", "--n", "2", "--kmax", "12",
+     "--cap", "14"),
+    ("validate", "--phi", "2*x2 + abs2(z1)^4", "--n", "2", "--kmax", "10",
+     "--J-perturb", "1"),
     ("type",) + QUARTIC + ("--strategy", "grid:1/2"),
     ("validate",) + QUARTIC + ("--strategy", "grid:1/2"),
     ("scan",) + QUARTIC + ("--point", "0,0,0,0", "--point", "1/2,0,-1/32,0",
