@@ -105,8 +105,11 @@ def _build_structure(spec: ProblemSpec) -> ACStructure:
         return perturbed_structure(spec.n, spec.cap, kind[1])
     rows = kind[1]
     d = 2 * spec.n
-    if len(rows) != d or any(len(r) != d for r in rows):
-        raise ParseError(f"J matrix must be {d}x{d}")
+    if not (isinstance(rows, list) and len(rows) == d
+            and all(isinstance(r, list) and len(r) == d
+                    and all(isinstance(e, str) for e in r) for r in rows)):
+        raise ParseError(f"J matrix must be a {d}x{d} list of expression "
+                         f"strings")
     entries = [[parse_expression(e, spec.n, cap=spec.cap) for e in row]
                for row in rows]
     return ACStructure(spec.n, entries)
@@ -408,6 +411,8 @@ def _spec_from_args(args) -> ProblemSpec:
     if k_max < 2:
         raise ParseError("--kmax must be at least 2")
     cap = args.cap if args.cap is not None else k_max + 4
+    if cap < 0:
+        raise ParseError("--cap must be nonnegative")
     if getattr(args, "J_perturb", None) is not None:
         jspec = ("perturbed", args.J_perturb)
     elif args.J == "standard":

@@ -10,7 +10,7 @@ disagreement is raised as TheoremViolation instead of being smoothed over.
 
 from dataclasses import dataclass, replace
 from itertools import product
-from math import factorial, isqrt
+from math import isqrt
 
 from .disks import (
     DiskJet,
@@ -25,7 +25,6 @@ from .geometry import (
     Hypersurface,
     VectorField,
     apply_jstd,
-    complex_tangent_basis,
     covariant_derivative,
     field_jet,
     is_complex_tangent,
@@ -44,10 +43,6 @@ def _vec_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def _vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def _vec_scale(c, v):
     return tuple(c * x for x in v)
 
@@ -61,17 +56,7 @@ def _is_zero_vec(v):
 
 
 # ---------------------------------------------------------------------------
-# jet extension and disk <-> field conversion
-
-
-@dataclass
-class ExtensionResult:
-    """Outcome of extending a field one jet order towards a target."""
-
-    realizable: bool
-    field: VectorField | None
-    multipliers: dict | None  # (p, q) -> [(re, im) per basis field]
-    offending: tuple | None  # first slot whose correction is not tangential
+# disk <-> field conversion
 
 
 def _dual_pair_forms(v, w):
@@ -96,95 +81,10 @@ def _tangent_columns(taus):
     return [list(row) for row in zip(*taus, *(apply_jstd(t) for t in taus))]
 
 
-def jet_extension_test(m: Hypersurface, j: ACStructure, x1: VectorField,
-                       xi: FieldJet) -> ExtensionResult:
-    """Extend x1 by one jet order to realize the target triangle xi.
-
-    x1 must realize the order-(k) part of xi already; the top slots p+q=k+1
-    are reachable exactly when each difference xi_pq - D^(p,q)x1(0) lies in
-    the complex tangent space at 0.  On success the returned field differs
-    from x1 by multiplier corrections sum(mu_i T_i + nu_i (J T_i)) whose
-    coefficient polynomials are homogeneous of degree k+1 in two linear
-    forms dual to (x1(0), J_0 x1(0)).
-    """
-    k1 = xi.order
-    if k1 < 1:
-        raise ValueError("target jet must have positive order")
-    k = k1 - 1
-    fj = field_jet(x1, j, k1)
-    for (p, q), val in xi.entries.items():
-        if p + q <= k and tuple(val) != tuple(fj.entry(p, q)):
-            raise GeometryError(
-                f"field does not realize the target below top order "
-                f"(slot ({p},{q}))")
-    n2 = 2 * m.n
-    deltas = {}
-    all_zero = True
-    for p in range(k1 + 1):
-        q = k1 - p
-        delta = _vec_sub(xi.entry(p, q), fj.entry(p, q))
-        if m.dphi_at_zero(delta) != 0 or m.dphi_at_zero(apply_jstd(delta)) != 0:
-            return ExtensionResult(False, None, None, (p, q))
-        deltas[(p, q)] = delta
-        if not _is_zero_vec(delta):
-            all_zero = False
-    if all_zero:
-        return ExtensionResult(True, x1, {}, None)
-
-    basis = complex_tangent_basis(m, j)
-    colmat = _tangent_columns([b.at_zero() for b in basis])
-
-    v0 = x1.at_zero()
-    if _is_zero_vec(v0):
-        raise GeometryError("cannot extend a field vanishing at the point")
-    w0 = apply_jstd(v0)
-    indices, dual = _dual_pair_forms(v0, w0)
-
-    cap = min(x1.cap, min(b.cap for b in basis))
-    var = [TruncatedSeries.variable(i, n2, cap) for i in indices]
-    l1, l2 = (var[0].scale(c[0]) + var[1].scale(c[1]) for c in dual)
-    # powers l1^p l2^q, shared across slots
-    pw1 = [TruncatedSeries.constant(1, n2, cap)]
-    pw2 = [TruncatedSeries.constant(1, n2, cap)]
-    for _ in range(k1):
-        pw1.append(pw1[-1] * l1)
-        pw2.append(pw2[-1] * l2)
-
-    multipliers = {}
-    mu = [TruncatedSeries.zero(n2, cap) for _ in range(len(basis))]
-    nu = [TruncatedSeries.zero(n2, cap) for _ in range(len(basis))]
-    for (p, q), delta in deltas.items():
-        sol = solve_affine(colmat, list(delta))
-        if not sol.consistent:
-            raise TheoremViolation(
-                "tangential correction not in the span of the tangent basis")
-        coords = sol.particular
-        scale = Q(1, factorial(p) * factorial(q))
-        monomial = pw1[p] * pw2[q]
-        slot = []
-        for i in range(len(basis)):
-            a, b = coords[i] * scale, coords[i + len(basis)] * scale
-            slot.append((a, b))
-            if a != 0:
-                mu[i] = mu[i] + monomial.scale(a)
-            if b != 0:
-                nu[i] = nu[i] + monomial.scale(b)
-        multipliers[(p, q)] = slot
-
-    x = x1.truncate(cap)
-    for i, t in enumerate(basis):
-        if not mu[i].is_zero():
-            x = x + t.truncate(cap).scale_series(mu[i])
-        if not nu[i].is_zero():
-            jt = j.apply(t).truncate(cap)
-            x = x + jt.scale_series(nu[i])
-
-    got = field_jet(x, j, k1)
-    for (p, q), val in xi.entries.items():
-        if tuple(got.entry(p, q)) != tuple(val):
-            raise TheoremViolation(
-                f"multiplier construction missed slot ({p},{q})")
-    return ExtensionResult(True, x, multipliers, None)
+def _disk_triangle(u: DiskJet, k: int) -> FieldJet:
+    """The derivatives d^(p+q+1)u/dx^(p+1)dy^q (0), p+q <= k, as a field jet."""
+    return FieldJet(k, u.n, {(p, q): u.derivative(p + 1, q)
+                             for p in range(k + 1) for q in range(k + 1 - p)})
 
 
 def realize_field_from_disk(m: Hypersurface, j: ACStructure, u: DiskJet,
@@ -192,11 +92,16 @@ def realize_field_from_disk(m: Hypersurface, j: ACStructure, u: DiskJet,
     """Complex tangent field whose derivative triangle matches the disk.
 
     Produces X with D^(p,q)X(0) = d^(p+q+1)u/dx^(p+1)dy^q (0) for all
-    p+q <= k.  Requires contact order at least k+2; the compatibility of the
-    corrections at each induction step is then a theorem, so a failure deeper
-    in the recursion is reported as TheoremViolation.  The triangle and the
-    brackets up to length k+1 read only the (k+1)-jet of X, so X is built on
-    phi and J truncated at cap k+2 and has cap k+1 (less if they carry less).
+    p+q <= k; requires contact order at least k+2.  X is the projection to
+    the complex tangent bundle of the flow-box field V = u_x o sigma o
+    (l1, l2): l1, l2 are linear forms dual to (u_x(0), J_0 u_x(0)), and
+    sigma inverts psi = (l1 o u, l2 o u) = id + O(2), so V o u = u_x.
+    Contact k+2 makes dphi(u_x) o u = d(phi o u)/dx and dphi(J u_x) o u =
+    d(phi o u)/dy vanish to order k+1, so X o u = u_x + O(k+1) and
+    JX o u = u_y + O(k+1): every word in X and JX of length <= k+1 pulls
+    back to a disk derivative.  Those words read only the k-jet of X, so X
+    is built in one pass on phi and J truncated at max(k+1, 2) and has cap
+    k; a triangle that misses the disk is a TheoremViolation.
     """
     co = contact_order(m, u)
     max_k = co.order - 2
@@ -210,23 +115,29 @@ def realize_field_from_disk(m: Hypersurface, j: ACStructure, u: DiskJet,
     u1 = u.derivative(1, 0)
     if _is_zero_vec(u1):
         raise GeometryError("disk is not regular at 0")
-    m, j = m.truncate(min(m.cap, k + 2)), j.truncate(min(j.cap, k + 2))
-    x = project_to_complex_tangent(m, j, VectorField.constant(m.n, u1, m.cap - 1))
-    if x.at_zero() != tuple(u1):
+    # contact k+2 needs phi.cap >= k+1
+    cap = max(k + 1, 2)
+    m, j = m.truncate(cap), j.truncate(min(j.cap, cap))
+    v = VectorField.constant(m.n, u1, k)
+    if k > 0:
+        (i1, i2), dual = _dual_pair_forms(u1, apply_jstd(u1))
+        pair = [u.components[i].truncate(k) for i in (i1, i2)]
+        ident = TruncatedSeries.variables(2, k)
+        # psi - id = O(2); each round of sigma = id - (psi - id) o sigma
+        # fixes one more degree, from degree 1 up to k
+        bend = [pair[0].scale(a) + pair[1].scale(b) - t
+                for (a, b), t in zip(dual, ident)]
+        sigma = ident
+        for _ in range(k - 1):
+            sigma = [t - h.compose(sigma) for t, h in zip(ident, bend)]
+        var = [TruncatedSeries.variable(i, 2 * m.n, k) for i in (i1, i2)]
+        forms = [var[0].scale(a) + var[1].scale(b) for a, b in dual]
+        v = VectorField(m.n, [c.partial(0).truncate(k).compose(sigma)
+                              .compose(forms) for c in u.components])
+    x = project_to_complex_tangent(m, j, v)
+    if field_jet(x, j, k) != _disk_triangle(u, k):
         raise TheoremViolation(
-            "first derivative not preserved by tangential projection")
-    for kk in range(1, k + 1):
-        entries = {}
-        for p in range(kk + 1):
-            for q in range(kk + 1 - p):
-                entries[(p, q)] = tuple(u.derivative(p + 1, q))
-        xi = FieldJet(kk, m.n, entries)
-        res = jet_extension_test(m, j, x, xi)
-        if not res.realizable:
-            raise TheoremViolation(
-                f"jet of a contact-{co.order} disk not realizable at "
-                f"slot {res.offending}")
-        x = res.field
+            f"field realized from a contact-{co.order} disk misses its jet")
     return x
 
 
@@ -392,7 +303,8 @@ def commutation_defect(x: VectorField, j: ACStructure,
 class TypeReport:
     """Result of a contact-type search at one surface point.
 
-    witness_field has cap lower_bound - 1: its jet and brackets read no more.
+    witness_field has cap lower_bound - 2: its jet and brackets read no more,
+    and a cap-reached witness disk carries no more.
     """
 
     point: tuple
@@ -715,7 +627,8 @@ def type_search(m: Hypersurface, j: ACStructure, k_max: int,
     directions strategies try prescribed first derivatives and report lower
     bounds only.  The report carries the witness disk, a complex tangent
     field realizing its jet to order k = lower_bound - 2, and that field's
-    derivative triangle; the field has cap k+1, all that its checks read.
+    derivative triangle; the field is built in one pass from the disk and
+    has cap k, all that its checks read.
     """
     stager = _Stager(m, j, k_max)
     if strategy == "exact_staged":
@@ -748,10 +661,12 @@ def type_search(m: Hypersurface, j: ACStructure, k_max: int,
                 break
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    # the one realization of the witness field; cross_validate checks it
+    # the one realization of the witness field; cross_validate checks it.
+    # The realization asserts that the field's triangle is the disk's.
     k = rep.lower_bound - 2
     x = realize_field_from_disk(m, j, rep.witness_disk, k)
-    return replace(rep, witness_field=x, witness_field_jet=field_jet(x, j, k))
+    return replace(rep, witness_field=x,
+                   witness_field_jet=_disk_triangle(rep.witness_disk, k))
 
 
 # ---------------------------------------------------------------------------
@@ -791,12 +706,8 @@ def cross_validate(m: Hypersurface, j: ACStructure,
             f"witness contact {co.order} below reported bound {k + 2}")
     if not is_complex_tangent(m, j, x):
         raise GeometryError("witness field is not complex tangent")
-    fj = field_jet(x, j, k)
-    for p in range(k + 1):
-        for q in range(k + 1 - p):
-            if tuple(fj.entry(p, q)) != tuple(u.derivative(p + 1, q)):
-                raise TheoremViolation(
-                    f"realized field misses the disk jet at ({p},{q})")
+    if field_jet(x, j, k) != _disk_triangle(u, k):
+        raise TheoremViolation("realized field misses the disk jet")
     crep = commutation_defect(x, j, k + 1)
     if crep.max_vanishing_order < k + 1:
         raise TheoremViolation(

@@ -25,9 +25,21 @@ _TOKEN = _re.compile(r"""
 _VAR = _re.compile(r"^([xyz])([1-9][0-9]*)$")
 _FUNCTIONS = ("Re", "Im", "conj", "abs2")
 
-# Largest total degree parse_expression expands: it works at a cap no smaller
-# than the degree, so (x1+1)^3000 would take most of a minute.
+# Largest total degree, and largest exponent, parse_expression expands: it
+# works at a cap no smaller than the degree, so (x1+1)^3000 would take most
+# of a minute, and a constant is multiplied out once per unit of exponent.
 MAX_DEGREE = 64
+
+# Largest constant, in bits of numerator plus denominator, that a product,
+# power or abs2 may produce: a little above a literal of 4,300 digits.  The
+# degree limit bounds how often a nonconstant term is multiplied; constants
+# escape it, and abs2 nested on a literal squares it at every level.
+MAX_CONSTANT_BITS = 1 << 14
+
+# Deepest nesting of parentheses and function calls: each level costs a few
+# Python stack frames in parsing and in evaluation.  Sums, products, unary
+# minus chains and exponent chains are flat and add no depth.
+MAX_NESTING = 64
 
 
 def _int(text, at):
@@ -53,12 +65,17 @@ def _tokenize(text):
 
 
 class _Parser:
-    """Recursive descent over the token list, building a small tree."""
+    """Recursive descent over the token list, building a small tree.
+
+    Sums and products are n-ary nodes, so only parentheses and function
+    calls nest, at most MAX_NESTING deep.
+    """
 
     def __init__(self, tokens, n):
         self.tokens = tokens
         self.pos = 0
         self.n = n
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -67,6 +84,10 @@ class _Parser:
         t = self.tokens[self.pos]
         self.pos += 1
         return t
+
+    def at_op(self, ops):
+        kind, val, _ = self.peek()
+        return kind == "op" and val in ops
 
     def expect_op(self, op):
         kind, val, at = self.peek()
@@ -82,45 +103,53 @@ class _Parser:
         return node
 
     def expr(self):
-        node = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                rhs = self.term()
-                node = ("add" if val == "+" else "sub", node, rhs)
-            else:
-                return node
+        terms = [self.term()]
+        while self.at_op("+-"):
+            op = self.take()[1]
+            terms.append(self.term() if op == "+" else ("neg", self.term()))
+        return terms[0] if len(terms) == 1 else ("sum", terms)
 
     def term(self):
-        node = self.unary()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
-                self.take()
-                node = ("mul", node, self.unary())
-            else:
-                return node
+        factors = [self.unary()]
+        while self.at_op("*"):
+            self.take()
+            factors.append(self.unary())
+        return factors[0] if len(factors) == 1 else ("prod", factors)
 
     def unary(self):
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
+        negate = False
+        while self.at_op("-"):
             self.take()
-            return ("neg", self.unary())
-        return self.power()
+            negate = not negate
+        node = self.power()
+        return ("neg", node) if negate else node
 
     def power(self):
         node = self.atom()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "^":
-                self.take()
-                nk, nv, at = self.take()
-                if nk != "num" or "/" in nv:
-                    raise ParseError("exponent must be a natural number", at)
-                node = ("pow", node, _int(nv, at))
-            else:
-                return node
+        while self.at_op("^"):
+            self.take()
+            nk, nv, at = self.take()
+            if nk != "num" or "/" in nv:
+                raise ParseError("exponent must be a natural number", at)
+            exponent = _int(nv, at)
+            if node[0] == "pow":  # (a^b)^c = a^(b*c)
+                node, exponent = node[1], node[2] * exponent
+            if exponent > MAX_DEGREE:
+                raise ParseError(f"exponent {exponent} is above the limit of "
+                                 f"{MAX_DEGREE}", at)
+            node = ("pow", node, exponent)
+        return node
+
+    def nested(self, at):
+        """The expression inside an opened parenthesis, up to its close."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(
+                f"nesting is deeper than the limit of {MAX_NESTING}", at)
+        inner = self.expr()
+        self.expect_op(")")
+        self.depth -= 1
+        return inner
 
     def atom(self):
         kind, val, at = self.take()
@@ -133,10 +162,8 @@ class _Parser:
             return ("num", Q(_int(val, at)))
         if kind == "name":
             if val in _FUNCTIONS:
-                self.expect_op("(")
-                inner = self.expr()
-                self.expect_op(")")
-                return ("fun", val, inner)
+                _, _, paren = self.expect_op("(")
+                return ("fun", val, self.nested(paren))
             m = _VAR.match(val)
             if m:
                 idx = _int(m.group(2), at)
@@ -146,9 +173,7 @@ class _Parser:
                 return ("var", m.group(1), idx)
             raise ParseError(f"unknown name {val!r}", at)
         if kind == "op" and val == "(":
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
+            return self.nested(at)
         raise ParseError(f"unexpected {val!r}", at)
 
 
@@ -160,16 +185,29 @@ def _degree(node) -> int:
         return 1
     if tag == "neg":
         return _degree(node[1])
-    if tag in ("add", "sub"):
-        return max(_degree(node[1]), _degree(node[2]))
-    if tag == "mul":
-        return _degree(node[1]) + _degree(node[2])
+    if tag == "sum":
+        return max(_degree(t) for t in node[1])
+    if tag == "prod":
+        return sum(_degree(f) for f in node[1])
     if tag == "pow":
         return _degree(node[1]) * node[2]
     if tag == "fun":
         d = _degree(node[2])
         return 2 * d if node[1] == "abs2" else d
     raise AssertionError(tag)
+
+
+def _bounded(pair):
+    """The (real, imaginary) pair, refusing a constant above the limit."""
+    for part in pair:
+        if part.total_degree() == 0:
+            c = part.constant_term()
+            bits = (int(c.numerator).bit_length()
+                    + int(c.denominator).bit_length())
+            if bits > MAX_CONSTANT_BITS:
+                raise ParseError(f"constant of {bits} bits is above the limit "
+                                 f"of {MAX_CONSTANT_BITS}")
+    return pair
 
 
 def _eval(node, n, cap):
@@ -191,21 +229,20 @@ def _eval(node, n, cap):
     if tag == "neg":
         re_, im_ = _eval(node[1], n, cap)
         return -re_, -im_
-    if tag in ("add", "sub"):
-        ar, ai = _eval(node[1], n, cap)
-        br, bi = _eval(node[2], n, cap)
-        if tag == "add":
-            return ar + br, ai + bi
-        return ar - br, ai - bi
-    if tag == "mul":
-        ar, ai = _eval(node[1], n, cap)
-        br, bi = _eval(node[2], n, cap)
-        return ar * br - ai * bi, ar * bi + ai * br
+    if tag in ("sum", "prod"):
+        ar, ai = _eval(node[1][0], n, cap)
+        for t in node[1][1:]:
+            br, bi = _eval(t, n, cap)
+            if tag == "sum":
+                ar, ai = ar + br, ai + bi
+            else:
+                ar, ai = _bounded((ar * br - ai * bi, ar * bi + ai * br))
+        return ar, ai
     if tag == "pow":
         ar, ai = _eval(node[1], n, cap)
         rr, ri = TruncatedSeries.constant(1, 2 * n, cap), zero
         for _ in range(node[2]):
-            rr, ri = rr * ar - ri * ai, rr * ai + ri * ar
+            rr, ri = _bounded((rr * ar - ri * ai, rr * ai + ri * ar))
         return rr, ri
     if tag == "fun":
         fr, fi = _eval(node[2], n, cap)
@@ -216,7 +253,7 @@ def _eval(node, n, cap):
             return fi, zero
         if name == "conj":
             return fr, -fi
-        return fr * fr + fi * fi, zero  # abs2
+        return _bounded((fr * fr + fi * fi, zero))  # abs2
     raise AssertionError(tag)
 
 
@@ -225,8 +262,10 @@ def parse_expression(text: str, n: int, cap: int | None = None) -> TruncatedSeri
 
     Evaluation runs at a cap no smaller than the expression's total degree,
     so the expansion is an exact polynomial identity; the result is then
-    re-capped to the requested truncation order.  A degree above MAX_DEGREE
-    raises ParseError before any expansion.
+    re-capped to the requested truncation order.  A degree or an exponent
+    above MAX_DEGREE, or nesting above MAX_NESTING, raises ParseError before
+    any expansion; a constant above MAX_CONSTANT_BITS raises it as soon as
+    it is formed.
     """
     if n < 1:
         raise ValueError("n must be positive")

@@ -251,6 +251,16 @@ class TestMain:
             # numbers above Python's 4,300-digit limit on int()
             ["levi", "--phi", "2*x2+x1^" + "9" * 5000, "--n", "2"],
             ["levi", "--phi", "2*x2+" + "1" * 5000 + "*x1^2", "--n", "2"],
+            # nesting above parser.MAX_NESTING
+            ["levi", "--phi", "2*x2+" + "(" * 300 + "x1^2" + ")" * 300,
+             "--n", "2"],
+            # long chains parse flat and reach the degree check
+            ["levi", "--phi", "2*x2+" + "-" * 1500 + "x1^65", "--n", "2"],
+            ["levi", "--phi", "2*x2+x1^2" + "+x1^2" * 3000 + "+x1^65",
+             "--n", "2"],
+            ["levi", "--phi", "2*x2+" + "*".join(["x1"] * 3000),
+             "--n", "2"],
+            ["levi", "--phi", SPHERE_PHI, "--n", "2", "--cap", "-1"],
         )
         for argv in bad:
             assert main(argv) == 2, argv
@@ -265,6 +275,13 @@ class TestMain:
         wrong_shape.write_text(json.dumps(J_ROWS[:3]))
         assert main(["classify", "--phi", SPHERE_PHI, "--n", "2",
                      "--J", str(wrong_shape)]) == 2
+        for rows in (5, [[0, -1, 0, 0], [1, 0, 0, 0],
+                         [0, 0, 0, -1], [0, 0, 1, 0]]):
+            not_strings = tmp_path / "J5.json"
+            not_strings.write_text(json.dumps(rows))
+            assert main(["classify", "--phi", SPHERE_PHI, "--n", "2",
+                         "--J", str(not_strings)]) == 2
+            assert "error:" in capsys.readouterr().err
         empty_dirs = tmp_path / "dirs.txt"
         empty_dirs.write_text("# nothing here\n")
         assert main(["type", "--phi", QUARTIC_PHI, "--n", "2",

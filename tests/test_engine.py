@@ -6,11 +6,11 @@ from itertools import combinations, product
 import pytest
 
 import levitype.engine as engine
+import levitype.geometry as geometry
 from levitype import (
     ACStructure,
     CapError,
     ContactOrder,
-    FieldJet,
     GeometryError,
     Hypersurface,
     Q,
@@ -24,7 +24,6 @@ from levitype import (
     field_jet,
     higher_levi,
     is_complex_tangent,
-    jet_extension_test,
     lie_bracket,
     parse_expression,
     perturbed_structure,
@@ -96,49 +95,6 @@ def check_report_invariants(rep):
         assert not rep.certified_exact
 
 
-class TestJetExtension:
-    def test_identity_target_needs_no_correction(self):
-        x = sphere_tangent()
-        xi = field_jet(x, JSTD, 1)
-        res = jet_extension_test(SPHERE, JSTD, x, xi)
-        assert res.realizable and res.offending is None
-        assert res.multipliers == {}
-        assert res.field == x
-
-    def test_tangential_bump_is_realizable(self):
-        x = sphere_tangent()
-        fj = field_jet(x, JSTD, 1)
-        entries = dict(fj.entries)
-        bump = sphere_tangent().at_zero()  # tangent vector at 0
-        entries[(1, 0)] = tuple(a + b for a, b in zip(entries[(1, 0)], bump))
-        xi = FieldJet(1, 2, entries)
-        res = jet_extension_test(SPHERE, JSTD, x, xi)
-        assert res.realizable
-        assert res.multipliers
-        got = field_jet(res.field, JSTD, 1)
-        for key, val in xi.entries.items():
-            assert tuple(got.entry(*key)) == tuple(val)
-
-    def test_normal_bump_is_not_realizable(self):
-        x = sphere_tangent()
-        fj = field_jet(x, JSTD, 1)
-        entries = dict(fj.entries)
-        entries[(1, 0)] = tuple(a + b for a, b
-                                in zip(entries[(1, 0)], (0, 0, 2, 0)))
-        res = jet_extension_test(SPHERE, JSTD, x, FieldJet(1, 2, entries))
-        assert not res.realizable
-        assert res.offending == (1, 0)
-        assert res.field is None
-
-    def test_rejects_disagreement_below_top_order(self):
-        x = sphere_tangent()
-        fj = field_jet(x, JSTD, 1)
-        entries = dict(fj.entries)
-        entries[(0, 0)] = (0, 1, 0, 0)
-        with pytest.raises(GeometryError):
-            jet_extension_test(SPHERE, JSTD, x, FieldJet(1, 2, entries))
-
-
 class TestRealizeFieldFromDisk:
     def test_flat_straight_disk(self):
         u = propagate_cr_jet([E1], JSTD, 6)
@@ -169,8 +125,8 @@ class TestRealizeFieldFromDisk:
             realize_field_from_disk(HARMONIC, JSTD, u, 0)
 
     def test_contact_past_the_cap(self):
-        # k defaults to contact - 2 = 7, one past what phi at cap 8 can
-        # carry; the field stops at phi's cap instead of raising it
+        # k defaults to contact - 2 = 7, and the cap-7 field reads phi
+        # through cap 8, all it carries
         flat8 = surface(2, 8, {(0, 0, 1, 0): 2})
         j8 = ACStructure.standard(2, 8)
         u = propagate_cr_jet([E1], j8, 8)
@@ -182,25 +138,26 @@ class TestRealizeFieldFromDisk:
             for q in range(8 - p):
                 assert tuple(fj.entry(p, q)) == u.derivative(p + 1, q)
 
-    def test_builds_nothing_above_cap_k_plus_1(self, monkeypatch):
+    def test_builds_nothing_above_cap_k(self, monkeypatch):
         j = perturbed_structure(3, 8, 1)
         rep = type_search(INDEF3, j, 6)
         k = rep.lower_bound - 2
         caps = []
+        project = engine.project_to_complex_tangent
 
-        def recording(fn, cap_of):
-            def wrapped(*args):
-                out = fn(*args)
-                caps.append(cap_of(out))
-                return out
-            return wrapped
-        monkeypatch.setattr(engine, "project_to_complex_tangent", recording(
-            engine.project_to_complex_tangent, lambda x: x.cap))
-        monkeypatch.setattr(engine, "complex_tangent_basis", recording(
-            engine.complex_tangent_basis, lambda b: max(t.cap for t in b)))
+        def recording(*args):
+            out = project(*args)
+            caps.append(out.cap)
+            return out
+
+        def no_basis(*args):
+            raise AssertionError("the realization builds no tangent basis")
+        monkeypatch.setattr(engine, "project_to_complex_tangent", recording)
+        monkeypatch.setattr(geometry, "complex_tangent_basis", no_basis)
+        assert not hasattr(engine, "complex_tangent_basis")
         x = realize_field_from_disk(INDEF3, j, rep.witness_disk, k)
-        assert x.cap == k + 1
-        assert caps and max(caps) == k + 1
+        assert x.cap == k
+        assert caps == [k]
 
 
 class TestCommutation:
@@ -499,7 +456,7 @@ def degenerate_phi(rng, n, cap):
 
 
 class TestRealizationContract:
-    """The report's field lives at cap lower_bound - 1, the order it is read."""
+    """The report's field lives at cap lower_bound - 2, the order it is read."""
 
     def test_seeded_reports(self):
         rng = make_rng("engine-realization")
@@ -511,7 +468,7 @@ class TestRealizationContract:
                     rep = type_search(m, j, k_max)
                     x, u = rep.witness_field, rep.witness_disk
                     k = rep.lower_bound - 2
-                    assert x.cap == k + 1
+                    assert x.cap == k
                     assert is_complex_tangent(m, j, x)
                     fj = field_jet(x, j, k)
                     assert fj == rep.witness_field_jet

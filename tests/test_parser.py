@@ -3,7 +3,7 @@
 import pytest
 
 from levitype import ParseError, Q, TruncatedSeries, parse_expression, series_to_expression
-from levitype.parser import MAX_DEGREE
+from levitype.parser import MAX_CONSTANT_BITS, MAX_DEGREE, MAX_NESTING
 
 from conftest import make_rng, monomials, random_rational
 
@@ -89,6 +89,42 @@ class TestGrammar:
         for text in ("x1^65", "abs2(z1)^33", "x1^10000000", "(x1+1)^3000",
                      "x1^8*(x1^8)^8"):
             with pytest.raises(ParseError, match="above the limit of 64"):
+                parse_expression(text, 1)
+
+    def test_constant_limits(self):
+        assert parse_expression("2^64", 1) == series(2, 2, {(0, 0): 2 ** 64})
+        assert parse_expression("(x1^8)^8", 1).cap == 64
+        for text in ("2^65", "2^8^8^8", "(1+1)^10000000"):
+            with pytest.raises(ParseError, match="above the limit of 64"):
+                parse_expression(text, 1)
+        # abs2 squares a constant at every level; the degree stays 0
+        assert MAX_CONSTANT_BITS == 1 << 14
+        big = "abs2(" * 12 + "3" + ")" * 12  # 3^4096: 6,493 bits
+        assert parse_expression(big, 1) == series(2, 2, {(0, 0): 3 ** 4096})
+        for text in ("abs2(" * 64 + "2" + ")" * 64,
+                     "*".join(["7" * 4000] * 2),
+                     "*".join(["(2^64+1)^64"] * 4)):
+            with pytest.raises(ParseError, match="above the limit of 16384"):
+                parse_expression(text, 1)
+
+    def test_long_chains_parse_flat(self):
+        x1 = series(2, 2, {(1, 0): 1})
+        assert parse_expression("+".join(["x1"] * 3000), 1) == x1.scale(3000)
+        assert parse_expression("x1" + "-x1" * 3000, 1) == x1.scale(-2999)
+        assert parse_expression("*".join(["1"] * 3000) + "*x1", 1) == x1
+        assert parse_expression("-" * 1501 + "x1", 1) == -x1
+        assert parse_expression("-" * 1500 + "x1", 1) == x1
+        assert parse_expression("x1" + "^1" * 3000, 1) == x1
+
+    def test_nesting_limit(self):
+        assert MAX_NESTING == 64
+        x1 = series(2, 2, {(1, 0): 1})
+        assert parse_expression("(" * 64 + "x1" + ")" * 64, 1) == x1
+        assert parse_expression("Re(" * 63 + "(x1)" + ")" * 63, 1) == x1
+        for text in ("(" * 65 + "x1" + ")" * 65,
+                     "Re(" * 64 + "(x1)" + ")" * 64,
+                     "(" * 300 + "x1" + ")" * 300):
+            with pytest.raises(ParseError, match="limit of 64"):
                 parse_expression(text, 1)
 
     def test_dimension_guard(self):
