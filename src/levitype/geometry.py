@@ -102,12 +102,6 @@ class VectorField:
     def scale(self, q) -> "VectorField":
         return VectorField(self.n, [c.scale(q) for c in self.components])
 
-    def scale_series(self, s: TruncatedSeries) -> "VectorField":
-        """Multiply by a scalar series; truncates to the common cap."""
-        cap = min(s.cap, self.cap)
-        s = s.truncate(cap)
-        return VectorField(self.n, [s * c.truncate(cap) for c in self.components])
-
     def __eq__(self, other):
         if not isinstance(other, VectorField):
             return NotImplemented
@@ -296,7 +290,12 @@ def covariant_derivative(x: VectorField, y: VectorField) -> VectorField:
     if y.cap == 0:
         raise CapError("cannot differentiate a field with cap 0")
     xt = [c.truncate(y.cap - 1) for c in x.components]
-    jacobian = [[yi.partial(v) for v in range(2 * x.n)] for yi in y.components]
+    # a column of the Jacobian meets a component of X; where that component
+    # is zero the column is never read, so Y is not differentiated there
+    live = [not c.is_zero() for c in xt]
+    zero = TruncatedSeries.zero(2 * x.n, y.cap - 1)
+    jacobian = [[yi.partial(v) if live[v] else zero for v in range(2 * x.n)]
+                for yi in y.components]
     return VectorField(x.n, mat_vec(jacobian, xt))
 
 

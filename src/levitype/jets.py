@@ -1,7 +1,6 @@
 """Exact truncated multivariate power series over Q.
 
-A TruncatedSeries stores a polynomial jet: a dict from exponent tuples (the
-multi-indices, one entry per variable) to nonzero rationals, together with a
+A TruncatedSeries is a polynomial jet in num_vars variables together with a
 degree cap.  Every stored term has total degree <= cap, and the cap is the
 contract: coefficients of degree <= cap are exact, nothing is known beyond.
 
@@ -11,23 +10,88 @@ cap reduced by one because the (unknown) degree cap+1 stratum of the input
 would have contributed to the top stratum of the derivative; dropping that
 stratum is how "unreliable" is represented here.
 
+Representation.  The coefficients are Python-int numerators over one
+positive denominator per series, ``_den``, kept reduced so that
+gcd(den, *numerators) == 1; equal series therefore have equal dicts and
+denominators.  ``_terms`` maps a packed monomial key to its nonzero
+numerator.  The key of x_0^e_0 ... x_{m-1}^e_{m-1}, of total degree d, is
+
+    d << w*m  |  e_0 << w*(m-1)  |  ...  |  e_{m-1}
+
+with one field width w for the whole series: 8 bits for every cap below
+256, cap.bit_length() bits from 256 on (the width rule).  No exponent of a
+stored term exceeds the cap, so every field holds its exponent, the integer
+order of keys is graded lexicographic order, and:
+
+- the product of two monomials is the sum of their keys, and it lies within
+  the cap exactly when that sum is below (cap+1) << w*m (a field can only
+  overflow when the degree passes the cap, and a carry only raises the key);
+- truncation is a filter on keys, differentiation a subtraction from them.
+
+An operation that changes the cap repacks its keys only when the width
+changes, which needs a cap of 256 or more.  Rationals (``Q``) appear only
+at the boundary: the constructor from exponent-tuple dicts, ``scale``,
+``coefficient``, ``constant_term``, ``terms``, ``shift`` and ``evaluate``.
+
 Term iteration and printing use graded lexicographic order so outputs are
 deterministic.
 """
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, gcd, lcm
 
 from .errors import CapError
 from .rational import Q, ZERO
 
 _QTYPE = type(ZERO)
+_WIDTH = 8                 # field width, in bits, for every cap below _WIDE
+_WIDE = 1 << _WIDTH
 
 
-def graded_key(exponents):
-    """Sort key for graded lexicographic order."""
-    return (sum(exponents), exponents)
+def _width(cap: int) -> int:
+    return _WIDTH if cap < _WIDE else cap.bit_length()
+
+
+def _pack(exps, width: int) -> int:
+    key = sum(exps)
+    for e in exps:
+        key = (key << width) | e
+    return key
+
+
+def _unpack(key: int, num_vars: int, width: int) -> tuple:
+    mask = (1 << width) - 1
+    return tuple((key >> (width * (num_vars - 1 - i))) & mask
+                 for i in range(num_vars))
+
+
+def _relayout(terms: dict, num_vars: int, old_cap: int, new_cap: int) -> dict:
+    """Repack keys laid out for old_cap into the layout of new_cap."""
+    old, new = _width(old_cap), _width(new_cap)
+    if old == new:
+        return terms
+    return {_pack(_unpack(k, num_vars, old), new): c for k, c in terms.items()}
+
+
+def _new(num_vars: int, cap: int, terms: dict, den: int) -> "TruncatedSeries":
+    """A series from parts already reduced and laid out for cap."""
+    s = object.__new__(TruncatedSeries)
+    s.num_vars = num_vars
+    s.cap = cap
+    s._terms = terms
+    s._den = den
+    return s
+
+
+def _reduced(num_vars: int, cap: int, terms: dict, den: int):
+    """A series from numerators over den > 0, their common factor divided out."""
+    if den != 1:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            den //= g
+            terms = {k: c // g for k, c in terms.items()}
+    return _new(num_vars, cap, terms, den)
 
 
 def _coerce_scalar(c):
@@ -39,7 +103,7 @@ def _coerce_scalar(c):
 
 
 class TruncatedSeries:
-    __slots__ = ("num_vars", "cap", "_terms")
+    __slots__ = ("num_vars", "cap", "_terms", "_den")
 
     def __init__(self, num_vars: int, cap: int, terms=None):
         if num_vars < 1:
@@ -48,33 +112,48 @@ class TruncatedSeries:
             raise ValueError("cap must be >= 0")
         self.num_vars = num_vars
         self.cap = cap
+        self._terms = {}
+        self._den = 1
+        if not terms:
+            return
+        width = _width(cap)
+        top = width * num_vars
         clean = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for exps, c in items:
-                exps = tuple(exps)
-                if len(exps) != num_vars:
+        items = terms.items() if isinstance(terms, dict) else terms
+        for exps, c in items:
+            exps = tuple(exps)
+            if len(exps) != num_vars:
+                raise ValueError(
+                    f"multi-index {exps} has {len(exps)} entries, expected {num_vars}"
+                )
+            key = degree = 0
+            for e in exps:
+                if e < 0 or not isinstance(e, int):
                     raise ValueError(
-                        f"multi-index {exps} has {len(exps)} entries, expected {num_vars}"
-                    )
-                if any(e < 0 or not isinstance(e, int) for e in exps):
-                    raise ValueError(f"multi-index {exps} must hold non-negative ints")
-                if sum(exps) > cap:
-                    raise ValueError(
-                        f"term of degree {sum(exps)} exceeds cap {cap}"
-                    )
-                c = _coerce_scalar(c)
-                if c != 0:
-                    acc = clean.get(exps)
-                    if acc is None:
-                        clean[exps] = c
+                        f"multi-index {exps} must hold non-negative ints")
+                degree += e
+                key = (key << width) | e
+            if degree > cap:
+                raise ValueError(f"term of degree {degree} exceeds cap {cap}")
+            c = _coerce_scalar(c)
+            if c != 0:
+                key |= degree << top
+                acc = clean.get(key)
+                if acc is None:
+                    clean[key] = c
+                else:
+                    acc = acc + c
+                    if acc == 0:
+                        del clean[key]
                     else:
-                        acc = acc + c
-                        if acc == 0:
-                            del clean[exps]
-                        else:
-                            clean[exps] = acc
-        self._terms = clean
+                        clean[key] = acc
+        ratios = {k: (int(c.numerator), int(c.denominator))
+                  for k, c in clean.items()}
+        # the lcm of reduced denominators leaves numerators without a
+        # common factor with it
+        den = lcm(*(d for _, d in ratios.values()))
+        self._terms = {k: n * (den // d) for k, (n, d) in ratios.items()}
+        self._den = den
 
     # ---------------------------------------------------------------- basics
 
@@ -84,7 +163,12 @@ class TruncatedSeries:
 
     @classmethod
     def constant(cls, c, num_vars: int, cap: int) -> "TruncatedSeries":
-        return cls(num_vars, cap, {(0,) * num_vars: c})
+        res = cls(num_vars, cap)
+        c = _coerce_scalar(c)
+        if c != 0:
+            res._terms = {0: int(c.numerator)}
+            res._den = int(c.denominator)
+        return res
 
     @classmethod
     def variable(cls, i: int, num_vars: int, cap: int) -> "TruncatedSeries":
@@ -99,6 +183,11 @@ class TruncatedSeries:
     def variables(cls, num_vars: int, cap: int):
         return tuple(cls.variable(i, num_vars, cap) for i in range(num_vars))
 
+    def _rational(self, num):
+        if num is None:
+            return ZERO
+        return Q(num) if self._den == 1 else Q(num, self._den)
+
     def coefficient(self, exponents):
         exponents = tuple(exponents)
         if len(exponents) != self.num_vars:
@@ -107,30 +196,37 @@ class TruncatedSeries:
             raise CapError(
                 f"degree {sum(exponents)} coefficient is beyond cap {self.cap}"
             )
-        return self._terms.get(exponents, ZERO)
+        if min(exponents) < 0:
+            return ZERO
+        return self._rational(self._terms.get(_pack(exponents, _width(self.cap))))
 
     def constant_term(self):
-        return self._terms.get((0,) * self.num_vars, ZERO)
+        return self._rational(self._terms.get(0))
 
     def is_zero(self) -> bool:
         return not self._terms
+
+    def _top(self) -> int:
+        """The shift of the degree field in this series' keys."""
+        return self.num_vars * _width(self.cap)
 
     def total_degree(self):
         """Max total degree of a stored term, or None for the zero series."""
         if not self._terms:
             return None
-        return max(sum(e) for e in self._terms)
+        return max(self._terms) >> self._top()
 
     def valuation(self):
         """Min total degree of a stored term, or None for the zero series."""
         if not self._terms:
             return None
-        return min(sum(e) for e in self._terms)
+        return min(self._terms) >> self._top()
 
     def terms(self):
         """Terms in graded lexicographic order."""
-        for exps in sorted(self._terms, key=graded_key):
-            yield exps, self._terms[exps]
+        num_vars, width, terms = self.num_vars, _width(self.cap), self._terms
+        for key in sorted(terms):
+            yield _unpack(key, num_vars, width), Q(terms[key], self._den)
 
     # ------------------------------------------------------------ arithmetic
 
@@ -150,79 +246,90 @@ class TruncatedSeries:
         return (
             self.num_vars == other.num_vars
             and self.cap == other.cap
+            and self._den == other._den
             and self._terms == other._terms
         )
 
     __hash__ = None
 
+    def _plus(self, other: "TruncatedSeries", sign: int) -> "TruncatedSeries":
+        """self + sign * other for sign = 1 or -1."""
+        if self.num_vars != other.num_vars or self.cap != other.cap:
+            self._check_binary(other)
+        a, b = self._terms, other._terms
+        if not b:
+            return self
+        da, db = self._den, other._den
+        if da == db:
+            den, out, fb = da, dict(a), sign
+        else:
+            den = lcm(da, db)
+            fa = den // da
+            out = {k: c * fa for k, c in a.items()} if fa != 1 else dict(a)
+            fb = sign * (den // db)
+        get = out.get
+        for k, c in b.items():
+            s = get(k, 0) + c * fb
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        return _reduced(self.num_vars, self.cap, out, den)
+
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        self._check_binary(other)
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            acc = out.get(e)
-            if acc is None:
-                out[e] = c
-            else:
-                acc = acc + c
-                if acc == 0:
-                    del out[e]
-                else:
-                    out[e] = acc
-        res = TruncatedSeries(self.num_vars, self.cap)
-        res._terms = out
-        return res
+        if not self._terms:
+            self._check_binary(other)
+            return other
+        return self._plus(other, 1)
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __neg__(self):
-        res = TruncatedSeries(self.num_vars, self.cap)
-        res._terms = {e: -c for e, c in self._terms.items()}
-        return res
+        return _new(self.num_vars, self.cap,
+                    {k: -c for k, c in self._terms.items()}, self._den)
 
     def scale(self, c) -> "TruncatedSeries":
         c = _coerce_scalar(c)
-        res = TruncatedSeries(self.num_vars, self.cap)
-        if c != 0:
-            res._terms = {e: v * c for e, v in self._terms.items()}
-        return res
+        if c == 0:
+            return _new(self.num_vars, self.cap, {}, 1)
+        p = int(c.numerator)
+        return _reduced(self.num_vars, self.cap,
+                        {k: v * p for k, v in self._terms.items()},
+                        self._den * int(c.denominator))
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        self._check_binary(other)
-        cap = self.cap
-        # sorted by degree so the inner loop can stop early
-        a = sorted(((sum(e), e, c) for e, c in self._terms.items()),
-                   key=lambda t: t[0])
-        b = sorted(((sum(e), e, c) for e, c in other._terms.items()),
-                   key=lambda t: t[0])
+        cap, num_vars = self.cap, self.num_vars
+        if num_vars != other.num_vars or cap != other.cap:
+            self._check_binary(other)
+        # sorted keys are sorted by degree, so the inner loop can stop early
+        a = sorted(self._terms.items())
+        b = sorted(other._terms.items())
         if len(a) > len(b):
             a, b = b, a
+        limit = (cap + 1) << (num_vars * (_WIDTH if cap < _WIDE
+                                          else cap.bit_length()))
         out = {}
-        for da, ea, ca in a:
-            limit = cap - da
-            for db, eb, cb in b:
-                if db > limit:
+        get = out.get
+        for ka, ca in a:
+            lim = limit - ka
+            for kb, cb in b:
+                if kb >= lim:
                     break
-                key = tuple(x + y for x, y in zip(ea, eb))
-                acc = out.get(key)
-                prod = ca * cb
-                if acc is None:
-                    out[key] = prod
-                else:
-                    acc = acc + prod
-                    if acc == 0:
-                        del out[key]
-                    else:
-                        out[key] = acc
-        res = TruncatedSeries(self.num_vars, cap)
-        res._terms = out
-        return res
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+        if not all(out.values()):
+            out = {k: c for k, c in out.items() if c}
+        den = self._den * other._den
+        if den == 1:
+            return _new(num_vars, cap, out, 1)
+        return _reduced(num_vars, cap, out, den)
 
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse of a unit series (nonzero constant term).
@@ -234,26 +341,37 @@ class TruncatedSeries:
         c = self.constant_term()
         if c == 0:
             raise ValueError("series with zero constant term has no inverse")
-        inv = TruncatedSeries.constant(Q(1) / c, self.num_vars, 0)
+        num_vars = self.num_vars
+        inv = TruncatedSeries.constant(Q(1) / c, num_vars, 0)
         while inv.cap < self.cap:
             prec = min(2 * inv.cap + 1, self.cap)
-            inv = TruncatedSeries(self.num_vars, prec, inv._terms)
-            two = TruncatedSeries.constant(2, self.num_vars, prec)
+            inv = _new(num_vars, prec,
+                       _relayout(inv._terms, num_vars, inv.cap, prec), inv._den)
+            two = TruncatedSeries.constant(2, num_vars, prec)
             inv = inv * (two - self.truncate(prec) * inv)
         return inv
 
     # ------------------------------------------------------- reparametrizing
 
     def truncate(self, new_cap: int) -> "TruncatedSeries":
-        if new_cap > self.cap:
+        cap = self.cap
+        if new_cap == cap:
+            return self
+        if new_cap > cap:
             raise ValueError(
-                f"cannot raise cap from {self.cap} to {new_cap}: strata unknown"
+                f"cannot raise cap from {cap} to {new_cap}: strata unknown"
             )
         if new_cap < 0:
             raise ValueError("cap must be >= 0")
-        res = TruncatedSeries(self.num_vars, new_cap)
-        res._terms = {e: c for e, c in self._terms.items() if sum(e) <= new_cap}
-        return res
+        num_vars, terms = self.num_vars, self._terms
+        width = _WIDTH if cap < _WIDE else cap.bit_length()
+        limit = (new_cap + 1) << (width * num_vars)
+        kept = {k: c for k, c in terms.items() if k < limit}
+        if cap >= _WIDE:
+            kept = _relayout(kept, num_vars, cap, new_cap)
+        if self._den == 1 or len(kept) == len(terms):
+            return _new(num_vars, new_cap, kept, self._den)
+        return _reduced(num_vars, new_cap, kept, self._den)
 
     def partial(self, i: int) -> "TruncatedSeries":
         """Formal partial derivative; the result carries cap-1.
@@ -265,18 +383,19 @@ class TruncatedSeries:
             raise ValueError(f"variable index {i} out of range")
         if self.cap == 0:
             raise CapError("cannot differentiate a series with cap 0")
-        new_cap = self.cap - 1
-        out = {}
-        for e, c in self._terms.items():
-            k = e[i]
-            if k:
-                ne = e[:i] + (k - 1,) + e[i + 1:]
-                acc = out.get(ne)
-                v = c * k
-                out[ne] = v if acc is None else acc + v
-        res = TruncatedSeries(self.num_vars, new_cap)
-        res._terms = {e: c for e, c in out.items() if c != 0}
-        return res
+        cap, num_vars = self.cap, self.num_vars
+        width = _WIDTH if cap < _WIDE else cap.bit_length()
+        shift = width * (num_vars - 1 - i)
+        mask = (1 << width) - 1
+        # lowers the degree field and the field of variable i by one
+        step = (1 << (width * num_vars)) + (1 << shift)
+        out = {k - step: c * e for k, c in self._terms.items()
+               if (e := (k >> shift) & mask)}
+        if cap >= _WIDE:
+            out = _relayout(out, num_vars, cap, cap - 1)
+        if self._den == 1:
+            return _new(num_vars, cap - 1, out, 1)
+        return _reduced(num_vars, cap - 1, out, self._den)
 
     def compose(self, args) -> "TruncatedSeries":
         """Substitute args[i] for variable i.
@@ -298,19 +417,19 @@ class TruncatedSeries:
                 raise ValueError(
                     f"cap mismatch in composition: {self.cap} vs {g.cap}"
                 )
-            if g.constant_term() != 0:
+            if 0 in g._terms:
                 raise ValueError(
                     "composition requires zero constant term in substituted series"
                 )
         cap = self.cap
-        zero = TruncatedSeries.zero(d, cap)
+        zero = _new(d, cap, {}, 1)
 
         def horner(sub_terms: dict, k: int) -> TruncatedSeries:
-            # sub_terms maps length-k exponent prefixes to coefficients
+            # sub_terms maps length-k exponent prefixes to numerators
             if not sub_terms:
                 return zero
             if k == 0:
-                return TruncatedSeries.constant(sub_terms.get((), ZERO), d, cap)
+                return _new(d, cap, {0: sub_terms[()]}, 1)
             g = args[k - 1]
             buckets: dict = {}
             for exps, c in sub_terms.items():
@@ -323,7 +442,13 @@ class TruncatedSeries:
                     acc = acc + horner(buckets[e], k - 1)
             return acc
 
-        return horner(dict(self._terms), self.num_vars)
+        # Horner's scheme runs on the numerators; the denominator is put
+        # back once, at the end
+        width = _width(cap)
+        numerators = {_unpack(k, self.num_vars, width): c
+                      for k, c in self._terms.items()}
+        acc = horner(numerators, self.num_vars)
+        return _reduced(d, cap, acc._terms, acc._den * self._den)
 
     def shift(self, point) -> "TruncatedSeries":
         """Exact translation: the series of x -> f(x + point).
@@ -336,7 +461,7 @@ class TruncatedSeries:
         if len(point) != self.num_vars:
             raise ValueError("point arity mismatch")
         out = {}
-        for e, c in self._terms.items():
+        for e, c in self.terms():
             partial_terms = {(): c}
             for i, ei in enumerate(e):
                 p = point[i]
@@ -358,9 +483,7 @@ class TruncatedSeries:
             for k, v in partial_terms.items():
                 acc = out.get(k)
                 out[k] = v if acc is None else acc + v
-        res = TruncatedSeries(self.num_vars, self.cap)
-        res._terms = {e: c for e, c in out.items() if c != 0}
-        return res
+        return TruncatedSeries(self.num_vars, self.cap, out)
 
     def evaluate(self, point):
         """Exact value of the stored polynomial at a rational point."""
@@ -369,7 +492,7 @@ class TruncatedSeries:
             raise ValueError("point arity mismatch")
         total = ZERO
         cache = [{0: Q(1)} for _ in range(self.num_vars)]
-        for e, c in self._terms.items():
+        for e, c in self.terms():
             v = c
             for i, ei in enumerate(e):
                 if ei:

@@ -1,10 +1,12 @@
 """Exact rational scalars.
 
-Everything in this package computes over Q.  gmpy2.mpq is used when available
-(it is an order of magnitude faster than fractions.Fraction), with a silent
-fallback to the stdlib.  Both backends print integers as "p" and non-integers
-as "p/q", and both accept those strings back, which is what the serializers
-rely on.
+Everything in this package computes over Q.  gmpy2.mpq is used when available,
+with a silent fallback to the stdlib's fractions.Fraction.  The series
+kernel's inner loops run on Python ints (integer numerators over one
+denominator per series, see jets), so Q is met only at the boundaries; what
+the gmpy2 backend changes in speed there has not been measured.  Both
+backends print integers as "p" and non-integers as "p/q", and both accept
+those strings back, which is what the serializers rely on.
 """
 
 from __future__ import annotations

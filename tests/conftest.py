@@ -87,6 +87,13 @@ def random_tangent_field(rng, m: Hypersurface, j: ACStructure, cap: int,
     raise AssertionError("could not draw a tangent field with X(0) != 0")
 
 
+def scale_field(x: VectorField, s: TruncatedSeries) -> VectorField:
+    """The field s * X, each component multiplied at the common cap."""
+    cap = min(s.cap, x.cap)
+    s = s.truncate(cap)
+    return VectorField(x.n, [s * c.truncate(cap) for c in x.components])
+
+
 def random_positive_unit(rng, nv: int, cap: int, degree: int = 2):
     """Series f with f(0) > 0, random higher terms: a positive multiplier."""
     terms = {tuple(0 for _ in range(nv)): Q(rng.randint(1, 3))}

@@ -38,6 +38,7 @@ from conftest import (
     random_structure,
     random_tangent_field,
     random_vector,
+    scale_field,
 )
 from oracle_cr import cr_disk_oracle, jet_matches_oracle
 
@@ -139,7 +140,7 @@ def test_criterion_3_scaling_and_covariance():
         alpha = random_positive_unit(rng, 2 * n, 5)
         beta = random_positive_unit(rng, 2 * n, 5) - \
             TruncatedSeries.constant(Q(rng.randint(0, 4)), 2 * n, 5)
-        y = x.scale_series(alpha) + j.apply(x).scale_series(beta)
+        y = scale_field(x, alpha) + scale_field(j.apply(x), beta)
         a0, b0 = alpha.constant_term(), beta.constant_term()
         assert levi_form_bracket(m, j, y).value == (a0 * a0 + b0 * b0) * lx, i
 

@@ -37,7 +37,7 @@ from levitype import (
 from levitype import classify_point
 
 from conftest import (make_rng, monomials, random_field, random_phi,
-                      random_rational, random_structure)
+                      random_rational, random_structure, scale_field)
 
 CAP = 10
 JSTD = ACStructure.standard(2, CAP)
@@ -380,7 +380,7 @@ class TestTypeSearch:
                                                (1, 0, 0, 0): Q(rng.randint(-2, 2))})
             beta = TruncatedSeries(4, x.cap, {(0, 0, 0, 0): b0,
                                               (0, 1, 0, 0): Q(rng.randint(-2, 2))})
-            y = x.scale_series(alpha) + JSTD.apply(x).scale_series(beta)
+            y = scale_field(x, alpha) + scale_field(JSTD.apply(x), beta)
             fj = field_jet(y, JSTD, 2)
             y_jet = [fj.entry(m - 1, 0) for m in range(1, 4)]
             for p in range(2):

@@ -9,6 +9,7 @@ from conftest import (
     random_structure,
     random_tangent_field,
     random_vector,
+    scale_field,
 )
 
 from levitype import (
@@ -169,6 +170,27 @@ class TestBracketAndDerivative:
             lhs = covariant_derivative(x, y) - covariant_derivative(y, x)
             assert lhs == lie_bracket(x, y)
 
+    def test_matches_dense_jacobian_product(self):
+        # (D_X Y)_i = sum over every v of X_v d_v Y_i; X has zero
+        # components, and the first X is zero
+        rng = make_rng("geom-dense-jacobian")
+        for trial in range(12):
+            n = rng.choice((2, 3))
+            nv = 2 * n
+            zero = TruncatedSeries.zero(nv, 5)
+            comps = list(random_field(rng, n, 6).components)
+            dead = nv if trial == 0 else rng.randint(1, nv - 1)
+            for v in rng.sample(range(nv), dead):
+                comps[v] = TruncatedSeries.zero(nv, 6)
+            x, y = VectorField(n, comps), random_field(rng, n, 6)
+            dense = []
+            for yi in y.components:
+                acc = zero
+                for v in range(nv):
+                    acc = acc + x.components[v].truncate(5) * yi.partial(v)
+                dense.append(acc)
+            assert covariant_derivative(x, y) == VectorField(n, dense)
+
     def test_derivative_of_constant_vanishes(self):
         x = random_field(make_rng("geom-dc"), 2, 6)
         y = VectorField.constant(2, (1, -2, Q(1, 3), 0), 6)
@@ -226,7 +248,7 @@ class TestFieldJet:
             w = random_tangent_field(rng, m, j, 5, nonzero_at_0=False)
             # scaling by a coordinate keeps tangency and kills w(0),
             # so x and y share the 0-jet
-            w = w.scale_series(TruncatedSeries.variable(0, 2 * n, w.cap))
+            w = scale_field(w, TruncatedSeries.variable(0, 2 * n, w.cap))
             y = x + w
             k = 0
             fx, fy = field_jet(x, j, k + 1), field_jet(y, j, k + 1)

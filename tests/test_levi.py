@@ -36,6 +36,7 @@ from conftest import (
     random_structure,
     random_tangent_field,
     random_vector,
+    scale_field,
 )
 
 CAP = 8
@@ -67,7 +68,7 @@ def sphere_tangent():
 def coordinate_scaled_tangent(rng, m, j, cap):
     """Tangent field vanishing at 0: coordinate series times a tangent field."""
     w = random_tangent_field(rng, m, j, cap, nonzero_at_0=False)
-    return w.scale_series(TruncatedSeries.variable(0, 2 * m.n, cap))
+    return scale_field(w, TruncatedSeries.variable(0, 2 * m.n, cap))
 
 
 class TestTwoRoutes:
@@ -144,7 +145,7 @@ class TestTensorialityAndGauge:
             alpha = random_positive_unit(rng, 2 * n, 5)
             beta = random_positive_unit(rng, 2 * n, 5) - \
                 TruncatedSeries.constant(Q(rng.randint(0, 4)), 2 * n, 5)
-            y = x.scale_series(alpha) + j.apply(x).scale_series(beta)
+            y = scale_field(x, alpha) + scale_field(j.apply(x), beta)
             a0 = alpha.constant_term()
             b0 = beta.constant_term()
             lx = levi_form_bracket(m, j, x).value

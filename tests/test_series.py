@@ -3,16 +3,22 @@
 All assertions are exact equalities; there is no tolerance anywhere.
 """
 
+from fractions import Fraction
 from itertools import product as iproduct
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levitype import Q, TruncatedSeries
-from levitype.jets import graded_key
 
 X = TruncatedSeries.variable
+
+
+def graded_key(exponents):
+    """Sort key for graded lexicographic order."""
+    return (sum(exponents), exponents)
 
 
 def S(num_vars, cap, terms):
@@ -230,3 +236,185 @@ class TestOrderingAndAccess:
     def test_evaluate(self):
         f = S(2, 4, {(1, 0): 2, (0, 2): 1})
         assert f.evaluate([Q(1, 2), Q(3)]) == 1 + 9
+
+
+# ------------------------------------------------------------------ oracle
+# A naive reference kernel: dicts from exponent tuples to Fractions, every
+# operation written from its definition.  The packed kernel must agree with
+# it term for term, in graded-lex order, and in its reduced representation.
+
+
+def ref_clean(terms):
+    return {e: c for e, c in terms.items() if c != 0}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return ref_clean(out)
+
+
+def ref_mul(a, b, cap):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if sum(e) <= cap:
+                out[e] = out.get(e, 0) + ca * cb
+    return ref_clean(out)
+
+
+def ref_truncate(a, cap):
+    return {e: c for e, c in a.items() if sum(e) <= cap}
+
+
+def ref_partial(a, i):
+    return {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+            for e, c in a.items() if e[i]}
+
+
+def ref_one(num_vars):
+    return {(0,) * num_vars: Fraction(1)}
+
+
+def ref_compose(a, args, num_vars, cap):
+    out = {}
+    for e, c in a.items():
+        term = {(0,) * num_vars: c}
+        for g, k in zip(args, e):
+            for _ in range(k):
+                term = ref_mul(term, g, cap)
+        out = ref_add(out, term)
+    return out
+
+
+def ref_inverse(a, num_vars, cap):
+    # 1/a = (1/c) sum_k h^k with h = 1 - a/c, exact through the cap
+    c = Fraction(a[(0,) * num_vars])
+    one = ref_one(num_vars)
+    h = ref_add(one, {e: -v / c for e, v in a.items()})
+    acc, power = dict(one), dict(one)
+    for _ in range(cap):
+        power = ref_mul(power, h, cap)
+        acc = ref_add(acc, power)
+    return {e: v / c for e, v in acc.items()}
+
+
+def assert_matches(s, ref, num_vars, cap):
+    assert (s.num_vars, s.cap) == (num_vars, cap)
+    assert [e for e, _ in s.terms()] == sorted(ref, key=graded_key)
+    assert dict(s.terms()) == ref
+    assert s == S(num_vars, cap, ref)
+    assert s._den > 0 and gcd(s._den, *s._terms.values()) == 1
+
+
+# coefficients over several denominators, so that sums and products move
+# the series' common denominator both up and down
+mixed_rational_st = st.builds(Fraction, st.integers(-30, 30),
+                              st.sampled_from((1, 2, 3, 4, 6, 9, 10)))
+
+
+@st.composite
+def multi_index_st(draw, num_vars, cap, min_degree=0):
+    e = [0] * num_vars
+    for _ in range(draw(st.integers(min_degree, cap))):
+        e[draw(st.integers(0, num_vars - 1))] += 1
+    return tuple(e)
+
+
+def ref_terms_st(num_vars, cap, max_size=6, min_degree=0):
+    if cap < min_degree:
+        return st.just({})
+    return st.dictionaries(multi_index_st(num_vars, cap, min_degree),
+                           mixed_rational_st, max_size=max_size).map(ref_clean)
+
+
+@st.composite
+def shape_st(draw, max_vars=8, max_cap=12):
+    return draw(st.integers(1, max_vars)), draw(st.integers(0, max_cap))
+
+
+ORACLE = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+class TestOracle:
+    @ORACLE
+    @given(st.data())
+    def test_add_sub_mul(self, data):
+        nv, cap = data.draw(shape_st())
+        a = data.draw(ref_terms_st(nv, cap))
+        b = data.draw(ref_terms_st(nv, cap))
+        sa, sb = S(nv, cap, a), S(nv, cap, b)
+        assert_matches(sa + sb, ref_add(a, b), nv, cap)
+        assert_matches(sa - sb, ref_add(a, {e: -c for e, c in b.items()}),
+                       nv, cap)
+        assert_matches(sa * sb, ref_mul(a, b, cap), nv, cap)
+
+    @ORACLE
+    @given(st.data())
+    def test_partial_and_truncate(self, data):
+        nv, cap = data.draw(shape_st())
+        a = data.draw(ref_terms_st(nv, cap, max_size=10))
+        s = S(nv, cap, a)
+        k = data.draw(st.integers(0, cap))
+        assert_matches(s.truncate(k), ref_truncate(a, k), nv, k)
+        if cap:
+            i = data.draw(st.integers(0, nv - 1))
+            assert_matches(s.partial(i), ref_partial(a, i), nv, cap - 1)
+
+    @ORACLE
+    @given(st.data())
+    def test_compose(self, data):
+        nv, cap = data.draw(shape_st(max_vars=4, max_cap=8))
+        d = data.draw(st.integers(1, 8))
+        a = data.draw(ref_terms_st(nv, cap, max_size=4))
+        args = [data.draw(ref_terms_st(d, cap, max_size=3, min_degree=1))
+                for _ in range(nv)]
+        got = S(nv, cap, a).compose([S(d, cap, g) for g in args])
+        assert_matches(got, ref_compose(a, args, d, cap), d, cap)
+
+    @ORACLE
+    @given(st.data())
+    def test_inverse(self, data):
+        nv, cap = data.draw(shape_st())
+        a = data.draw(ref_terms_st(nv, min(cap, 12 // nv), max_size=4,
+                                   min_degree=1))
+        a[(0,) * nv] = data.draw(mixed_rational_st.filter(bool))
+        assert_matches(S(nv, cap, a).inverse(), ref_inverse(a, nv, cap),
+                       nv, cap)
+
+
+class TestPackedEdges:
+    def test_halves_sum_to_an_integer_series(self):
+        half = S(1, 3, {(1,): Q(1, 2)})
+        total = half + half
+        assert total == X(0, 1, 3)
+        assert total._den == 1
+
+    def test_truncating_the_only_fraction_leaves_an_integer_series(self):
+        s = S(2, 4, {(1, 0): 2, (0, 1): -3, (2, 1): Q(1, 3)})
+        assert s.truncate(2) == S(2, 2, {(1, 0): 2, (0, 1): -3})
+        assert s.truncate(2)._den == 1
+
+    @pytest.mark.parametrize("cap", [256, 300, 512])
+    def test_caps_from_256_repack(self, cap):
+        # from cap 256 on the field width grows, so truncation and
+        # differentiation across 256 (or any power of two) repack the keys
+        a = {(cap, 0): Q(1, 3), (0, cap): 2, (cap // 2, cap // 2 - 1): Q(5, 2),
+             (255, 0): 7, (1, 0): -1, (0, 0): Q(4, 9)}
+        s = S(2, cap, a)
+        for k in (cap - 1, 255, 10, 0):
+            assert_matches(s.truncate(k), ref_truncate(a, k), 2, k)
+        for i in (0, 1):
+            assert_matches(s.partial(i), ref_partial(a, i), 2, cap - 1)
+        b = {(cap - 200, 0): 3, (cap - 199, 0): Q(1, 2), (0, 1): 1}
+        sb = S(2, cap, b)
+        assert_matches(s * sb, ref_mul(a, b, cap), 2, cap)
+        assert_matches(s + sb, ref_add(a, b), 2, cap)
+        args = [{(1, 0): 1}, {(0, 1): 1, (1, 1): Q(1, 2)}]
+        assert_matches(s.compose([S(2, cap, g) for g in args]),
+                       ref_compose(a, args, 2, cap), 2, cap)
+        unit = {(0, 0): 2, (100, 0): Q(1, 3), (0, 129): -1}
+        assert_matches(S(2, cap, unit).inverse(), ref_inverse(unit, 2, cap),
+                       2, cap)
