@@ -313,8 +313,7 @@ class TruncatedSeries:
         b = sorted(other._terms.items())
         if len(a) > len(b):
             a, b = b, a
-        limit = (cap + 1) << (num_vars * (_WIDTH if cap < _WIDE
-                                          else cap.bit_length()))
+        limit = (cap + 1) << (num_vars * _width(cap))
         out = {}
         get = out.get
         for ka, ca in a:
@@ -364,8 +363,7 @@ class TruncatedSeries:
         if new_cap < 0:
             raise ValueError("cap must be >= 0")
         num_vars, terms = self.num_vars, self._terms
-        width = _WIDTH if cap < _WIDE else cap.bit_length()
-        limit = (new_cap + 1) << (width * num_vars)
+        limit = (new_cap + 1) << (_width(cap) * num_vars)
         kept = {k: c for k, c in terms.items() if k < limit}
         if cap >= _WIDE:
             kept = _relayout(kept, num_vars, cap, new_cap)
@@ -384,7 +382,7 @@ class TruncatedSeries:
         if self.cap == 0:
             raise CapError("cannot differentiate a series with cap 0")
         cap, num_vars = self.cap, self.num_vars
-        width = _WIDTH if cap < _WIDE else cap.bit_length()
+        width = _width(cap)
         shift = width * (num_vars - 1 - i)
         mask = (1 << width) - 1
         # lowers the degree field and the field of variable i by one
