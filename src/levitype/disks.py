@@ -12,8 +12,10 @@ x^(m-1-q) y^q gives
     (q+1) c_{m-1-q, q+1} = (m-q) J_std c_{m-q, q} + R_{m-1-q, q},
 
 where R collects the positive-degree part of J composed with the part of the
-jet already known (total degree < m).  The split is exact: the unknown top
-stratum of du/dx only ever meets the constant term of J - J_std, which is
+jet already known (total degree < m).  The split is exact: J - J_std has
+no constant term, so degree m-1 of R reads du/dx only through degree m-2.
+The stratum of degree m-1 of du/dx, which holds stratum m of u and so is
+still being filled, meets only the constant term of J - J_std, which is
 zero.
 """
 
@@ -82,30 +84,27 @@ def propagate_cr_jet(x_derivs, j: ACStructure, order: int | None = None) -> Disk
     x_derivs[m-1] is d^m u/dx^m(0) for m = 1..len(x_derivs); missing orders up
     to the requested cap are padded with zero.  The returned jet satisfies the
     transport equation through cap-1 and is the unique such jet.
+
+    The jet is built stratum by stratum, one nonzero-term dict per component.
+    Order m first stores the axis term c_{m,0}; for a non-standard J the dicts
+    then become series u of cap m, and R is read from (J - J_std)(u_{<m}) u_x.
+    The top stratum of u_x holds m c_{m,0} x^(m-1) only, and in degree m-1 of
+    R it meets only (J - J_std)(0) = 0, so it cannot change R.
     """
     n = j.n
+    n2 = 2 * n
     derivs = [tuple(rat(v) for v in vec) for vec in x_derivs]
     for vec in derivs:
-        if len(vec) != 2 * n:
+        if len(vec) != n2:
             raise ValueError("x-axis derivative has wrong arity")
     if order is None:
         order = len(derivs)
-    if order < len(derivs):
-        derivs = derivs[:order]
-    while len(derivs) < order:
-        derivs.append(tuple(ZERO for _ in range(2 * n)))
+    derivs = derivs[:order] + [(ZERO,) * n2] * (order - len(derivs))
     if not j.is_standard and j.cap < max(order - 1, 0):
         raise CapError(
             f"structure cap {j.cap} too small to transport to order {order}"
         )
 
-    coeff: dict = {}
-    f = 1
-    for m in range(1, order + 1):
-        f *= m
-        coeff[(m, 0)] = tuple(v / f for v in derivs[m - 1])
-
-    n2 = 2 * n
     std = standard_matrix(n)
     # nonzero entries of J - J_std: as J(0) = J_std, those of nonconstant
     # entries of J; none for J_std
@@ -116,47 +115,38 @@ def propagate_cr_jet(x_derivs, j: ACStructure, order: int | None = None) -> Disk
             if e.total_degree():
                 c0 = TruncatedSeries.constant(std[a][b], n2, j.cap)
                 j_plus.append((a, b, e - c0))
+    terms = [{} for _ in range(n2)]  # component i: (p, q) -> c_{p,q} != 0
+    f = 1
     for m in range(1, order + 1):
-        low = m - 1
+        f *= m
+        vec = [v / f for v in derivs[m - 1]]
+        for t, v in zip(terms, vec):
+            if v:
+                t[(m, 0)] = v
         r_rows = None
-        if low >= 1 and j_plus:
-            comps = []
-            for i in range(n2):
-                terms = {}
-                for (p, q), vec in coeff.items():
-                    if p + q <= low and vec[i] != 0:
-                        terms[(p, q)] = vec[i]
-                comps.append(TruncatedSeries(2, low, terms))
-            ux = []
-            for i in range(n2):
-                terms = {}
-                for (p, q), vec in coeff.items():
-                    if p >= 1 and p + q <= low and vec[i] != 0:
-                        terms[(p - 1, q)] = vec[i] * p
-                ux.append(TruncatedSeries(2, low, terms))
+        if m >= 2 and j_plus:
+            low = m - 1
+            u = [TruncatedSeries(2, m, t) for t in terms]
+            comps = [c.truncate(low) for c in u]
+            ux = [c.partial(0) for c in u]
             zero = TruncatedSeries.zero(2, low)
             jpu = [[zero] * n2 for _ in range(n2)]  # (J - J_std) o u
             for a, b, e in j_plus:
                 if not ux[b].is_zero():
                     jpu[a][b] = e.truncate(low).compose(comps)
             r_rows = mat_vec(jpu, ux)
+        # vec runs along stratum m: c_{m-q,q} -> c_{m-1-q,q+1}
         for q in range(m):
             scale = Q(m - q, q + 1)
-            new = [scale * v for v in apply_jstd(coeff[(m - q, q)])]
+            vec = [scale * v for v in apply_jstd(vec)]
             if r_rows is not None:
                 inv = Q(1, q + 1)
                 for i in range(n2):
-                    new[i] += inv * r_rows[i].coefficient((m - 1 - q, q))
-            coeff[(m - 1 - q, q + 1)] = tuple(new)
-
-    comps = []
-    for i in range(2 * n):
-        terms = {}
-        for (p, q), vec in coeff.items():
-            if vec[i] != 0:
-                terms[(p, q)] = vec[i]
-        comps.append(TruncatedSeries(2, order, terms))
-    return DiskJet(n, comps)
+                    vec[i] += inv * r_rows[i].coefficient((m - 1 - q, q))
+            for t, v in zip(terms, vec):
+                if v:
+                    t[(m - 1 - q, q + 1)] = v
+    return DiskJet(n, [TruncatedSeries(2, order, t) for t in terms])
 
 
 def is_cr_jet(u: DiskJet, j: ACStructure) -> bool:

@@ -231,7 +231,8 @@ class ACStructure:
             return VectorField(self.n, comps)
         cap = min(self.cap, x.cap)
         xt = [c.truncate(cap) for c in x.components]
-        return VectorField(self.n, mat_vec(self.truncate(cap).entries, xt))
+        entries = [[e.truncate(cap) for e in row] for row in self.entries]
+        return VectorField(self.n, mat_vec(entries, xt))
 
 
 @dataclass
@@ -330,23 +331,6 @@ class FieldJet:
             "entries": {f"{p},{q}": [str(v) for v in self.entries[(p, q)]]
                         for p, q in keys},
         }
-
-
-def dpq_derivative(x: VectorField, j: ACStructure, p: int, q: int):
-    """Value of (JX)^q X^p . X at 0, nesting right to left."""
-    k = p + q
-    if k > x.cap:
-        raise CapError(f"order {k} exceeds the field's cap {x.cap}")
-    if not j.is_standard and k > j.cap:
-        raise CapError(f"order {k} exceeds the structure's cap {j.cap}")
-    w = x.truncate(k)
-    xdir = w
-    jx = j.apply(x).truncate(k)
-    for _ in range(p):
-        w = covariant_derivative(xdir.truncate(w.cap), w)
-    for _ in range(q):
-        w = covariant_derivative(jx.truncate(w.cap), w)
-    return w.at_zero()
 
 
 def field_jet(x: VectorField, j: ACStructure, k: int) -> FieldJet:

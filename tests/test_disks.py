@@ -155,12 +155,30 @@ class TestStandardTransport:
 class TestPerturbedTransport:
     def test_matches_undetermined_coefficients_oracle(self):
         rng = make_rng("disks-oracle")
+        cases = []
         for k in range(4):
             n = rng.choice((2, 3))
             j = random_structure(rng, n, 6)
             derivs = [random_vector(rng, 2 * n, 2) for _ in range(3)]
-            order = 4 if k < 2 else 5
+            cases.append((j, derivs, 4 if k < 2 else 5))
+        # n = 4 at order 6
+        j = random_structure(rng, 4, 6)
+        cases.append((j, [random_vector(rng, 8, 2) for _ in range(3)], 6))
+        # zero entries and a zero order: only nonzero terms are stored
+        sparse = [tuple(v if rng.random() < 0.5 else 0
+                        for v in random_vector(rng, 4, 2)) for _ in range(4)]
+        sparse[1] = (0,) * 4
+        cases.append((random_structure(rng, 2, 6), sparse, 6))
+        # an order below len(derivs) cuts them, one above pads with zero
+        j = random_structure(rng, 3, 6)
+        cases.append((j, [random_vector(rng, 6, 2) for _ in range(5)], 3))
+        j = random_structure(rng, 2, 6)
+        cases.append((j, [random_vector(rng, 4, 2) for _ in range(2)], 6))
+        j = random_structure(rng, 3, 6)
+        cases.append((j, [random_vector(rng, 6, 2) for _ in range(2)], 1))
+        for j, derivs, order in cases:
             u = propagate_cr_jet(derivs, j, order)
+            assert u.cap == order
             ok, info = jet_matches_oracle(u, cr_disk_oracle(derivs, j, order),
                                           order)
             assert ok, info

@@ -14,6 +14,7 @@ from conftest import (
 
 from levitype import (
     ACStructure,
+    CapError,
     GeometryError,
     Hypersurface,
     Q,
@@ -32,7 +33,6 @@ from levitype import (
 from levitype.geometry import (
     _rational_roots,
     apply_jstd,
-    dpq_derivative,
     gradient_frame,
     project_point_to_surface,
     standard_matrix,
@@ -42,6 +42,26 @@ from levitype.linalg import mat_mul
 
 def surface(text, n, cap=6):
     return Hypersurface(n, parse_expression(text, n, cap=cap))
+
+
+def dpq_derivative(x: VectorField, j: ACStructure, p: int, q: int):
+    """Value of (JX)^q X^p . X at 0, nesting right to left.
+
+    The reference for field_jet, which shares the D_X chains instead.
+    """
+    k = p + q
+    if k > x.cap:
+        raise CapError(f"order {k} exceeds the field's cap {x.cap}")
+    if not j.is_standard and k > j.cap:
+        raise CapError(f"order {k} exceeds the structure's cap {j.cap}")
+    w = x.truncate(k)
+    xdir = w
+    jx = j.apply(x).truncate(k)
+    for _ in range(p):
+        w = covariant_derivative(xdir.truncate(w.cap), w)
+    for _ in range(q):
+        w = covariant_derivative(jx.truncate(w.cap), w)
+    return w.at_zero()
 
 
 SPHERE = surface("2*x2 + abs2(z1)", 2)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the series kernel (``levitype.jets``) operation by operation.
+"""Time the series kernel (``levitype.jets``) operation by operation, and transport.
 
 Usage (from the root of a source checkout):
 
@@ -7,13 +7,15 @@ Usage (from the root of a source checkout):
     python3 tools/bench_series.py --label baseline --src ../other/src
 
 Times ``*``, ``compose``, ``partial``, ``inverse`` and ``truncate`` of
-``TruncatedSeries`` at (num_vars, cap) in {2, 4, 6, 8} x {6, 8, 10, 12} and
-writes ``BENCH_<label>.json`` (into ``--out``, default the checkout root).
-The inputs are fixed by a seeded generator, so two kernels see the same
-operands; each row carries a digest of the result, and rows with equal
-digests computed the same series.  ``--src`` imports levitype from another
-source tree, which times an earlier kernel with this script; the git sha
-recorded is that of the tree imported.
+``TruncatedSeries`` at (num_vars, cap) in {2, 4, 6, 8} x {6, 8, 10, 12}, and
+``transport``: ``propagate_cr_jet`` of cap x-axis derivatives to order cap
+under ``perturbed_structure(num_vars // 2, cap, SEED)``.  It writes
+``BENCH_<label>.json`` (into ``--out``, default the checkout root).  The
+inputs are fixed by a seeded generator, so two kernels see the same
+operands; each row carries a digest of the result (of every component, for
+a disk), and rows with equal digests computed the same series.  ``--src``
+imports levitype from another source tree, which times an earlier kernel
+with this script; the git sha recorded is that of the tree imported.
 
 Each time is the minimum over REPEATS runs of a loop whose call count is
 calibrated to last at least MIN_LOOP_S, divided by that count: seconds per
@@ -83,12 +85,18 @@ def operands(lev, num_vars, cap, seed):
     unit_terms = random_terms(rng, num_vars, 2, 4, INVERSE_TERMS, q)
     unit_terms[(0,) * num_vars] = q(1)
     unit = series(num_vars, cap, unit_terms)
+    j = lev.perturbed_structure(num_vars // 2, cap, seed)
+    derivs = [[q(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2, 3, 4)))
+               for _ in range(num_vars)] for _ in range(cap)]
+    j_plus = tuple(e for row in j.entries for e in row if e.total_degree())
     return {
         "mul": (lambda: a * b, (a, b)),
         "compose": (lambda: outer.compose(disk), (outer,)),
         "partial": (lambda: a.partial(0), (a,)),
         "inverse": (lambda: unit.inverse(), (unit,)),
         "truncate": (lambda: a.truncate(cap // 2), (a,)),
+        "transport": (lambda: lev.propagate_cr_jet(derivs, j, cap).components,
+                      j_plus),
     }
 
 
@@ -110,9 +118,16 @@ def seconds_per_call(fn) -> float:
     return best / number
 
 
-def digest(series) -> str:
-    text = repr((series.num_vars, series.cap, series.as_list()))
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+def parts(result) -> tuple:
+    """The series of a result: itself, or a disk's components."""
+    return result if isinstance(result, tuple) else (result,)
+
+
+def digest(result) -> str:
+    h = hashlib.sha256()
+    for s in parts(result):
+        h.update(repr((s.num_vars, s.cap, s.as_list())).encode())
+    return h.hexdigest()[:16]
 
 
 def main(argv=None) -> int:
@@ -134,11 +149,11 @@ def main(argv=None) -> int:
                 rows.append({
                     "op": op, "num_vars": num_vars, "cap": cap,
                     "terms_in": [len(s.as_list()) for s in inputs],
-                    "terms_out": len(result.as_list()),
+                    "terms_out": sum(len(s.as_list()) for s in parts(result)),
                     "digest": digest(result),
                     "seconds": seconds_per_call(fn),
                 })
-                print(f"{op:8s} vars={num_vars} cap={cap:2d} "
+                print(f"{op:9s} vars={num_vars} cap={cap:2d} "
                       f"{rows[-1]['seconds'] * 1e6:12.1f} us", file=sys.stderr)
     doc = {
         "label": args.label,
