@@ -11,22 +11,24 @@ x^(m-1-q) y^q gives
 
     (q+1) c_{m-1-q, q+1} = (m-q) J_std c_{m-q, q} + R_{m-1-q, q},
 
-where R collects the positive-degree part of J composed with the part of the
-jet already known (total degree < m).  The split is exact: J - J_std has
-no constant term, so degree m-1 of R reads du/dx only through degree m-2.
-The stratum of degree m-1 of du/dx, which holds stratum m of u and so is
-still being filled, meets only the constant term of J - J_std, which is
-zero.
+with R = (J - J_std)(u) . du/dx.  J - J_std has no constant term, so R at
+degree m-1 reads only strata (terms of one total degree) below m of u, all
+known before order m starts.  propagate_cr_jet therefore fills u one
+stratum per order as a relaxed product (van der Hoeven, "Relax, but don't
+be too lazy", JSC 2002): what it keeps of (J - J_std)(u) gains one stratum
+per order, and of R only degree m-1 is formed.  Strata are Python-int
+numerators over one denominator; rationals appear only in the
+x-derivatives read and in the DiskJet returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, gcd, lcm
 
 from .errors import CapError, GeometryError, TheoremViolation
-from .geometry import ACStructure, Hypersurface, apply_jstd, standard_matrix
-from .jets import TruncatedSeries, mat_vec
+from .geometry import ACStructure, Hypersurface
+from .jets import TruncatedSeries, _new, _unpack, _width, mat_vec
 from .rational import Q, ZERO, rat
 
 
@@ -78,6 +80,49 @@ class DiskJet:
         return f"DiskJet(n={self.n}, cap={self.cap})"
 
 
+def _stratum(pairs, d: int):
+    """Stratum d of sum(a * b for a, b in pairs), as (numerators, den) or None.
+
+    A series is held as the list of its strata, indexed by degree, with None
+    for a zero stratum.  Stratum k is a pair (nums, den) of k + 1 Python-int
+    numerators over one positive denominator: nums[q] / den is the
+    coefficient of x^(k-q) y^q.  Strata of degree d or more that a series
+    does not hold yet are never read: stratum d of a * b reads a[t] and
+    b[d-t] only where both lists reach.  The result is reduced.
+    """
+    out = [0] * (d + 1)
+    den = 1
+    for a, b in pairs:
+        for t in range(max(0, d + 1 - len(b)), min(d, len(a) - 1) + 1):
+            sa, sb = a[t], b[d - t]
+            if sa is None or sb is None:
+                continue
+            na, da = sa
+            nb, db = sb
+            f = da * db
+            if f != den:
+                m = lcm(den, f)
+                if m != den:
+                    g = m // den
+                    out = [c * g for c in out]
+                    den = m
+                if m != f:
+                    g = m // f
+                    na = [c * g for c in na]
+            for i, ca in enumerate(na):
+                if ca:
+                    for k, cb in enumerate(nb, i):
+                        out[k] += ca * cb
+    if not any(out):
+        return None
+    if den != 1:
+        g = gcd(den, *out)
+        if g != 1:
+            den //= g
+            out = [c // g for c in out]
+    return out, den
+
+
 def propagate_cr_jet(x_derivs, j: ACStructure, order: int | None = None) -> DiskJet:
     """Disk jet with the given x-axis derivatives, transported by J.
 
@@ -85,11 +130,24 @@ def propagate_cr_jet(x_derivs, j: ACStructure, order: int | None = None) -> Disk
     to the requested cap are padded with zero.  The returned jet satisfies the
     transport equation through cap-1 and is the unique such jet.
 
-    The jet is built stratum by stratum, one nonzero-term dict per component.
-    Order m first stores the axis term c_{m,0}; for a non-standard J the dicts
-    then become series u of cap m, and R is read from (J - J_std)(u_{<m}) u_x.
-    The top stratum of u_x holds m c_{m,0} x^(m-1) only, and in degree m-1 of
-    R it meets only (J - J_std)(0) = 0, so it cannot change R.
+    The jet is built one stratum per order m = 1..cap, held as in _stratum.
+    Order m needs degree m-1 of R = (J - J_std)(u) u_x, which is
+
+        sum_{t=1..m-1} [(J - J_std)(u)]_t [u_x]_{m-1-t}:
+
+    t starts at 1 because J - J_std has no constant term and u(0) = 0.  So
+    [u_x]_{m-1-t} reads stratum m-t <= m-1 of u, and [(J - J_std)(u)]_t
+    reads strata <= t <= m-1: all final before order m starts, while
+    stratum m, still being filled, never enters R.  So at order m:
+
+    - each product u^alpha of a monomial of J - J_std, built as
+      u^(alpha - e_k) * u_k, gains its stratum m-1, which reads only
+      strata <= m-2 of its parent;
+    - each entry e of J - J_std gains stratum m-1 of e(u), a combination of
+      those products, and of R only degree m-1 is formed;
+    - stratum m of u is solved along the y-power q.  Its coefficients all
+      divide the denominator lcm(R, c_{m,0}) * m!, by induction on q, so on
+      numerators over it every division by q+1 is exact.
     """
     n = j.n
     n2 = 2 * n
@@ -105,48 +163,95 @@ def propagate_cr_jet(x_derivs, j: ACStructure, order: int | None = None) -> Disk
             f"structure cap {j.cap} too small to transport to order {order}"
         )
 
-    std = standard_matrix(n)
-    # nonzero entries of J - J_std: as J(0) = J_std, those of nonconstant
-    # entries of J; none for J_std
-    j_plus = []
+    strata = [[None] for _ in range(n2)]  # of u_i, by degree
+    ux = [[] for _ in range(n2)]          # of du_i/dx, by degree
+    # the products u^alpha with 2 <= |alpha| <= order-1 that the entries of
+    # J - J_std need, parents first: (|alpha|, strata, parent strata, u_k)
+    products = []
+    power = {tuple(int(i == k) for i in range(n2)): strata[k]
+             for k in range(n2)}
+
+    def product(alpha):
+        s = power.get(alpha)
+        if s is None:
+            k = max(i for i, e in enumerate(alpha) if e)
+            parent = product(alpha[:k] + (alpha[k] - 1,) + alpha[k + 1:])
+            s = power[alpha] = []
+            products.append((sum(alpha), s, parent, strata[k]))
+        return s
+
+    # row a of R: pairs (e(u), du_b/dx) for the entries e = (J - J_std)_ab;
+    # e(u) sums (coefficient, product) pairs, a coefficient being a
+    # constant series.  J(0) = J_std, so e is J_ab without its constant.
+    rows = [[] for _ in range(n2)]
+    entries = []
+    width = _width(j.cap)
     for a in range(n2):
         for b in range(n2):
             e = j.entries[a][b]
-            if e.total_degree():
-                c0 = TruncatedSeries.constant(std[a][b], n2, j.cap)
-                j_plus.append((a, b, e - c0))
-    terms = [{} for _ in range(n2)]  # component i: (p, q) -> c_{p,q} != 0
+            comb = []
+            for key, c in e._terms.items():
+                alpha = _unpack(key, n2, width)
+                if 0 < sum(alpha) < order:
+                    comb.append(([((c,), e._den)], product(alpha)))
+            if comb:
+                eu = []
+                entries.append((eu, comb))
+                rows[a].append((eu, ux[b]))
+
+    w = _width(order)
     f = 1
     for m in range(1, order + 1):
         f *= m
-        vec = [v / f for v in derivs[m - 1]]
-        for t, v in zip(terms, vec):
-            if v:
-                t[(m, 0)] = v
-        r_rows = None
-        if m >= 2 and j_plus:
-            low = m - 1
-            u = [TruncatedSeries(2, m, t) for t in terms]
-            comps = [c.truncate(low) for c in u]
-            ux = [c.partial(0) for c in u]
-            zero = TruncatedSeries.zero(2, low)
-            jpu = [[zero] * n2 for _ in range(n2)]  # (J - J_std) o u
-            for a, b, e in j_plus:
-                if not ux[b].is_zero():
-                    jpu[a][b] = e.truncate(low).compose(comps)
-            r_rows = mat_vec(jpu, ux)
-        # vec runs along stratum m: c_{m-q,q} -> c_{m-1-q,q+1}
-        for q in range(m):
-            scale = Q(m - q, q + 1)
-            vec = [scale * v for v in apply_jstd(vec)]
-            if r_rows is not None:
-                inv = Q(1, q + 1)
-                for i in range(n2):
-                    vec[i] += inv * r_rows[i].coefficient((m - 1 - q, q))
-            for t, v in zip(terms, vec):
-                if v:
-                    t[(m - 1 - q, q + 1)] = v
-    return DiskJet(n, [TruncatedSeries(2, order, t) for t in terms])
+        low = m - 1
+        for deg, s, parent, uk in products:
+            s.append(_stratum(((parent, uk),), low) if deg <= low else None)
+        for eu, comb in entries:
+            eu.append(_stratum(comb, low))
+        r = [_stratum(row, low) if row else None for row in rows]
+        vec = derivs[m - 1]
+        den = lcm(*(v.denominator for v in vec),
+                  *(ri[1] for ri in r if ri is not None))
+        # numerators over den * m!: c_{m,0} = v / m!
+        cur = [int(v.numerator) * (den // v.denominator) for v in vec]
+        den *= f
+        zero = [0] * m
+        rs = [zero if ri is None else [c * (den // ri[1]) for c in ri[0]]
+              for ri in r]
+        # stratum m along the y-power q, one pair (x_i, y_i) at a time:
+        # (q+1) c_{m-1-q,q+1} = (m-q) J_std c_{m-q,q} + R_{m-1-q,q}
+        for i in range(0, n2, 2):
+            a, b = cur[i], cur[i + 1]
+            ra, rb = rs[i], rs[i + 1]
+            col_a, col_b = [a], [b]
+            for q in range(m):
+                k = m - q
+                a, b = (ra[q] - k * b) // (q + 1), (k * a + rb[q]) // (q + 1)
+                col_a.append(a)
+                col_b.append(b)
+            for c, col in ((i, col_a), (i + 1, col_b)):
+                st = dx = None
+                if any(col):
+                    g = gcd(den, *col)
+                    st = ([v // g for v in col], den // g)
+                    dx = ([(m - q) * v for q, v in enumerate(st[0][:m])], st[1])
+                strata[c].append(st)
+                ux[c].append(dx)
+
+    # the lcm of reduced strata denominators leaves the numerators without a
+    # common factor with it, so each component is reduced as built
+    comps = []
+    for st in strata:
+        den = lcm(*(s[1] for s in st if s is not None))
+        terms = {}
+        for d, s in enumerate(st):
+            if s is not None:
+                scale = den // s[1]
+                for q, c in enumerate(s[0]):
+                    if c:
+                        terms[(d << 2 * w) | ((d - q) << w) | q] = c * scale
+        comps.append(_new(2, order, terms, den))
+    return DiskJet(n, comps)
 
 
 def is_cr_jet(u: DiskJet, j: ACStructure) -> bool:

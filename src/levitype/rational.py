@@ -34,6 +34,8 @@ def rat(value, den=None):
     Floats are rejected: the engine is exact and a float almost always means
     an upstream mistake.
     """
+    if type(value) is Q and den is None:
+        return value
     if isinstance(value, float):
         raise TypeError("floats are not exact; pass ints, strings or rationals")
     if den is not None:

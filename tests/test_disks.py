@@ -17,7 +17,8 @@ from levitype import (
     reparametrize_disk_jet,
 )
 from levitype.disks import holomorphic_reparam_series, is_cr_jet
-from levitype.geometry import apply_jstd
+from levitype.geometry import apply_jstd, constant_matrix, standard_matrix
+from levitype.jets import mat_mul
 
 from conftest import (
     make_rng,
@@ -65,6 +66,41 @@ def jstd_power(vec, q):
     for _ in range(q):
         vec = apply_jstd(vec)
     return tuple(vec)
+
+
+def nonlinear_structure(rng, n, cap):
+    """J = A J_std A^-1 with A = I + N, N strictly upper triangular.
+
+    Each entry of N above the diagonal sums a linear monomial and a
+    quadratic one, pure or mixed, so A^-1 = I - N + N^2 - ... terminates
+    and J's entries hold several monomials of degree 2..4 sharing variables.
+    """
+    n2 = 2 * n
+    zero = TruncatedSeries.zero(n2, cap)
+
+    def monomial(degree):
+        exps = [0] * n2
+        for _ in range(degree):
+            exps[rng.randrange(n2)] += 1
+        return tuple(exps)
+
+    nmat = [[zero] * n2 for _ in range(n2)]
+    for i in range(n2):
+        for k in range(i + 1, n2):
+            nmat[i][k] = TruncatedSeries(n2, cap, {
+                monomial(1): Q(rng.choice((-2, -1, 1, 2)),
+                               rng.choice((1, 2, 3))),
+                monomial(2): Q(rng.choice((-1, 1)), rng.choice((1, 2)))})
+    ident = constant_matrix([[int(i == k) for k in range(n2)]
+                             for i in range(n2)], n2, cap)
+    amat = [[ident[i][k] + nmat[i][k] for k in range(n2)] for i in range(n2)]
+    ainv, power, sign = ident, nmat, -1
+    while any(not e.is_zero() for row in power for e in row):
+        ainv = [[ainv[i][k] + power[i][k].scale(sign) for k in range(n2)]
+                for i in range(n2)]
+        power, sign = mat_mul(power, nmat), -sign
+    jstd = constant_matrix(standard_matrix(n), n2, cap)
+    return ACStructure(n, mat_mul(mat_mul(amat, jstd), ainv))
 
 
 class TestDiskJet:
@@ -176,6 +212,17 @@ class TestPerturbedTransport:
         cases.append((j, [random_vector(rng, 4, 2) for _ in range(2)], 6))
         j = random_structure(rng, 3, 6)
         cases.append((j, [random_vector(rng, 6, 2) for _ in range(2)], 1))
+        # nonlinear J, whose products u^alpha share parents: j.cap above the
+        # order, with an entry of degree above order - 1; then j.cap equal
+        # to order - 1
+        for n, cap, order in ((2, 6, 4), (2, 4, 5), (3, 5, 4)):
+            j = nonlinear_structure(rng, n, cap)
+            degrees = [sum(x) for row in j.entries for e in row
+                       for x, _ in e.terms()]
+            assert len([d for d in degrees if 2 <= d <= 4]) >= 8
+            assert max(degrees) == cap
+            derivs = [random_vector(rng, 2 * n, 2) for _ in range(3)]
+            cases.append((j, derivs, order))
         for j, derivs, order in cases:
             u = propagate_cr_jet(derivs, j, order)
             assert u.cap == order
@@ -189,6 +236,27 @@ class TestPerturbedTransport:
         derivs = [random_vector(rng, 4, 2) for _ in range(2)]
         u = propagate_cr_jet(derivs, j, 5)
         assert is_cr_jet(u, j)
+
+    def test_components_are_canonical(self):
+        # equal series have equal _terms and _den, so a component built
+        # unreduced would compare unequal to the same series built afresh
+        rng = make_rng("disks-canonical")
+        for n in (1, 2, 3, 4):
+            cap = 6 if n <= 2 else 4
+            for j in (ACStructure.standard(n, cap),
+                      random_structure(rng, n, cap),
+                      nonlinear_structure(rng, n, cap)):
+                for order in range(cap + 2):
+                    if not j.is_standard and j.cap < order - 1:
+                        continue
+                    count = rng.choice((0, 1, order // 2, order, order + 2))
+                    derivs = [tuple(c if rng.random() < 0.7 else 0
+                                    for c in random_vector(rng, 2 * n))
+                              for _ in range(count)]
+                    u = propagate_cr_jet(derivs, j, order)
+                    assert u.cap == order
+                    for c in u.components:
+                        assert c == TruncatedSeries(2, order, dict(c.terms()))
 
     def test_structure_cap_guard(self):
         rng = make_rng("disks-capguard")

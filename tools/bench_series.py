@@ -9,7 +9,9 @@ Usage (from the root of a source checkout):
 Times ``*``, ``compose``, ``partial``, ``inverse`` and ``truncate`` of
 ``TruncatedSeries`` at (num_vars, cap) in {2, 4, 6, 8} x {6, 8, 10, 12}, and
 ``transport``: ``propagate_cr_jet`` of cap x-axis derivatives to order cap
-under ``perturbed_structure(num_vars // 2, cap, SEED)``.  It writes
+under ``perturbed_structure(num_vars // 2, cap, SEED)``, and
+``compose_phi_u``: the trace phi . u of a surface 2 x_last + (COMPOSE_TERMS
+terms of degree 2..5) along that transported disk.  It writes
 ``BENCH_<label>.json`` (into ``--out``, default the checkout root).  The
 inputs are fixed by a seeded generator, so two kernels see the same
 operands; each row carries a digest of the result (of every component, for
@@ -89,6 +91,12 @@ def operands(lev, num_vars, cap, seed):
     derivs = [[q(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2, 3, 4)))
                for _ in range(num_vars)] for _ in range(cap)]
     j_plus = tuple(e for row in j.entries for e in row if e.total_degree())
+    # drawn after every operand above, so their digests do not move
+    phi_terms = random_terms(rng, num_vars, 2, min(cap, 5), COMPOSE_TERMS, q)
+    phi_terms[(0,) * (num_vars - 1) + (1,)] = q(2)
+    surface = lev.Hypersurface(num_vars // 2,
+                               series(num_vars, cap, phi_terms))
+    u = lev.propagate_cr_jet(derivs, j, cap)
     return {
         "mul": (lambda: a * b, (a, b)),
         "compose": (lambda: outer.compose(disk), (outer,)),
@@ -97,6 +105,8 @@ def operands(lev, num_vars, cap, seed):
         "truncate": (lambda: a.truncate(cap // 2), (a,)),
         "transport": (lambda: lev.propagate_cr_jet(derivs, j, cap).components,
                       j_plus),
+        "compose_phi_u": (lambda: lev.compose_phi_u(surface, u).series,
+                          (surface.phi, *u.components)),
     }
 
 
@@ -153,7 +163,7 @@ def main(argv=None) -> int:
                     "digest": digest(result),
                     "seconds": seconds_per_call(fn),
                 })
-                print(f"{op:9s} vars={num_vars} cap={cap:2d} "
+                print(f"{op:13s} vars={num_vars} cap={cap:2d} "
                       f"{rows[-1]['seconds'] * 1e6:12.1f} us", file=sys.stderr)
     doc = {
         "label": args.label,
