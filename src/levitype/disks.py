@@ -208,7 +208,7 @@ def propagate_cr_jet(x_derivs, j: ACStructure, order: int | None = None) -> Disk
             s.append(_stratum(((parent, uk),), low) if deg <= low else None)
         for eu, comb in entries:
             eu.append(_stratum(comb, low))
-        r = [_stratum(row, low) if row else None for row in rows]
+        r = [_stratum(row, low) for row in rows]
         vec = derivs[m - 1]
         den = lcm(*(v.denominator for v in vec),
                   *(ri[1] for ri in r if ri is not None))
