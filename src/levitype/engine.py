@@ -25,16 +25,16 @@ from .geometry import (
     Hypersurface,
     VectorField,
     apply_jstd,
-    covariant_derivative,
     field_jet,
     is_complex_tangent,
     lie_bracket,
     project_point_to_surface,
     project_to_complex_tangent,
     recenter,
+    word_table,
 )
 from .jets import TruncatedSeries
-from .levi import hermitian_levi_matrix
+from .levi import hermitian_levi_matrix, levi_trace
 from .linalg import mat_vec, real_symmetric_signature, solve_affine
 from .rational import Q, ZERO, rat
 
@@ -200,6 +200,14 @@ def commutation_defect(x: VectorField, j: ACStructure,
     All four are equivalent at the same order, so the report carries an
     agreement flag and disagreement raises TheoremViolation.
 
+    Criteria 1 and 4 read only the sorted words s = JX^q X^p.  With no
+    curvature, D_A D_B F - D_B D_A F = D_[A,B] F, so a swap of the last two
+    letters changes a word by exactly +-D_s[X, JX], and an earlier swap, by
+    Leibniz at 0, by terms that each carry a shorter D_w[X, JX](0).  Once
+    the shorter lengths pass, values at 0 depend only on letter counts (and
+    the last letter), so it suffices to compare word(s + (X, JX)) with
+    word(s + (JX, X)), and to test D_s[X, JX](0), over the sorted s.
+
     Criterion 3 brackets only the Lyndon words on {X, JX}, each as [[u], [v]]
     with v its longest proper Lyndon suffix.  These brackets span every
     bracket of the same length over the integers (Chen-Fox-Lyndon;
@@ -214,32 +222,17 @@ def commutation_defect(x: VectorField, j: ACStructure,
         raise CapError(f"order {k} needs field caps >= {k - 1}, have {cap}")
     work_cap = k - 1
     base = (x.truncate(work_cap), jx_full.truncate(work_cap))
+    # letters 0, 1 and 2 are X, JX and [X, JX]; k = 1 leaves no cap for 2
+    word = word_table(base + (lie_bracket(*base),) if k >= 2 else base)
 
-    # words: bits = (direction bits..., field bit), derivations right to left
-    word_fields = {(0,): base[0], (1,): base[1]}
-
-    def word(bits):
-        f = word_fields.get(bits)
-        if f is None:
-            inner = word(bits[1:])
-            f = covariant_derivative(base[bits[0]].truncate(inner.cap), inner)
-            word_fields[bits] = f
-        return f
-
-    orders = {}
+    def sorted_words(length):
+        return [(1,) * (length - p) + (0,) * p for p in range(length + 1)]
 
     def crit1():
         for m in range(2, k + 1):
-            groups = {}
-            for num in range(1 << m):
-                bits = tuple((num >> t) & 1 for t in range(m))
-                val = word(bits).at_zero()
-                ones = sum(bits)
-                if ones in groups:
-                    if groups[ones] != val:
-                        return m - 1
-                else:
-                    groups[ones] = val
+            for s in sorted_words(m - 2):
+                if word(s + (0, 1)).at_zero() != word(s + (1, 0)).at_zero():
+                    return m - 1
         return k
 
     def crit2():
@@ -275,19 +268,13 @@ def commutation_defect(x: VectorField, j: ACStructure,
     def crit4():
         if k < 2:
             return k  # no word reaches the bracket, matches the others
-        # the bracket [X, JX] is the innermost field of these words
-        word_fields[(2,)] = lie_bracket(base[0], base[1])
         for mlen in range(0, k - 1):
-            for num in range(1 << mlen):
-                bits = tuple((num >> t) & 1 for t in range(mlen))
-                if not _is_zero_vec(word(bits + (2,)).at_zero()):
+            for s in sorted_words(mlen):
+                if not _is_zero_vec(word(s + (2,)).at_zero()):
                     return mlen + 1
         return k
 
-    orders[1] = crit1()
-    orders[2] = crit2()
-    orders[3] = crit3()
-    orders[4] = crit4()
+    orders = {1: crit1(), 2: crit2(), 3: crit3(), 4: crit4()}
     agreement = len(set(orders.values())) == 1
     if not agreement:
         raise TheoremViolation(
@@ -414,14 +401,12 @@ class _Stager:
 
     # -- trace probes
 
-    def disk(self, jets, order):
-        return propagate_cr_jet(jets, self.j, order=order)
-
     def trace(self, jets, order):
-        return compose_phi_u(self.m, self.disk(jets, order))
+        u = propagate_cr_jet(jets, self.j, order=order)
+        return compose_phi_u(self.m, u)
 
     def level_values(self, jets, ell):
-        tr = self.trace(jets, ell + 2)
+        tr = levi_trace(self.m, self.j, jets, ell)
         return [tr.levi_entry(i, ell - i) for i in range(ell, -1, -1)]
 
     def _solve_normal_2x2(self, rhs1, rhs2):
@@ -517,7 +502,7 @@ class _Stager:
         # stratum is inside the trace window; the stratum does not depend
         # on the padding
         order = lower_bound if obstruction is not None else max(len(jets), 1)
-        u = self.disk(jets, order)
+        u = propagate_cr_jet(jets, self.j, order=order)
         co = contact_order(self.m, u)
         if cap_reached or obstruction is None:
             if co.order < lower_bound:
@@ -716,11 +701,7 @@ def cross_validate(m: Hypersurface, j: ACStructure,
     x_jet = [u.derivative(mm, 0) for mm in range(1, k + 2)]
     slots = 0
     for s in range(k):
-        # every L^(p,q) with p + q = s reads the same disk: higher_levi's
-        # contract, with one transport for the whole degree
-        if s + 2 > m.cap:
-            raise CapError(f"L^(0,{s}) needs phi cap >= {s + 2}, have {m.cap}")
-        tr = compose_phi_u(m, propagate_cr_jet(x_jet[:s + 1], j, order=s + 2))
+        tr = levi_trace(m, j, x_jet, s)
         for p in range(s + 1):
             if tr.levi_entry(p, s - p) != 0:
                 raise TheoremViolation(

@@ -333,25 +333,34 @@ class FieldJet:
         }
 
 
+def word_table(fields):
+    """word(bits) = D_{F_b1} ... D_{F_b(m-1)} F_bm for the fields F_b.
+
+    Each word is built once from its inner word, its direction truncated to
+    that word's cap, so a word of length m has cap F_bm.cap - (m - 1).
+    """
+    table = {(b,): f for b, f in enumerate(fields)}
+
+    def word(bits):
+        f = table.get(bits)
+        if f is None:
+            inner = word(bits[1:])
+            f = covariant_derivative(fields[bits[0]].truncate(inner.cap), inner)
+            table[bits] = f
+        return f
+
+    return word
+
+
 def field_jet(x: VectorField, j: ACStructure, k: int) -> FieldJet:
-    """All D^(p,q)X(0) with p + q <= k, sharing the D_X chains."""
+    """All D^(p,q)X(0), p + q <= k: word((1,)*q + (0,)*p + (0,)) in (X, JX)."""
     if k > x.cap:
         raise CapError(f"order {k} exceeds the field's cap {x.cap}")
     if not j.is_standard and k > j.cap:
         raise CapError(f"order {k} exceeds the structure's cap {j.cap}")
-    xdir = x.truncate(k)
-    jx = j.apply(x).truncate(k)
-    entries = {}
-    chain = x.truncate(k)
-    for p in range(k + 1):
-        if p > 0:
-            chain = covariant_derivative(xdir.truncate(chain.cap), chain)
-        entries[(p, 0)] = chain.at_zero()
-        w = chain
-        for q in range(1, k - p + 1):
-            w = covariant_derivative(jx.truncate(w.cap), w)
-            entries[(p, q)] = w.at_zero()
-    return FieldJet(k, x.n, entries)
+    word = word_table((x.truncate(k), j.apply(x).truncate(k)))
+    return FieldJet(k, x.n, {(p, q): word((1,) * q + (0,) * p + (0,)).at_zero()
+                             for p in range(k + 1) for q in range(k + 1 - p)})
 
 
 def complex_tangent_basis(m: Hypersurface, j: ACStructure):

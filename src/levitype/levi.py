@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .disks import compose_phi_u, propagate_cr_jet
+from .disks import DiskTrace, compose_phi_u, propagate_cr_jet
 from .errors import CapError, ClosedFormMismatch, GeometryError
 from .geometry import (
     ACStructure,
@@ -44,12 +44,12 @@ def _require_tangent(m: Hypersurface, j: ACStructure, x: VectorField, who: str):
 
 
 def levi_form_bracket(m: Hypersurface, j: ACStructure, x: VectorField) -> LeviReport:
-    """L(X) = dphi(J[X, JX]) at 0."""
+    """L(X) = dphi(J[X, JX]) at 0, where J(0) = J_std."""
     _require_tangent(m, j, x, "levi_form_bracket")
     jx = j.apply(x)
     cap = min(x.cap, jx.cap)
     br = lie_bracket(x.truncate(cap), jx.truncate(cap))
-    value = m.dphi_at_zero(j.apply(br).at_zero())
+    value = m.dphi_at_zero(apply_jstd(br.at_zero()))
     return LeviReport(value, "bracket", ZERO)
 
 
@@ -139,7 +139,7 @@ def levi_polar(m: Hypersurface, j: ACStructure, x: VectorField,
     jxt, jyt = jx.truncate(cap), jy.truncate(cap)
 
     def val(field):
-        return m.dphi_at_zero(j.apply(field).at_zero())
+        return m.dphi_at_zero(apply_jstd(field.at_zero()))
 
     re = (val(lie_bracket(xt, jyt)) + val(lie_bracket(yt, jxt))) / 2
     im = (val(lie_bracket(xt, yt)) + val(lie_bracket(jxt, jyt))) / 2
@@ -239,6 +239,19 @@ def classify_point(m: Hypersurface, j: ACStructure) -> Classification:
     return hermitian_levi_matrix(m, j).classify()
 
 
+def levi_trace(m: Hypersurface, j: ACStructure, x_jet, s: int) -> DiskTrace:
+    """phi . u for the disk from x_jet[:s + 1], padded to order s + 2.
+
+    Every L^(p, s - p) is the levi_entry(p, s - p) of this one trace.
+    """
+    if s + 2 > m.cap:
+        raise CapError(
+            f"L^(p,q) with p + q = {s} needs phi cap >= {s + 2}, have {m.cap}")
+    if len(x_jet) < s + 1:
+        raise ValueError(f"need {s + 1} x-derivatives, got {len(x_jet)}")
+    return compose_phi_u(m, propagate_cr_jet(x_jet[:s + 1], j, order=s + 2))
+
+
 def higher_levi(m: Hypersurface, j: ACStructure, x_jet, p: int, q: int):
     """L^{p,q}(u_1, ..., u_{p+q+1}) by the defining contract.
 
@@ -247,17 +260,8 @@ def higher_levi(m: Hypersurface, j: ACStructure, x_jet, p: int, q: int):
     (p,q)-derivative of the disk Laplacian at 0, a(p+2,q) + a(p,q+2).  The
     value does not depend on the padding.
     """
-    order = p + q + 2
-    if order > m.cap:
-        raise CapError(
-            f"L^({p},{q}) needs phi cap >= {order}, have {m.cap}"
-        )
     jets = [tuple(rat(v) for v in vec) for vec in x_jet]
-    if len(jets) < p + q + 1:
-        raise ValueError(f"need {p + q + 1} x-derivatives, got {len(jets)}")
-    jets = jets[:p + q + 1]
-    u = propagate_cr_jet(jets, j, order=order)
-    return compose_phi_u(m, u).levi_entry(p, q)
+    return levi_trace(m, j, jets, p + q).levi_entry(p, q)
 
 
 def _dir_derivative(series: TruncatedSeries, vec):

@@ -19,6 +19,7 @@ from levitype import (
     VectorField,
     commutation_defect,
     contact_order,
+    covariant_derivative,
     cross_validate,
     disk_from_commuting_field,
     field_jet,
@@ -86,6 +87,86 @@ def constant_field(n, vec, cap=CAP):
 def bent_disk(cap):
     return propagate_cr_jet([E1, (0, 0, -1, 0)], ACStructure.standard(2, cap),
                             cap)
+
+
+def enumerated_orders(x, j, k):
+    """Orders of criteria 1 and 4 over all 2^m words of each length m.
+
+    The reference for commutation_defect, which reads only sorted words.
+    Words nest right to left, as there; letter 2 is [X, JX].
+    """
+    base = (x.truncate(k - 1), j.apply(x).truncate(k - 1))
+    fields = base + (lie_bracket(*base),) if k >= 2 else base
+    memo = {}
+
+    def word(bits):
+        if len(bits) == 1:
+            return fields[bits[0]]
+        if bits not in memo:
+            inner = word(bits[1:])
+            memo[bits] = covariant_derivative(
+                fields[bits[0]].truncate(inner.cap), inner)
+        return memo[bits]
+
+    def all_words(m):
+        return [tuple((num >> t) & 1 for t in range(m))
+                for num in range(1 << m)]
+
+    def crit1():
+        for m in range(2, k + 1):
+            groups = {}
+            for bits in all_words(m):
+                groups.setdefault(sum(bits), set()).add(word(bits).at_zero())
+            if any(len(values) > 1 for values in groups.values()):
+                return m - 1
+        return k
+
+    def crit4():
+        for mlen in range(k - 1):
+            if any(any(word(bits + (2,)).at_zero())
+                   for bits in all_words(mlen)):
+                return mlen + 1
+        return k
+
+    return crit1(), crit4()
+
+
+def chained_field_jet(x, j, k):
+    """field_jet as sequential D_X chains, each extended by D_JX."""
+    xdir = x.truncate(k)
+    jx = j.apply(x).truncate(k)
+    entries = {}
+    chain = x.truncate(k)
+    for p in range(k + 1):
+        if p > 0:
+            chain = covariant_derivative(xdir.truncate(chain.cap), chain)
+        entries[(p, 0)] = chain.at_zero()
+        w = chain
+        for q in range(1, k - p + 1):
+            w = covariant_derivative(jx.truncate(w.cap), w)
+            entries[(p, q)] = w.at_zero()
+    return entries
+
+
+def staged_field(rng, n, cap):
+    """A coordinate field plus random terms times x_i^a y_i^b in its pair.
+
+    Its first failing length varies with a + b, also under a perturbed J.
+    """
+    v = rng.randrange(2 * n)
+    a = rng.randrange(cap)
+    b = rng.randrange(cap - a)
+    exps = [0] * (2 * n)
+    exps[v - v % 2], exps[v - v % 2 + 1] = a, b
+    mono = TruncatedSeries(2 * n, cap, {tuple(exps): Q(1)})
+    vec = [1 if i == v else 0 for i in range(2 * n)]
+    return constant_field(n, vec, cap) + scale_field(
+        random_field(rng, n, cap, degree=1), mono)
+
+
+def structures_under_test(n, cap):
+    return [ACStructure.standard(n, cap)] + [
+        perturbed_structure(n, cap, seed) for seed in (1, 2, 3)]
 
 
 def check_report_invariants(rep):
@@ -207,7 +288,7 @@ class TestCommutation:
             for w in ws:
                 assert all(w < w[i:] + w[:i] for i in range(1, length))
 
-    @pytest.mark.parametrize("a, b", [(a, d - a) for d in range(1, 7)
+    @pytest.mark.parametrize("a, b", [(a, d - a) for d in range(1, 8)
                                       for a in range(d + 1)])
     def test_first_failure_at_each_length(self, a, b):
         # X = d/dx1 + x1^a y1^b d/dx2: the first nonzero bracket has length
@@ -222,6 +303,23 @@ class TestCommutation:
         assert rep.defects
         if (a, b) == (1, 0):
             assert set(rep.defects) == {"[X,JX]"}
+        orders = rep.criterion_orders
+        assert enumerated_orders(x, JSTD, 8) == (orders[1], orders[4])
+
+    @pytest.mark.parametrize("n", (2, 3))
+    def test_sorted_words_match_all_words(self, n):
+        # criteria 1 and 4 read one sorted word per letter count; the
+        # enumeration of every word must give the same orders
+        rng = make_rng(f"engine-sorted-words-{n}")
+        seen = set()
+        for j in structures_under_test(n, 8):
+            fields = [random_field(rng, n, 8)]
+            fields += [staged_field(rng, n, 8) for _ in range(6)]
+            for x in fields:
+                orders = commutation_defect(x, j, 8).criterion_orders
+                assert enumerated_orders(x, j, 8) == (orders[1], orders[4])
+                seen.add(orders[1])
+        assert len(seen) >= 5
 
     def test_order_and_cap_guards(self):
         x = constant_field(2, E1, cap=2)
@@ -229,6 +327,18 @@ class TestCommutation:
             commutation_defect(x, JSTD, 0)
         with pytest.raises(CapError):
             commutation_defect(x, JSTD.truncate(2), 5)
+
+
+class TestFieldJetReference:
+    @pytest.mark.parametrize("n", (2, 3))
+    def test_matches_the_chained_derivatives(self, n):
+        rng = make_rng(f"engine-field-jet-{n}")
+        for j in structures_under_test(n, 7):
+            for x in (random_field(rng, n, 7, degree=3),
+                      staged_field(rng, n, 7)):
+                for k in (0, 3, 7):
+                    assert field_jet(x, j, k).entries == \
+                        chained_field_jet(x, j, k)
 
 
 class TestDiskFromCommutingField:
