@@ -250,6 +250,30 @@ def gradient_frame(m: Hypersurface, j: ACStructure) -> Frame:
     return Frame(n_field.truncate(cap), jn.truncate(cap))
 
 
+def _projector(m: Hypersurface, j: ACStructure, cap: int):
+    """project_to_complex_tangent for fields of cap >= cap, frame built once."""
+    frame = gradient_frame(m, j)
+    cap = min(cap, frame.normal.cap)
+    nf = frame.normal.truncate(cap)
+    jn = frame.j_normal.truncate(cap)
+    p = m.dphi(nf)
+    q = m.dphi(jn)
+    denom = (p * p + q * q).inverse()
+
+    def project(v: VectorField) -> VectorField:
+        vt = v.truncate(cap)
+        jv = j.apply(vt).truncate(cap)
+        r = m.dphi(vt)
+        s = m.dphi(jv)
+        a = (p * r + q * s) * denom
+        b = (q * r - p * s) * denom
+        an = VectorField(m.n, [a * c for c in nf.components])
+        bjn = VectorField(m.n, [b * c for c in jn.components])
+        return vt - an - bjn
+
+    return project
+
+
 def project_to_complex_tangent(m: Hypersurface, j: ACStructure,
                                v: VectorField) -> VectorField:
     """Component of V in the complex tangent bundle of M.
@@ -258,22 +282,7 @@ def project_to_complex_tangent(m: Hypersurface, j: ACStructure,
     unit determinant -(dphi(N)^2 + dphi(JN)^2), so a and b are honest series.
     The identities hold exactly through the returned cap.
     """
-    frame = gradient_frame(m, j)
-    cap = min(v.cap, frame.normal.cap)
-    nf = frame.normal.truncate(cap)
-    jn = frame.j_normal.truncate(cap)
-    vt = v.truncate(cap)
-    jv = j.apply(vt).truncate(cap)
-    p = m.dphi(nf)
-    q = m.dphi(jn)
-    r = m.dphi(vt)
-    s = m.dphi(jv)
-    denom = (p * p + q * q).inverse()
-    a = (p * r + q * s) * denom
-    b = (q * r - p * s) * denom
-    an = VectorField(m.n, [a * c for c in nf.components])
-    bjn = VectorField(m.n, [b * c for c in jn.components])
-    return vt - an - bjn
+    return _projector(m, j, v.cap)(v)
 
 
 def is_complex_tangent(m: Hypersurface, j: ACStructure, x: VectorField) -> bool:
@@ -372,13 +381,13 @@ def complex_tangent_basis(m: Hypersurface, j: ACStructure):
     if m.n < 2:
         raise GeometryError("no complex tangent directions in complex dim 1")
     cap = min(m.cap - 1, (j.cap if j.is_standard else j.cap - 1))
+    project = _projector(m, j, cap)
     basis = []
     values = []  # real span generators: T_i(0) and J_0 T_i(0)
     for i in range(2 * m.n):
         if len(basis) == m.n - 1:
             break
-        cand = project_to_complex_tangent(
-            m, j, VectorField.coordinate(m.n, i, cap))
+        cand = project(VectorField.coordinate(m.n, i, cap))
         val = list(cand.at_zero())
         if all(v == 0 for v in val):
             continue

@@ -123,27 +123,60 @@ def levi_form_hessian(m: Hypersurface, j: ACStructure, x: VectorField) -> LeviRe
     return LeviReport(value, "hessian", correction)
 
 
+def _one_jets(m: Hypersurface, j: ACStructure, fields):
+    """[X(0), w_X, JX(0), w_JX] per field X: the 1-jet data Theta reads.
+
+    w_F = c DF(0) for the row vector c = dphi(0) J_std, kept as {k: value}
+    over its nonzero entries.  As [A, B](0) = DB(0)A(0) - DA(0)B(0),
+    dphi(J_std [A, B](0)) = w_B.A(0) - w_A.B(0).  J is truncated to cap 1 once.
+    """
+    c = [(i, -v) for i, v in enumerate(apply_jstd(m.grad_at_zero())) if v]
+    j1 = j.truncate(min(j.cap, 1))
+    out = []
+    for x in fields:
+        if x.cap == 0:
+            raise CapError("cannot differentiate a field with cap 0")
+        x1 = x.truncate(1)
+        data = []
+        for f in (x1, j1.apply(x1)):
+            w = {}
+            for i, ci in c:
+                for exps, v in f.components[i].terms():
+                    if any(exps):
+                        k = exps.index(1)
+                        w[k] = w.get(k, ZERO) + ci * v
+            data += [f.at_zero(), w]
+        out.append(data)
+    return out
+
+
+def _theta(a, b) -> QC:
+    """Theta(X, Y) from the _one_jets data a of X and b of Y."""
+    x0, wx, jx0, wjx = a
+    y0, wy, jy0, wjy = b
+
+    def dot(w, v):
+        return sum((wk * v[k] for k, wk in w.items()), ZERO)
+
+    re = (dot(wjy, x0) - dot(wx, jy0) + dot(wjx, y0) - dot(wy, jx0)) / 2
+    im = (dot(wy, x0) - dot(wx, y0) + dot(wjy, jx0) - dot(wjx, jy0)) / 2
+    return QC(re, im)
+
+
 def levi_polar(m: Hypersurface, j: ACStructure, x: VectorField,
                y: VectorField) -> QC:
     """Polar form: Theta(X,Y) with Theta(X,X) = L(X).
 
     Real part: dphi(J[X,JY] + J[Y,JX]) / 2; imaginary part:
     dphi(J[X,Y] + J[JX,JY]) / 2, all at 0.  Antilinear in the first slot.
+    Each term reads one value and one covector w_F = c DF(0) per field, with
+    c = dphi(0) J_std (see _one_jets):
+      Re = (w_JY.X0 - w_X.JY0 + w_JX.Y0 - w_Y.JX0) / 2,
+      Im = (w_Y.X0 - w_X.Y0 + w_JY.JX0 - w_JX.JY0) / 2.
     """
     _require_tangent(m, j, x, "levi_polar")
     _require_tangent(m, j, y, "levi_polar")
-    jx = j.apply(x)
-    jy = j.apply(y)
-    cap = min(x.cap, y.cap, jx.cap, jy.cap)
-    xt, yt = x.truncate(cap), y.truncate(cap)
-    jxt, jyt = jx.truncate(cap), jy.truncate(cap)
-
-    def val(field):
-        return m.dphi_at_zero(apply_jstd(field.at_zero()))
-
-    re = (val(lie_bracket(xt, jyt)) + val(lie_bracket(yt, jxt))) / 2
-    im = (val(lie_bracket(xt, yt)) + val(lie_bracket(jxt, jyt))) / 2
-    return QC(re, im)
+    return _theta(*_one_jets(m, j, (x, y)))
 
 
 @dataclass(frozen=True)
@@ -214,14 +247,21 @@ def hermitian_levi_matrix(m: Hypersurface, j: ACStructure) -> HermitianLeviMatri
     on those.  J keeps cap 2 (or its own, if lower) because a non-standard J
     of cap c gives complex_tangent_basis fields of cap c - 1; the basis
     fields have cap 1 and agree with the full-cap ones through degree 1.
+    Each field is checked tangent once; an entry is the covector formula of
+    levi_polar, (w_JY.X0 - w_X.JY0 + w_JX.Y0 - w_Y.JX0) / 2
+    + i (w_Y.X0 - w_X.Y0 + w_JY.JX0 - w_JX.JY0) / 2, w_F = dphi(0) J_std DF(0).
     """
     m, j = m.truncate(2), j.truncate(min(j.cap, 2))
     basis = complex_tangent_basis(m, j)
+    j = j.truncate(min(j.cap, 1))
+    for x in basis:
+        _require_tangent(m, j, x, "hermitian_levi_matrix")
+    jets = _one_jets(m, j, basis)
     d = len(basis)
     entries = [[None] * d for _ in range(d)]
     for i in range(d):
         for k in range(i, d):
-            v = levi_polar(m, j, basis[i], basis[k])
+            v = _theta(jets[i], jets[k])
             entries[i][k] = v
             if k != i:
                 entries[k][i] = v.conj()

@@ -19,6 +19,8 @@ from levitype import (
     perturbed_structure,
     project_to_complex_tangent,
 )
+from levitype.geometry import constant_matrix, standard_matrix
+from levitype.jets import mat_mul
 
 SEED = int(os.environ.get("LEVITYPE_SEED", "0"))
 
@@ -103,3 +105,38 @@ def random_positive_unit(rng, nv: int, cap: int, degree: int = 2):
         if c != 0:
             terms[exps] = c
     return TruncatedSeries(nv, cap, terms)
+
+
+def nonlinear_structure(rng, n, cap):
+    """J = A J_std A^-1 with A = I + N, N strictly upper triangular.
+
+    Each entry of N above the diagonal sums a linear monomial and a
+    quadratic one, pure or mixed, so A^-1 = I - N + N^2 - ... terminates
+    and J's entries hold several monomials of degree 2..4 sharing variables.
+    """
+    n2 = 2 * n
+    zero = TruncatedSeries.zero(n2, cap)
+
+    def monomial(degree):
+        exps = [0] * n2
+        for _ in range(degree):
+            exps[rng.randrange(n2)] += 1
+        return tuple(exps)
+
+    nmat = [[zero] * n2 for _ in range(n2)]
+    for i in range(n2):
+        for k in range(i + 1, n2):
+            nmat[i][k] = TruncatedSeries(n2, cap, {
+                monomial(1): Q(rng.choice((-2, -1, 1, 2)),
+                               rng.choice((1, 2, 3))),
+                monomial(2): Q(rng.choice((-1, 1)), rng.choice((1, 2)))})
+    ident = constant_matrix([[int(i == k) for k in range(n2)]
+                             for i in range(n2)], n2, cap)
+    amat = [[ident[i][k] + nmat[i][k] for k in range(n2)] for i in range(n2)]
+    ainv, power, sign = ident, nmat, -1
+    while any(not e.is_zero() for row in power for e in row):
+        ainv = [[ainv[i][k] + power[i][k].scale(sign) for k in range(n2)]
+                for i in range(n2)]
+        power, sign = mat_mul(power, nmat), -sign
+    jstd = constant_matrix(standard_matrix(n), n2, cap)
+    return ACStructure(n, mat_mul(mat_mul(amat, jstd), ainv))

@@ -5,6 +5,8 @@ from itertools import product as iproduct
 import pytest
 import sympy as sp
 
+import levitype.geometry as geometry
+import levitype.levi as levi
 from levitype import (
     ACStructure,
     CapError,
@@ -28,9 +30,11 @@ from levitype import (
     propagate_cr_jet,
 )
 from levitype.geometry import apply_jstd
+from levitype.rational import QC
 
 from conftest import (
     make_rng,
+    nonlinear_structure,
     random_phi,
     random_positive_unit,
     random_structure,
@@ -63,6 +67,12 @@ def sphere_tangent():
     mx1 = TruncatedSeries(4, CAP, {(1, 0, 0, 0): Q(-1)})
     y1 = TruncatedSeries(4, CAP, {(0, 1, 0, 0): Q(1)})
     return VectorField(2, [one, zero, mx1, y1])
+
+
+def quadratic_surface(rng, n, cap):
+    """A random quadratic part under random terms of degree <= 4."""
+    return Hypersurface(n, random_phi(rng, n, cap, max_degree=2).phi
+                        + random_phi(rng, n, cap).phi)
 
 
 def coordinate_scaled_tangent(rng, m, j, cap):
@@ -341,10 +351,8 @@ class TestPolarForm:
         # the matrix is built on the 2-jet of phi and the 1-jet of J; the
         # reference takes the polar form on the full-cap basis fields
         rng = make_rng("levi-jets")
-        for n, perturbed, _ in iproduct((2, 3), (False, True), range(2)):
-            # a random quadratic part under random terms of degree <= 4
-            m = Hypersurface(n, random_phi(rng, n, 6, max_degree=2).phi
-                             + random_phi(rng, n, 6).phi)
+        for n, perturbed, _ in iproduct((2, 3, 4), (False, True), range(2)):
+            m = quadratic_surface(rng, n, 6)
             j = (random_structure(rng, n, 6) if perturbed
                  else ACStructure.standard(n, 6))
             mat = hermitian_levi_matrix(m, j)
@@ -354,6 +362,60 @@ class TestPolarForm:
             for i, x in enumerate(full):
                 for k, y in enumerate(full):
                     assert mat.entries[i][k] == levi_polar(m, j, x, y)
+
+    def test_matrix_matches_the_polarized_bracket_and_the_hessian(self):
+        # every entry from the bracket route alone, by polarizing L:
+        # Re Theta(X, Y) = (L(X+Y) - L(X-Y)) / 4,
+        # Im Theta(X, Y) = (L(X-JY) - L(X+JY)) / 4; the diagonal is also
+        # the Hessian route's L(X)
+        rng = make_rng("levi-polarize")
+        structures = (lambda n: ACStructure.standard(n, 4),
+                      lambda n: random_structure(rng, n, 4),
+                      lambda n: nonlinear_structure(rng, n, 4))
+        nonzero_re = nonzero_im = 0
+        for n, make_j, _ in iproduct((2, 3, 4), structures, range(2)):
+            m = quadratic_surface(rng, n, 4)
+            j = make_j(n)
+            mat = hermitian_levi_matrix(m, j)
+
+            def bracket(f):
+                return levi_form_bracket(m, j, f).value
+
+            for i, x in enumerate(mat.basis):
+                assert mat.entries[i][i].re == \
+                    levi_form_hessian(m, j, x).value
+                for k, y in enumerate(mat.basis):
+                    jy = j.apply(y)
+                    polar = QC((bracket(x + y) - bracket(x - y)) / 4,
+                               (bracket(x - jy) - bracket(x + jy)) / 4)
+                    assert mat.entries[i][k] == polar
+                    nonzero_re += polar.re != 0
+                    nonzero_im += polar.im != 0
+        assert nonzero_re and nonzero_im
+
+    def test_matrix_checks_each_field_once_and_forms_no_bracket(
+            self, monkeypatch):
+        rng = make_rng("levi-calls")
+        checked = []
+        tangent = levi.is_complex_tangent
+
+        def recording(m, j, x):
+            checked.append(x)
+            return tangent(m, j, x)
+
+        def forbidden(*args):
+            raise AssertionError("the Levi matrix forms no bracket of fields")
+        monkeypatch.setattr(levi, "is_complex_tangent", recording)
+        for module in (levi, geometry):
+            monkeypatch.setattr(module, "lie_bracket", forbidden)
+        monkeypatch.setattr(levi, "levi_polar", forbidden)
+        for n, perturbed in iproduct((2, 3, 4), (False, True)):
+            j = (random_structure(rng, n, 6) if perturbed
+                 else ACStructure.standard(n, 6))
+            checked.clear()
+            mat = hermitian_levi_matrix(quadratic_surface(rng, n, 6), j)
+            assert len(mat.basis) == n - 1
+            assert [id(x) for x in checked] == [id(x) for x in mat.basis]
 
 
 class TestClassification:

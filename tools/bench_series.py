@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the series kernel (``levitype.jets``) operation by operation, and transport.
+"""Time the series kernel (``levitype.jets``), transport and the Levi matrix.
 
 Usage (from the root of a source checkout):
 
@@ -11,7 +11,10 @@ Times ``*``, ``compose``, ``partial``, ``inverse`` and ``truncate`` of
 ``transport``: ``propagate_cr_jet`` of cap x-axis derivatives to order cap
 under ``perturbed_structure(num_vars // 2, cap, SEED)``, and
 ``compose_phi_u``: the trace phi . u of a surface 2 x_last + (COMPOSE_TERMS
-terms of degree 2..5) along that transported disk.  It writes
+terms of degree 2..5) along that transported disk, and
+``hermitian_levi_matrix`` of a surface 2 x_last + (LEVI_TERMS terms of
+degree 2..3) under J_std (``levi_std``) and under that structure
+(``levi_perturbed``), for n = num_vars // 2 >= 2.  It writes
 ``BENCH_<label>.json`` (into ``--out``, default the checkout root).  The
 inputs are fixed by a seeded generator, so two kernels see the same
 operands; each row carries a digest of the result (of every component, for
@@ -49,6 +52,7 @@ TERMS = 40          # terms of each operand of *, partial and truncate
 COMPOSE_TERMS = 12  # terms of the outer series of compose
 DISK_TERMS = 6      # terms of each substituted 2-variable series
 INVERSE_TERMS = 4   # non-constant terms of the unit series inverted
+LEVI_TERMS = 8      # terms of degree 2..3 of the Levi rows' surface
 
 
 def git(src: Path, *args) -> str | None:
@@ -97,7 +101,13 @@ def operands(lev, num_vars, cap, seed):
     surface = lev.Hypersurface(num_vars // 2,
                                series(num_vars, cap, phi_terms))
     u = lev.propagate_cr_jet(derivs, j, cap)
-    return {
+    # drawn after every operand above
+    levi_terms = random_terms(rng, num_vars, 2, 3, LEVI_TERMS, q)
+    levi_terms[(0,) * (num_vars - 1) + (1,)] = q(2)
+    levi_surface = lev.Hypersurface(num_vars // 2,
+                                    series(num_vars, cap, levi_terms))
+    j_std = lev.ACStructure.standard(num_vars // 2, cap)
+    ops = {
         "mul": (lambda: a * b, (a, b)),
         "compose": (lambda: outer.compose(disk), (outer,)),
         "partial": (lambda: a.partial(0), (a,)),
@@ -108,6 +118,14 @@ def operands(lev, num_vars, cap, seed):
         "compose_phi_u": (lambda: lev.compose_phi_u(surface, u).series,
                           (surface.phi, *u.components)),
     }
+    if num_vars >= 4:  # n = 1 has no complex tangent directions
+        ops["levi_std"] = (
+            lambda: lev.hermitian_levi_matrix(levi_surface, j_std),
+            (levi_surface.phi,))
+        ops["levi_perturbed"] = (
+            lambda: lev.hermitian_levi_matrix(levi_surface, j),
+            (levi_surface.phi, *j_plus))
+    return ops
 
 
 def seconds_per_call(fn) -> float:
@@ -129,14 +147,22 @@ def seconds_per_call(fn) -> float:
 
 
 def parts(result) -> tuple:
-    """The series of a result: itself, or a disk's components."""
-    return result if isinstance(result, tuple) else (result,)
+    """The series of a result: itself, a disk's components, or those of a
+    Levi matrix's basis fields."""
+    if isinstance(result, tuple):
+        return result
+    if hasattr(result, "basis"):
+        return tuple(c for f in result.basis for c in f.components)
+    return (result,)
 
 
 def digest(result) -> str:
     h = hashlib.sha256()
     for s in parts(result):
         h.update(repr((s.num_vars, s.cap, s.as_list())).encode())
+    if hasattr(result, "entries"):  # a Levi matrix's polar form
+        h.update(repr([[str(e) for e in row]
+                       for row in result.entries]).encode())
     return h.hexdigest()[:16]
 
 
