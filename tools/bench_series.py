@@ -101,7 +101,7 @@ def operands(lev, num_vars, cap, seed):
     surface = lev.Hypersurface(num_vars // 2,
                                series(num_vars, cap, phi_terms))
     u = lev.propagate_cr_jet(derivs, j, cap)
-    # drawn after every operand above
+    # drawn last, so every earlier operand keeps its digest
     levi_terms = random_terms(rng, num_vars, 2, 3, LEVI_TERMS, q)
     levi_terms[(0,) * (num_vars - 1) + (1,)] = q(2)
     levi_surface = lev.Hypersurface(num_vars // 2,
