@@ -13,12 +13,14 @@ x^(m-1-q) y^q gives
 
 with R = (J - J_std)(u) . du/dx.  J - J_std has no constant term, so R at
 degree m-1 reads only strata (terms of one total degree) below m of u, all
-known before order m starts.  propagate_cr_jet therefore fills u one
+known before order m starts.  One private state, _Transport, fills u one
 stratum per order as a relaxed product (van der Hoeven, "Relax, but don't
-be too lazy", JSC 2002): what it keeps of (J - J_std)(u) gains one stratum
-per order, and of R only degree m-1 is formed.  Strata are Python-int
-numerators over one denominator; rationals appear only in the
-x-derivatives read and in the DiskJet returned.
+be too lazy", JSC 2002) and reads one stratum of phi . u, each product of
+u's components filled only as far as a reader needs.  A copy shares every
+stratum formed, so disks that differ only from some order on transport
+their common part once.  propagate_cr_jet is that state extended to its
+order.  Strata are Python-int numerators over one denominator; rationals
+appear only in the x-derivatives read and in what is returned.
 """
 
 from __future__ import annotations
@@ -123,14 +125,9 @@ def _stratum(pairs, d: int):
     return out, den
 
 
-def propagate_cr_jet(x_derivs, j: ACStructure, order: int | None = None) -> DiskJet:
-    """Disk jet with the given x-axis derivatives, transported by J.
+class _Transport:
+    """One disk transported order by order, with phi . u read by stratum.
 
-    x_derivs[m-1] is d^m u/dx^m(0) for m = 1..len(x_derivs); missing orders up
-    to the requested cap are padded with zero.  The returned jet satisfies the
-    transport equation through cap-1 and is the unique such jet.
-
-    The jet is built one stratum per order m = 1..cap, held as in _stratum.
     Order m needs degree m-1 of R = (J - J_std)(u) u_x, which is
 
         sum_{t=1..m-1} [(J - J_std)(u)]_t [u_x]_{m-1-t}:
@@ -138,120 +135,182 @@ def propagate_cr_jet(x_derivs, j: ACStructure, order: int | None = None) -> Disk
     t starts at 1 because J - J_std has no constant term and u(0) = 0.  So
     [u_x]_{m-1-t} reads stratum m-t <= m-1 of u, and [(J - J_std)(u)]_t
     reads strata <= t <= m-1: all final before order m starts, while
-    stratum m, still being filled, never enters R.  So at order m:
-
-    - each product u^alpha of a monomial of J - J_std, built as
-      u^(alpha - e_k) * u_k, gains its stratum m-1, which reads only
-      strata <= m-2 of its parent;
-    - each entry e of J - J_std gains stratum m-1 of e(u), a combination of
-      those products, and of R only degree m-1 is formed;
-    - stratum m of u is solved along the y-power q.  Its coefficients all
-      divide the denominator lcm(R, c_{m,0}) * m!, by induction on q, so on
-      numerators over it every division by q+1 is exact.
+    stratum m, still being filled, never enters R.  The state holds u, u_x,
+    each entry e(u) of J - J_std and each product u^alpha that a monomial
+    of J - J_std or of phi needs, all as lists of strata (see _stratum).
+    u^alpha = u^(alpha - e_k) * u_k, parents shared, so its stratum t reads
+    strata < t of its parent and <= t + 1 - |alpha| of u_k.  Order m needs
+    the products of J - J_std through m-1 and stratum d of phi . u those of
+    phi through d, so a degree-k factor of a degree-K monomial is formed
+    only through d - (K - k).  A stratum never changes once formed, so
+    copy() shares them all, after filling those that the order makes final
+    and the cap will read, so that the copies do not each form them.
     """
-    n = j.n
-    n2 = 2 * n
+
+    def __init__(self, j: ACStructure, cap: int, m: Hypersurface | None = None):
+        n2 = 2 * j.n
+        if not j.is_standard and j.cap < max(cap - 1, 0):
+            raise CapError(
+                f"structure cap {j.cap} too small to transport to order {cap}")
+        self.n2, self.cap, self.order = n2, cap, 0
+        # (|alpha|, parent, k) of each product; the first n2 are the u_k
+        table = self.table = [(1, None, None)] * n2
+        index = {tuple(int(i == k) for i in range(n2)): k for k in range(n2)}
+
+        def product(alpha):
+            i = index.get(alpha)
+            if i is None:
+                k = max(i for i, e in enumerate(alpha) if e)
+                parent = product(alpha[:k] + (alpha[k] - 1,) + alpha[k + 1:])
+                i = index[alpha] = len(table)
+                table.append((sum(alpha), parent, k))
+            return i
+
+        def combination(e, top):
+            # e(u) through degree top, as (constant series, product) pairs
+            width = _width(e.cap)
+            return [([((c,), e._den)], product(_unpack(key, n2, width)))
+                    for key, c in e._terms.items()
+                    if 0 < key >> n2 * width <= top]
+
+        # row a of R pairs (e(u), du_b/dx) over the entries e = (J - J_std)_ab;
+        # J(0) = J_std, so e is J_ab without its constant
+        self.entries, self.rows = [], [[] for _ in range(n2)]
+        for a, row in enumerate(j.entries):
+            for b, e in enumerate(row):
+                comb = combination(e, cap - 1)
+                if comb:
+                    self.rows[a].append((len(self.entries), b))
+                    self.entries.append(comb)
+        self.phi = [] if m is None else combination(m.phi, cap)
+        # the stratum through which the cap reads each product, for copy()
+        self.tops = {i: cap - 1 for comb in self.entries for _, i in comb}
+        self.tops.update((i, cap) for _, i in self.phi)
+        self.strata = [[None] * deg for deg, _, _ in table]
+        self.ux = [[] for _ in range(n2)]
+        self.eu = [[] for _ in self.entries]
+
+    def _fill(self, i, d):
+        """Form the strata of product i through d."""
+        s = self.strata[i]
+        if len(s) <= d:
+            _, parent, k = self.table[i]
+            self._fill(parent, d - 1)
+            pair = ((self.strata[parent], self.strata[k]),)
+            s.extend(_stratum(pair, t) for t in range(len(s), d + 1))
+
+    def copy(self) -> "_Transport":
+        for i, top in self.tops.items():
+            self._fill(i, min(top, self.order + self.table[i][0] - 1))
+        new = object.__new__(_Transport)
+        new.__dict__.update(self.__dict__)
+        new.strata = [list(s) for s in self.strata]
+        new.ux = [list(s) for s in self.ux]
+        new.eu = [list(s) for s in self.eu]
+        return new
+
+    def extend(self, *vecs):
+        """Add one order m per vec, the x-derivative d^m u/dx^m(0).
+
+        Stratum m of u is solved along the y-power q.  Its coefficients all
+        divide the denominator lcm(R, c_{m,0}) * m!, by induction on q, so
+        on numerators over it every division by q+1 is exact.
+        """
+        for vec in vecs:
+            if self.order == self.cap:
+                raise ValueError(f"the transport stops at its cap {self.cap}")
+            m = self.order = self.order + 1
+            low = m - 1
+            strata = self.strata
+            for comb, eu in zip(self.entries, self.eu):
+                for _, i in comb:
+                    self._fill(i, low)
+                eu.append(_stratum([(c, strata[i]) for c, i in comb], low))
+            r = [_stratum([(self.eu[e], self.ux[b]) for e, b in row], low)
+                 for row in self.rows]
+            den = lcm(*(v.denominator for v in vec),
+                      *(ri[1] for ri in r if ri is not None))
+            # numerators over den * m!: c_{m,0} = v / m!
+            cur = [int(v.numerator) * (den // v.denominator) for v in vec]
+            den *= factorial(m)
+            zero = [0] * m
+            rs = [zero if ri is None else [c * (den // ri[1]) for c in ri[0]]
+                  for ri in r]
+            # stratum m along the y-power q, one pair (x_i, y_i) at a time:
+            # (q+1) c_{m-1-q,q+1} = (m-q) J_std c_{m-q,q} + R_{m-1-q,q}
+            for i in range(0, self.n2, 2):
+                a, b = cur[i], cur[i + 1]
+                ra, rb = rs[i], rs[i + 1]
+                col_a, col_b = [a], [b]
+                for q in range(m):
+                    k = m - q
+                    a, b = (ra[q] - k * b) // (q + 1), (k * a + rb[q]) // (q + 1)
+                    col_a.append(a)
+                    col_b.append(b)
+                for c, col in ((i, col_a), (i + 1, col_b)):
+                    st = dx = None
+                    if any(col):
+                        g = gcd(den, *col)
+                        st = ([v // g for v in col], den // g)
+                        dx = ([(m - q) * v for q, v in enumerate(st[0][:m])],
+                              st[1])
+                    strata[c].append(st)
+                    self.ux[c].append(dx)
+
+    def read(self, d: int):
+        """d^d(phi . u)/dx^(d-q) dy^q at 0 for q = 0..d.
+
+        Orders missing up to d take zero x-derivatives, on a copy.
+        """
+        if d > self.order:
+            pad = self.copy()
+            pad.extend(*[(ZERO,) * self.n2] * (d - self.order))
+            return pad.read(d)
+        for _, i in self.phi:
+            self._fill(i, d)
+        st = _stratum([(c, self.strata[i]) for c, i in self.phi], d)
+        if st is None:
+            return [ZERO] * (d + 1)
+        return [Q(c * factorial(d - q) * factorial(q), st[1])
+                for q, c in enumerate(st[0])]
+
+    def disk(self) -> DiskJet:
+        """u as a DiskJet of cap order."""
+        # the lcm of reduced strata denominators leaves the numerators
+        # without a common factor with it, so each component is reduced
+        w = _width(self.order)
+        comps = []
+        for st in self.strata[:self.n2]:
+            den = lcm(*(s[1] for s in st if s is not None))
+            terms = {}
+            for d, s in enumerate(st):
+                if s is not None:
+                    scale = den // s[1]
+                    for q, c in enumerate(s[0]):
+                        if c:
+                            terms[(d << 2 * w) | ((d - q) << w) | q] = c * scale
+            comps.append(_new(2, self.order, terms, den))
+        return DiskJet(self.n2 // 2, comps)
+
+
+def propagate_cr_jet(x_derivs, j: ACStructure, order: int | None = None) -> DiskJet:
+    """Disk jet with the given x-axis derivatives, transported by J.
+
+    x_derivs[m-1] is d^m u/dx^m(0) for m = 1..len(x_derivs); missing orders up
+    to the requested cap are padded with zero.  The returned jet satisfies the
+    transport equation through cap-1 and is the unique such jet.  It is a
+    _Transport extended to order, one stratum per order.
+    """
+    n2 = 2 * j.n
     derivs = [tuple(rat(v) for v in vec) for vec in x_derivs]
     for vec in derivs:
         if len(vec) != n2:
             raise ValueError("x-axis derivative has wrong arity")
     if order is None:
         order = len(derivs)
-    derivs = derivs[:order] + [(ZERO,) * n2] * (order - len(derivs))
-    if not j.is_standard and j.cap < max(order - 1, 0):
-        raise CapError(
-            f"structure cap {j.cap} too small to transport to order {order}"
-        )
-
-    strata = [[None] for _ in range(n2)]  # of u_i, by degree
-    ux = [[] for _ in range(n2)]          # of du_i/dx, by degree
-    # the products u^alpha with 2 <= |alpha| <= order-1 that the entries of
-    # J - J_std need, parents first: (|alpha|, strata, parent strata, u_k)
-    products = []
-    power = {tuple(int(i == k) for i in range(n2)): strata[k]
-             for k in range(n2)}
-
-    def product(alpha):
-        s = power.get(alpha)
-        if s is None:
-            k = max(i for i, e in enumerate(alpha) if e)
-            parent = product(alpha[:k] + (alpha[k] - 1,) + alpha[k + 1:])
-            s = power[alpha] = []
-            products.append((sum(alpha), s, parent, strata[k]))
-        return s
-
-    # row a of R: pairs (e(u), du_b/dx) for the entries e = (J - J_std)_ab;
-    # e(u) sums (coefficient, product) pairs, a coefficient being a
-    # constant series.  J(0) = J_std, so e is J_ab without its constant.
-    rows = [[] for _ in range(n2)]
-    entries = []
-    width = _width(j.cap)
-    for a in range(n2):
-        for b in range(n2):
-            e = j.entries[a][b]
-            comb = []
-            for key, c in e._terms.items():
-                alpha = _unpack(key, n2, width)
-                if 0 < sum(alpha) < order:
-                    comb.append(([((c,), e._den)], product(alpha)))
-            if comb:
-                eu = []
-                entries.append((eu, comb))
-                rows[a].append((eu, ux[b]))
-
-    w = _width(order)
-    f = 1
-    for m in range(1, order + 1):
-        f *= m
-        low = m - 1
-        for deg, s, parent, uk in products:
-            s.append(_stratum(((parent, uk),), low) if deg <= low else None)
-        for eu, comb in entries:
-            eu.append(_stratum(comb, low))
-        r = [_stratum(row, low) for row in rows]
-        vec = derivs[m - 1]
-        den = lcm(*(v.denominator for v in vec),
-                  *(ri[1] for ri in r if ri is not None))
-        # numerators over den * m!: c_{m,0} = v / m!
-        cur = [int(v.numerator) * (den // v.denominator) for v in vec]
-        den *= f
-        zero = [0] * m
-        rs = [zero if ri is None else [c * (den // ri[1]) for c in ri[0]]
-              for ri in r]
-        # stratum m along the y-power q, one pair (x_i, y_i) at a time:
-        # (q+1) c_{m-1-q,q+1} = (m-q) J_std c_{m-q,q} + R_{m-1-q,q}
-        for i in range(0, n2, 2):
-            a, b = cur[i], cur[i + 1]
-            ra, rb = rs[i], rs[i + 1]
-            col_a, col_b = [a], [b]
-            for q in range(m):
-                k = m - q
-                a, b = (ra[q] - k * b) // (q + 1), (k * a + rb[q]) // (q + 1)
-                col_a.append(a)
-                col_b.append(b)
-            for c, col in ((i, col_a), (i + 1, col_b)):
-                st = dx = None
-                if any(col):
-                    g = gcd(den, *col)
-                    st = ([v // g for v in col], den // g)
-                    dx = ([(m - q) * v for q, v in enumerate(st[0][:m])], st[1])
-                strata[c].append(st)
-                ux[c].append(dx)
-
-    # the lcm of reduced strata denominators leaves the numerators without a
-    # common factor with it, so each component is reduced as built
-    comps = []
-    for st in strata:
-        den = lcm(*(s[1] for s in st if s is not None))
-        terms = {}
-        for d, s in enumerate(st):
-            if s is not None:
-                scale = den // s[1]
-                for q, c in enumerate(s[0]):
-                    if c:
-                        terms[(d << 2 * w) | ((d - q) << w) | q] = c * scale
-        comps.append(_new(2, order, terms, den))
-    return DiskJet(n, comps)
+    state = _Transport(j, order)
+    state.extend(*derivs[:order], *[(ZERO,) * n2] * (order - len(derivs)))
+    return state.disk()
 
 
 def is_cr_jet(u: DiskJet, j: ACStructure) -> bool:

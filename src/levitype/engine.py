@@ -12,12 +12,7 @@ from dataclasses import dataclass, replace
 from itertools import product
 from math import isqrt
 
-from .disks import (
-    DiskJet,
-    compose_phi_u,
-    contact_order,
-    propagate_cr_jet,
-)
+from .disks import DiskJet, _Transport, contact_order, propagate_cr_jet
 from .errors import CapError, GeometryError, TheoremViolation
 from .geometry import (
     ACStructure,
@@ -34,7 +29,7 @@ from .geometry import (
     word_table,
 )
 from .jets import TruncatedSeries
-from .levi import hermitian_levi_matrix, levi_trace
+from .levi import _levi_values, hermitian_levi_matrix, levi_trace
 from .linalg import mat_vec, real_symmetric_signature, solve_affine
 from .rational import Q, ZERO, rat
 
@@ -184,9 +179,20 @@ class CommutationReport:
 
 
 def _lyndon_words(length: int) -> list:
-    """Words on {0, 1} of the given length strictly below each rotation."""
-    return [w for w in product((0, 1), repeat=length)
-            if all(w < w[i:] + w[:i] for i in range(1, length))]
+    """Words on {0, 1} of the given length strictly below each rotation, in
+    lexicographic order, by Duval's (Fredricksen-Kessler-Maiorana) algorithm.
+    """
+    out, w = [], [-1]
+    while w:
+        w[-1] += 1
+        if len(w) == length:
+            out.append(tuple(w))
+        period = len(w)
+        while len(w) < length:
+            w.append(w[len(w) - period])
+        while w and w[-1] == 1:
+            w.pop()
+    return out
 
 
 def commutation_defect(x: VectorField, j: ACStructure,
@@ -401,13 +407,12 @@ class _Stager:
 
     # -- trace probes
 
-    def trace(self, jets, order):
-        u = propagate_cr_jet(jets, self.j, order=order)
-        return compose_phi_u(self.m, u)
-
-    def level_values(self, jets, ell):
-        tr = levi_trace(self.m, self.j, jets, ell)
-        return [tr.levi_entry(i, ell - i) for i in range(ell, -1, -1)]
+    def trace(self, state, vec):
+        """Stratum state.cap of phi . u, as _Transport.read gives it, for
+        the x-derivatives of state, then vec, then zeros."""
+        fork = state.copy()
+        fork.extend(vec)
+        return fork.read(state.cap)
 
     def _solve_normal_2x2(self, rhs1, rhs2):
         sol = solve_affine([[self.p0, self.q0], [self.q0, -self.p0]],
@@ -422,12 +427,13 @@ class _Stager:
         chain the whole degree-mnext stratum to these two heads, so the
         stratum must vanish entirely; that is asserted, not assumed.
         """
-        zero = _vec_zero(2 * self.m.n)
-        tr = self.trace(jets + [zero], mnext)
-        vec = self._solve_normal_2x2(-tr.a(mnext, 0), -tr.a(mnext - 1, 1))
-        tr2 = self.trace(jets + [vec], mnext)
+        state = _Transport(self.j, mnext, self.m)
+        state.extend(*jets)
+        a = state.read(mnext)
+        vec = self._solve_normal_2x2(-a[0], -a[1])
+        a2 = self.trace(state, vec)
         for p in range(mnext + 1):
-            if tr2.a(p, mnext - p) != 0:
+            if a2[mnext - p] != 0:
                 raise TheoremViolation(
                     f"degree-{mnext} stratum survives normal forcing at "
                     f"({p},{mnext - p})")
@@ -435,8 +441,7 @@ class _Stager:
 
     def support_u2(self, u1):
         """Second derivative making phi.u = L(u1)/2 (x^2+y^2) + higher."""
-        tr = self.trace([u1], 2)
-        a_, b_, c_ = tr.a(2, 0), tr.a(1, 1), tr.a(0, 2)
+        a_, b_, c_ = self.trace(_Transport(self.j, 2, self.m), u1)
         return self._solve_normal_2x2((c_ - a_) / Q(2), -b_)
 
     # -- stages
@@ -449,10 +454,12 @@ class _Stager:
         (u_next, nullspace) or None when the system is inconsistent.
         """
         zero_t = [ZERO] * self.d
+        state = _Transport(self.j, ell + 2, self.m)
+        state.extend(*jets)
 
         def probe(tcoords):
             vec = _vec_add(normals_next, self.tangential(tcoords))
-            return self.level_values(jets + [vec], ell)
+            return _levi_values(self.trace(state, vec))[::-1]
 
         base = probe(zero_t)
         cols = []
@@ -518,8 +525,7 @@ class _Stager:
                           u, None, obstruction)
 
     def run_from_u1(self, u1, unique_start, certify):
-        vals = self.level_values([u1], 0)
-        if vals[0] != 0:
+        if levi_trace(self.m, self.j, [u1], 0)[0] != 0:
             return self.witness_report(
                 [u1, self.support_u2(u1)], 2, False, False,
                 "chosen direction has nonzero Levi value")
@@ -698,12 +704,12 @@ def cross_validate(m: Hypersurface, j: ACStructure,
         raise TheoremViolation(
             f"realized field commutes to {crep.max_vanishing_order}, "
             f"expected {k + 1}")
-    x_jet = [u.derivative(mm, 0) for mm in range(1, k + 2)]
     slots = 0
+    state = _Transport(j, k + 1, m)
     for s in range(k):
-        tr = levi_trace(m, j, x_jet, s)
-        for p in range(s + 1):
-            if tr.levi_entry(p, s - p) != 0:
+        state.extend(u.derivative(s + 1, 0))
+        for p, value in enumerate(_levi_values(state.read(s + 2))):
+            if value != 0:
                 raise TheoremViolation(
                     f"L^({p},{s - p}) nonzero on a contact-{co.order} witness")
             slots += 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .disks import DiskTrace, compose_phi_u, propagate_cr_jet
+from .disks import _Transport
 from .errors import CapError, ClosedFormMismatch, GeometryError
 from .geometry import (
     ACStructure,
@@ -279,17 +279,29 @@ def classify_point(m: Hypersurface, j: ACStructure) -> Classification:
     return hermitian_levi_matrix(m, j).classify()
 
 
-def levi_trace(m: Hypersurface, j: ACStructure, x_jet, s: int) -> DiskTrace:
-    """phi . u for the disk from x_jet[:s + 1], padded to order s + 2.
+def _levi_values(a):
+    """L^(p, s - p) = a(p+2, s-p) + a(p, s-p+2), p = 0..s, from stratum s+2
+    of phi . u as _Transport.read gives it."""
+    s = len(a) - 3
+    return [a[s - p] + a[s + 2 - p] for p in range(s + 1)]
 
-    Every L^(p, s - p) is the levi_entry(p, s - p) of this one trace.
+
+def levi_trace(m: Hypersurface, j: ACStructure, x_jet, s: int):
+    """L^(p, s - p) for p = 0..s on the disk from x_jet[:s + 1].
+
+    The disk is padded with a zero (s+2)-th x-derivative; the values do not
+    depend on the padding.
     """
+    if s < 0:
+        raise ValueError(f"L^(p,q) needs p + q >= 0, got {s}")
     if s + 2 > m.cap:
         raise CapError(
             f"L^(p,q) with p + q = {s} needs phi cap >= {s + 2}, have {m.cap}")
     if len(x_jet) < s + 1:
         raise ValueError(f"need {s + 1} x-derivatives, got {len(x_jet)}")
-    return compose_phi_u(m, propagate_cr_jet(x_jet[:s + 1], j, order=s + 2))
+    state = _Transport(j, s + 2, m)
+    state.extend(*x_jet[:s + 1])
+    return _levi_values(state.read(s + 2))
 
 
 def higher_levi(m: Hypersurface, j: ACStructure, x_jet, p: int, q: int):
@@ -300,8 +312,10 @@ def higher_levi(m: Hypersurface, j: ACStructure, x_jet, p: int, q: int):
     (p,q)-derivative of the disk Laplacian at 0, a(p+2,q) + a(p,q+2).  The
     value does not depend on the padding.
     """
+    if p < 0 or q < 0:
+        raise ValueError(f"L^(p,q) needs p, q >= 0, got ({p},{q})")
     jets = [tuple(rat(v) for v in vec) for vec in x_jet]
-    return levi_trace(m, j, jets, p + q).levi_entry(p, q)
+    return levi_trace(m, j, jets, p + q)[p]
 
 
 def _dir_derivative(series: TruncatedSeries, vec):

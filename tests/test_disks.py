@@ -16,7 +16,7 @@ from levitype import (
     propagate_cr_jet,
     reparametrize_disk_jet,
 )
-from levitype.disks import holomorphic_reparam_series, is_cr_jet
+from levitype.disks import _Transport, holomorphic_reparam_series, is_cr_jet
 from levitype.geometry import apply_jstd
 
 from conftest import (
@@ -222,6 +222,43 @@ class TestPerturbedTransport:
                     assert u.cap == order
                     for c in u.components:
                         assert c == TruncatedSeries(2, order, dict(c.terms()))
+
+    def test_copied_state_packs_to_the_transported_disk(self):
+        # a copy extended with the rest of the derivatives is the disk
+        # transported from scratch, term for term, and the state copied
+        # from goes on unchanged
+        rng = make_rng("disks-copy")
+        for n in (1, 2, 3):
+            cap = 6 if n <= 2 else 5
+            for j in (ACStructure.standard(n, cap),
+                      random_structure(rng, n, cap),
+                      nonlinear_structure(rng, n, cap)):
+                m = random_phi(rng, n, cap)
+                derivs = [tuple(Q(c) for c in random_vector(rng, 2 * n, 2))
+                          for _ in range(cap)]
+                other = [tuple(Q(c) for c in random_vector(rng, 2 * n, 2))
+                         for _ in range(cap)]
+                for split in range(cap + 1):
+                    base = _Transport(j, cap, m)
+                    for vec in derivs[:split]:
+                        base.extend(vec)
+                    if split >= 2:
+                        base.read(split)  # fills some product strata
+                    fork = base.copy()
+                    for vec in other[split:]:
+                        fork.extend(vec)
+                    for vec in derivs[split:]:
+                        base.extend(vec)
+                    for state, vecs in ((fork, derivs[:split] + other[split:]),
+                                        (base, derivs)):
+                        u = propagate_cr_jet(vecs, j, cap)
+                        disk = state.disk()
+                        assert disk == u
+                        for c, d in zip(disk.components, u.components):
+                            assert (c._terms, c._den) == (d._terms, d._den)
+                        assert state.read(cap) == [
+                            compose_phi_u(m, u).a(cap - q, q)
+                            for q in range(cap + 1)]
 
     def test_structure_cap_guard(self):
         rng = make_rng("disks-capguard")

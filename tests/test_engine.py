@@ -5,8 +5,10 @@ from itertools import combinations, product
 
 import pytest
 
+import levitype.disks as disks
 import levitype.engine as engine
 import levitype.geometry as geometry
+import levitype.levi as levi
 from levitype import (
     ACStructure,
     CapError,
@@ -287,6 +289,14 @@ class TestCommutation:
         for length, ws in words.items():
             for w in ws:
                 assert all(w < w[i:] + w[:i] for i in range(1, length))
+
+    def test_lyndon_words_match_the_rotation_filter(self):
+        # Duval's generation against the filter over all 2^m words, which
+        # also fixes their lexicographic order (the defect labels' order)
+        for length in range(1, 15):
+            assert engine._lyndon_words(length) == [
+                w for w in product((0, 1), repeat=length)
+                if all(w < w[i:] + w[:i] for i in range(1, length))]
 
     @pytest.mark.parametrize("a, b", [(a, d - a) for d in range(1, 8)
                                       for a in range(d + 1)])
@@ -618,6 +628,49 @@ class TestCrossValidation:
             rec = cross_validate(m, j, rep)
             assert rec.k == rep.lower_bound - 2
             assert rec.contact_order >= rec.k + 2
+
+    def test_probes_and_degrees_fork_one_transport(self, monkeypatch):
+        # the stager's probes and cross_validate's degrees copy a transport
+        # state; only the witness's whole trace (contact_order) and its
+        # disk (witness_report) are built from scratch
+        calls = []
+        for module, name in product((disks, engine, levi),
+                                    ("propagate_cr_jet", "compose_phi_u")):
+            if not hasattr(module, name):
+                continue
+
+            def counting(*args, _call=getattr(module, name), _name=name,
+                         **kwargs):
+                calls.append(_name)
+                return _call(*args, **kwargs)
+            monkeypatch.setattr(module, name, counting)
+        levels = []
+        attempt = engine._Stager.attempt_level
+
+        def watched(self, *args):
+            start = len(calls)
+            out = attempt(self, *args)
+            levels.append(calls[start:])
+            return out
+        monkeypatch.setattr(engine._Stager, "attempt_level", watched)
+        harmonic3 = surface(3, 10, {(0, 0, 0, 0, 1, 0): 2,
+                                    (2, 0, 0, 0, 0, 0): 1,
+                                    (0, 2, 0, 0, 0, 0): -1})
+        for m, j, k_max, k in ((QUARTIC, JSTD, 6, 2), (HARMONIC, JSTD, 8, 6),
+                               (SEXTIC, JSTD, 8, 4),
+                               (harmonic3, perturbed_structure(3, 10, 1), 6,
+                                3)):
+            levels.clear()
+            rep = type_search(m, j, k_max)
+            assert levels and all(not c for c in levels)
+            if m is QUARTIC:
+                assert rep.obstruction == (
+                    "inconsistent affine system at stage 3 "
+                    "(constraints L^(i,j), i+j=2)")
+            calls.clear()
+            rec = cross_validate(m, j, rep)
+            assert rec.k == k
+            assert calls == ["compose_phi_u"]
 
     def test_needs_a_witness(self):
         bare = TypeReport((0, 0, 0, 0), 2, False, False, None, None, None)

@@ -263,6 +263,39 @@ class TestHigherLevi:
         with pytest.raises(ValueError):
             higher_levi(SPHERE, JSTD, [E1], 1, 0)
 
+    def test_negative_indices_rejected_before_transport(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("transported a disk for a negative index")
+        monkeypatch.setattr(levi, "_Transport", forbidden)
+        for p, q in ((-1, 2), (2, -1), (-1, 1), (1, -1), (-1, -1)):
+            with pytest.raises(ValueError):
+                higher_levi(SPHERE, JSTD, [E1, E1, E1], p, q)
+        for s in (-1, -2):
+            with pytest.raises(ValueError):
+                levi.levi_trace(SPHERE, JSTD, [E1], s)
+
+    def test_trace_values_match_the_whole_trace(self):
+        # every L^(p, s - p) that levi_trace reads off one stratum equals
+        # the levi_entry of the whole phi . u of the padded disk
+        rng = make_rng("levi-trace-oracle")
+        for n in (1, 2, 3, 4):
+            cap = 6 if n <= 2 else 5
+            for j in (ACStructure.standard(n, cap),
+                      random_structure(rng, n, cap),
+                      nonlinear_structure(rng, n, cap)):
+                m = random_phi(rng, n, cap, 4 if n <= 3 else 3)
+                for s in range(cap - 1):
+                    # zero vectors and zero entries; x_jet cut at s + 1
+                    jets = [tuple(c if rng.random() < 0.7 else 0
+                                  for c in random_vector(rng, 2 * n, 2))
+                            if rng.random() < 0.8 else (0,) * (2 * n)
+                            for _ in range(s + 1 + rng.choice((0, 0, 1, 2)))]
+                    jets = [tuple(Q(c) for c in v) for v in jets]
+                    tr = compose_phi_u(
+                        m, propagate_cr_jet(jets[:s + 1], j, s + 2))
+                    assert levi.levi_trace(m, j, jets, s) == [
+                        tr.levi_entry(p, s - p) for p in range(s + 1)]
+
 
 class TestPrintedClosedForms:
     def test_first_form_pinned(self):

@@ -14,11 +14,15 @@ under ``perturbed_structure(num_vars // 2, cap, SEED)``, and
 terms of degree 2..5) along that transported disk, and
 ``hermitian_levi_matrix`` of a surface 2 x_last + (LEVI_TERMS terms of
 degree 2..3) under J_std (``levi_std``) and under that structure
-(``levi_perturbed``), for n = num_vars // 2 >= 2.  It writes
+(``levi_perturbed``), for n = num_vars // 2 >= 2, and ``levi_trace``:
+every L^(p, s - p), s = 0..cap-2, on the disk of the first s + 1 of the
+``transport`` row's x-derivatives, under its structure, on the
+``compose_phi_u`` row's surface.  It writes
 ``BENCH_<label>.json`` (into ``--out``, default the checkout root).  The
 inputs are fixed by a seeded generator, so two kernels see the same
 operands; each row carries a digest of the result (of every component, for
-a disk), and rows with equal digests computed the same series.  ``--src``
+a disk, of every value, for ``levi_trace``), and rows with equal digests
+computed the same result.  ``--src``
 imports levitype from another source tree, which times an earlier kernel
 with this script; the git sha recorded is that of the tree imported.
 
@@ -107,6 +111,7 @@ def operands(lev, num_vars, cap, seed):
     levi_surface = lev.Hypersurface(num_vars // 2,
                                     series(num_vars, cap, levi_terms))
     j_std = lev.ACStructure.standard(num_vars // 2, cap)
+    # levi_trace reuses operands drawn above and draws none
     ops = {
         "mul": (lambda: a * b, (a, b)),
         "compose": (lambda: outer.compose(disk), (outer,)),
@@ -118,6 +123,8 @@ def operands(lev, num_vars, cap, seed):
         "compose_phi_u": (lambda: lev.compose_phi_u(surface, u).series,
                           (surface.phi, *u.components)),
     }
+    ops["levi_trace"] = (lambda: trace_values(lev, surface, j, derivs, cap),
+                         (surface.phi, *j_plus))
     if num_vars >= 4:  # n = 1 has no complex tangent directions
         ops["levi_std"] = (
             lambda: lev.hermitian_levi_matrix(levi_surface, j_std),
@@ -126,6 +133,17 @@ def operands(lev, num_vars, cap, seed):
             lambda: lev.hermitian_levi_matrix(levi_surface, j),
             (levi_surface.phi, *j_plus))
     return ops
+
+
+def trace_values(lev, surface, j, derivs, cap) -> list:
+    """[L^(p, s - p) for p = 0..s] for s = 0..cap-2."""
+    out = []
+    for s in range(cap - 1):
+        values = lev.levi.levi_trace(surface, j, derivs, s)
+        if hasattr(values, "levi_entry"):  # trees where it returns phi . u
+            values = [values.levi_entry(p, s - p) for p in range(s + 1)]
+        out.append(values)
+    return out
 
 
 def seconds_per_call(fn) -> float:
@@ -148,7 +166,9 @@ def seconds_per_call(fn) -> float:
 
 def parts(result) -> tuple:
     """The series of a result: itself, a disk's components, or those of a
-    Levi matrix's basis fields."""
+    Levi matrix's basis fields; levi_trace values hold none."""
+    if isinstance(result, list):
+        return ()
     if isinstance(result, tuple):
         return result
     if hasattr(result, "basis"):
@@ -160,6 +180,8 @@ def digest(result) -> str:
     h = hashlib.sha256()
     for s in parts(result):
         h.update(repr((s.num_vars, s.cap, s.as_list())).encode())
+    if isinstance(result, list):  # levi_trace values
+        h.update(repr([[str(v) for v in row] for row in result]).encode())
     if hasattr(result, "entries"):  # a Levi matrix's polar form
         h.update(repr([[str(e) for e in row]
                        for row in result.entries]).encode())
@@ -185,7 +207,9 @@ def main(argv=None) -> int:
                 rows.append({
                     "op": op, "num_vars": num_vars, "cap": cap,
                     "terms_in": [len(s.as_list()) for s in inputs],
-                    "terms_out": sum(len(s.as_list()) for s in parts(result)),
+                    "terms_out": (sum(map(len, result))
+                                  if isinstance(result, list) else
+                                  sum(len(s.as_list()) for s in parts(result))),
                     "digest": digest(result),
                     "seconds": seconds_per_call(fn),
                 })
