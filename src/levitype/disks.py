@@ -149,6 +149,8 @@ class _Transport:
 
     def __init__(self, j: ACStructure, cap: int, m: Hypersurface | None = None):
         n2 = 2 * j.n
+        if m is not None and m.n != j.n:
+            raise ValueError(f"surface in C^{m.n}, structure on C^{j.n}")
         if not j.is_standard and j.cap < max(cap - 1, 0):
             raise CapError(
                 f"structure cap {j.cap} too small to transport to order {cap}")
@@ -210,7 +212,8 @@ class _Transport:
         return new
 
     def extend(self, *vecs):
-        """Add one order m per vec, the x-derivative d^m u/dx^m(0).
+        """Add one order m per vec, the x-derivative d^m u/dx^m(0); returns
+        the state.
 
         Stratum m of u is solved along the y-power q.  Its coefficients all
         divide the denominator lcm(R, c_{m,0}) * m!, by induction on q, so
@@ -219,6 +222,8 @@ class _Transport:
         for vec in vecs:
             if self.order == self.cap:
                 raise ValueError(f"the transport stops at its cap {self.cap}")
+            if len(vec) != self.n2:
+                raise ValueError("x-axis derivative has wrong arity")
             m = self.order = self.order + 1
             low = m - 1
             strata = self.strata
@@ -256,6 +261,7 @@ class _Transport:
                               st[1])
                     strata[c].append(st)
                     self.ux[c].append(dx)
+        return self
 
     def read(self, d: int):
         """d^d(phi . u)/dx^(d-q) dy^q at 0 for q = 0..d.

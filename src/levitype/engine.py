@@ -29,7 +29,7 @@ from .geometry import (
     word_table,
 )
 from .jets import TruncatedSeries
-from .levi import _levi_values, hermitian_levi_matrix, levi_trace
+from .levi import _levi_values, hermitian_levi_matrix
 from .linalg import mat_vec, real_symmetric_signature, solve_affine
 from .rational import Q, ZERO, rat
 
@@ -170,29 +170,12 @@ class CommutationReport:
     """Vanishing orders of the four equivalent commutation criteria."""
 
     order_tested: int
-    # Lyndon bracket -> value at 0, first failing length only; the Lyndon
-    # brackets span all brackets of their length, so they fail first
+    # sorted right-normed bracket -> value at 0, first failing length only;
+    # these brackets decide each length, so they fail first
     defects: dict
     max_vanishing_order: int
     criterion_orders: dict  # criterion index 1..4 -> vanishing order
     agreement: bool
-
-
-def _lyndon_words(length: int) -> list:
-    """Words on {0, 1} of the given length strictly below each rotation, in
-    lexicographic order, by Duval's (Fredricksen-Kessler-Maiorana) algorithm.
-    """
-    out, w = [], [-1]
-    while w:
-        w[-1] += 1
-        if len(w) == length:
-            out.append(tuple(w))
-        period = len(w)
-        while len(w) < length:
-            w.append(w[len(w) - period])
-        while w and w[-1] == 1:
-            w.pop()
-    return out
 
 
 def commutation_defect(x: VectorField, j: ACStructure,
@@ -204,7 +187,8 @@ def commutation_defect(x: VectorField, j: ACStructure,
     rotating one X slot; (3) all iterated Lie brackets of lengths 2..k
     vanish at 0; (4) derivatives of [X, JX] of orders <= k-2 vanish at 0.
     All four are equivalent at the same order, so the report carries an
-    agreement flag and disagreement raises TheoremViolation.
+    agreement flag and disagreement raises TheoremViolation.  (1) and (4)
+    test the same vectors, as D_s is linear, but are computed apart.
 
     Criteria 1 and 4 read only the sorted words s = JX^q X^p.  With no
     curvature, D_A D_B F - D_B D_A F = D_[A,B] F, so a swap of the last two
@@ -214,11 +198,15 @@ def commutation_defect(x: VectorField, j: ACStructure,
     the last letter), so it suffices to compare word(s + (X, JX)) with
     word(s + (JX, X)), and to test D_s[X, JX](0), over the sorted s.
 
-    Criterion 3 brackets only the Lyndon words on {X, JX}, each as [[u], [v]]
-    with v its longest proper Lyndon suffix.  These brackets span every
-    bracket of the same length over the integers (Chen-Fox-Lyndon;
-    Reutenauer, Free Lie Algebras, ch. 5), so all brackets of a length
-    vanish at 0 exactly when the Lyndon ones do, and the order is the same.
+    Criterion 3 forms only the sorted right-normed brackets
+    ad_JX^q ad_X^p [X, JX], p + q = m - 2, each a letter bracketed with one
+    of length m - 1: k(k-1)/2 in all.  Right-normed brackets span every
+    bracket of their length (Dynkin-Specht-Wever), so the
+    ad_Z1 ... ad_Z(m-2) [X, JX] span length m.  Once shorter brackets vanish
+    at 0, such a bracket equals D_Z1 ... D_Z(m-2) [X, JX] there: ad_Z W =
+    D_Z W - D_W Z, and each D_W Z term, and each derivative of one, carries
+    a shorter bracket W at 0.  By the lemma, those word values depend only
+    on letter counts, so the sorted brackets fail first, at the same order.
     """
     if k < 1:
         raise ValueError("commutation order must be at least 1")
@@ -254,19 +242,19 @@ def commutation_defect(x: VectorField, j: ACStructure,
     defects = {}
 
     def crit3():
-        fields = {(0,): base[0], (1,): base[1]}
-        labels = {(0,): "X", (1,): "JX"}
+        # level[p] = (label, ad_JX^q ad_X^p [X, JX]), p + q = length - 2
+        level = [("[X,JX]", word((2,)))] if k >= 2 else []
         for length in range(2, k + 1):
-            for w in _lyndon_words(length):
-                v = next(w[i:] for i in range(1, length) if w[i:] in fields)
-                u = w[:length - len(v)]
-                c = min(fields[u].cap, fields[v].cap)
-                fields[w] = lie_bracket(fields[u].truncate(c),
-                                        fields[v].truncate(c))
-                labels[w] = f"[{labels[u]},{labels[v]}]"
-                val = fields[w].at_zero()
+            if length > 2:
+                bx, bjx = (f.truncate(level[0][1].cap) for f in base)
+                top = level[-1]
+                level = [(f"[JX,{s}]", lie_bracket(bjx, f))
+                         for s, f in level]
+                level.append((f"[X,{top[0]}]", lie_bracket(bx, top[1])))
+            for label, f in level:
+                val = f.at_zero()
                 if not _is_zero_vec(val):
-                    defects[labels[w]] = val
+                    defects[label] = val
             if defects:
                 return length - 1
         return k
@@ -407,31 +395,28 @@ class _Stager:
 
     # -- trace probes
 
-    def trace(self, state, vec):
-        """Stratum state.cap of phi . u, as _Transport.read gives it, for
-        the x-derivatives of state, then vec, then zeros."""
-        fork = state.copy()
-        fork.extend(vec)
-        return fork.read(state.cap)
-
     def _solve_normal_2x2(self, rhs1, rhs2):
         sol = solve_affine([[self.p0, self.q0], [self.q0, -self.p0]],
                            [rhs1, rhs2])
         a, b = sol.particular
         return _vec_add(_vec_scale(a, self.n0), _vec_scale(b, self.jn0))
 
-    def force_normals(self, jets, mnext):
+    def start(self, u1):
+        """u1 transported to cap 2: its Levi value, u2 and first normals."""
+        return _Transport(self.j, 2, self.m).extend(u1)
+
+    def force_normals(self, state):
         """Normal part of u_mnext killing the two leading trace heads.
 
-        After the stage at level mnext-2 is solved, the pairwise relations
-        chain the whole degree-mnext stratum to these two heads, so the
-        stratum must vanish entirely; that is asserted, not assumed.
+        state holds the jets through mnext-1 and has cap mnext.  After the
+        stage at level mnext-2 is solved, the pairwise relations chain the
+        whole degree-mnext stratum to these two heads, so the stratum must
+        vanish entirely; that is asserted, not assumed.
         """
-        state = _Transport(self.j, mnext, self.m)
-        state.extend(*jets)
+        mnext = state.cap
         a = state.read(mnext)
         vec = self._solve_normal_2x2(-a[0], -a[1])
-        a2 = self.trace(state, vec)
+        a2 = state.copy().extend(vec).read(mnext)
         for p in range(mnext + 1):
             if a2[mnext - p] != 0:
                 raise TheoremViolation(
@@ -439,27 +424,27 @@ class _Stager:
                     f"({p},{mnext - p})")
         return vec
 
-    def support_u2(self, u1):
-        """Second derivative making phi.u = L(u1)/2 (x^2+y^2) + higher."""
-        a_, b_, c_ = self.trace(_Transport(self.j, 2, self.m), u1)
+    def support_u2(self, state):
+        """u2 making phi.u = L(u1)/2 (x^2+y^2) + higher, from start(u1)."""
+        a_, b_, c_ = state.read(2)
         return self._solve_normal_2x2((c_ - a_) / Q(2), -b_)
 
     # -- stages
 
-    def attempt_level(self, jets, normals_next, ell):
+    def attempt_level(self, state, normals_next):
         """Solve the level-ell constraints for the tangential unknown.
 
-        The constraints are affine in the tangential coordinates of the
-        newest derivative; a mixed probe cross-checks that.  Returns
-        (u_next, nullspace) or None when the system is inconsistent.
+        state holds the ell jets found, at cap ell + 2; each probe copies
+        it.  The constraints are affine in the tangential coordinates of the
+        newest derivative; a mixed probe cross-checks that.  Returns (u_next,
+        nullspace) or None when the system is inconsistent.
         """
+        ell = state.order
         zero_t = [ZERO] * self.d
-        state = _Transport(self.j, ell + 2, self.m)
-        state.extend(*jets)
 
         def probe(tcoords):
             vec = _vec_add(normals_next, self.tangential(tcoords))
-            return _levi_values(self.trace(state, vec))[::-1]
+            return _levi_values(state.copy().extend(vec).read(ell + 2))[::-1]
 
         base = probe(zero_t)
         cols = []
@@ -525,16 +510,18 @@ class _Stager:
                           u, None, obstruction)
 
     def run_from_u1(self, u1, unique_start, certify):
-        if levi_trace(self.m, self.j, [u1], 0)[0] != 0:
+        state = self.start(u1)
+        if _levi_values(state.read(2))[0] != 0:
             return self.witness_report(
-                [u1, self.support_u2(u1)], 2, False, False,
+                [u1, self.support_u2(state)], 2, False, False,
                 "chosen direction has nonzero Levi value")
         jets = [u1]
         unique = unique_start
-        normals_next = self.force_normals(jets, 2)
+        normals_next = self.force_normals(state)
         while 2 + len(jets) < self.k_max:
             ell = len(jets)
-            res = self.attempt_level(jets, normals_next, ell)
+            state = _Transport(self.j, ell + 2, self.m).extend(*jets)
+            res = self.attempt_level(state, normals_next)
             if res is None:
                 lb = ell + 2
                 return self.witness_report(
@@ -545,7 +532,8 @@ class _Stager:
             if unique and not self.gauge_span_ok(u1, nullspace):
                 unique = False
             jets.append(vec)
-            normals_next = self.force_normals(jets, len(jets) + 1)
+            state.extend(vec)
+            normals_next = self.force_normals(state)
         return self.witness_report(jets + [normals_next], self.k_max,
                                    False, True, None)
 
@@ -559,7 +547,7 @@ class _Stager:
             sign = "positive" if neg == 0 else "negative"
             u1 = self.normalize_u1(self.taus[0])
             return self.witness_report(
-                [u1, self.support_u2(u1)], 2, True, False,
+                [u1, self.support_u2(self.start(u1))], 2, True, False,
                 f"Levi form {sign} definite: no isotropic direction exists")
         if pos == 0 or neg == 0:
             kernel = solve_affine(r0, [ZERO] * self.d).nullspace
@@ -569,7 +557,7 @@ class _Stager:
         if t is None:
             u1 = self.normalize_u1(self.taus[0])
             return self.witness_report(
-                [u1, self.support_u2(u1)], 2, False, False,
+                [u1, self.support_u2(self.start(u1))], 2, False, False,
                 "indefinite Levi form with no rational isotropic direction "
                 "found; bound is not certified")
         u1 = self.normalize_u1(self.tangential(t))

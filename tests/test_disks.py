@@ -260,6 +260,16 @@ class TestPerturbedTransport:
                             compose_phi_u(m, u).a(cap - q, q)
                             for q in range(cap + 1)]
 
+    def test_wrong_arity_rejected(self):
+        j = ACStructure.standard(2, 4)
+        for vec in ((1, 0, 0), (1, 0, 0, 0, 0, 0)):
+            with pytest.raises(ValueError, match="wrong arity"):
+                propagate_cr_jet([(1, 0, 0, 0), vec], j, 3)
+            state = _Transport(j, 3)
+            with pytest.raises(ValueError, match="wrong arity"):
+                state.extend(vec)
+            assert state.order == 0
+
     def test_structure_cap_guard(self):
         rng = make_rng("disks-capguard")
         j = random_structure(rng, 2, 2)

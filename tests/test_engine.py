@@ -73,12 +73,12 @@ def sphere_tangent():
     return VectorField(2, [one, zero, mx1, y1])
 
 
-def harmonic_tangent():
+def harmonic_tangent(cap=CAP):
     """X = d/dx1 - x1 d/dx2 - y1 d/dy2: commutes with JX identically."""
-    zero = TruncatedSeries.zero(4, CAP)
-    one = TruncatedSeries.constant(Q(1), 4, CAP)
-    mx1 = TruncatedSeries(4, CAP, {(1, 0, 0, 0): Q(-1)})
-    my1 = TruncatedSeries(4, CAP, {(0, 1, 0, 0): Q(-1)})
+    zero = TruncatedSeries.zero(4, cap)
+    one = TruncatedSeries.constant(Q(1), 4, cap)
+    mx1 = TruncatedSeries(4, cap, {(1, 0, 0, 0): Q(-1)})
+    my1 = TruncatedSeries(4, cap, {(0, 1, 0, 0): Q(-1)})
     return VectorField(2, [one, zero, mx1, my1])
 
 
@@ -91,11 +91,32 @@ def bent_disk(cap):
                             cap)
 
 
-def enumerated_orders(x, j, k):
-    """Orders of criteria 1 and 4 over all 2^m words of each length m.
+def lyndon_words(length):
+    """Words on {0, 1} of the given length strictly below each rotation, in
+    lexicographic order, by Duval's (Fredricksen-Kessler-Maiorana) algorithm.
+    """
+    out, w = [], [-1]
+    while w:
+        w[-1] += 1
+        if len(w) == length:
+            out.append(tuple(w))
+        period = len(w)
+        while len(w) < length:
+            w.append(w[len(w) - period])
+        while w and w[-1] == 1:
+            w.pop()
+    return out
 
-    The reference for commutation_defect, which reads only sorted words.
-    Words nest right to left, as there; letter 2 is [X, JX].
+
+def enumerated_orders(x, j, k):
+    """Orders of criteria 1, 3 and 4 over all 2^m words of each length m,
+    and for criterion 3 over the Lyndon brackets of each length.
+
+    The reference for commutation_defect, which reads only sorted words and
+    sorted right-normed brackets.  Words nest right to left, as there;
+    letter 2 is [X, JX].  The Lyndon brackets span every bracket of their
+    length (Chen-Fox-Lyndon; Reutenauer, Free Lie Algebras, ch. 5); each is
+    [[u], [v]] with v the longest proper Lyndon suffix.
     """
     base = (x.truncate(k - 1), j.apply(x).truncate(k - 1))
     fields = base + (lie_bracket(*base),) if k >= 2 else base
@@ -123,6 +144,21 @@ def enumerated_orders(x, j, k):
                 return m - 1
         return k
 
+    def crit3():
+        brackets = {(0,): base[0], (1,): base[1]}
+        for length in range(2, k + 1):
+            failed = False
+            for w in lyndon_words(length):
+                v = next(w[i:] for i in range(1, length) if w[i:] in brackets)
+                u = w[:length - len(v)]
+                c = min(brackets[u].cap, brackets[v].cap)
+                brackets[w] = lie_bracket(brackets[u].truncate(c),
+                                          brackets[v].truncate(c))
+                failed = failed or any(brackets[w].at_zero())
+            if failed:
+                return length - 1
+        return k
+
     def crit4():
         for mlen in range(k - 1):
             if any(any(word(bits + (2,)).at_zero())
@@ -130,7 +166,7 @@ def enumerated_orders(x, j, k):
                 return mlen + 1
         return k
 
-    return crit1(), crit4()
+    return crit1(), crit3(), crit4()
 
 
 def chained_field_jet(x, j, k):
@@ -281,9 +317,44 @@ class TestCommutation:
             assert len(set(rep.criterion_orders.values())) == 1
             assert rep.max_vanishing_order == rep.criterion_orders[3]
 
+    def test_criterion_3_forms_quadratically_many_brackets(self,
+                                                           monkeypatch):
+        # m - 1 sorted right-normed brackets of each length m = 2..k, the
+        # first one the word table's [X, JX]; the Lyndon brackets take 746
+        k = 12
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return lie_bracket(*args)
+        monkeypatch.setattr(engine, "lie_bracket", counting)
+        rep = commutation_defect(harmonic_tangent(k - 1),
+                                 ACStructure.standard(2, k), k)
+        assert rep.criterion_orders == {c: k for c in (1, 2, 3, 4)}
+        assert len(calls) == k * (k - 1) // 2
+
+    def test_defects_are_labelled_right_normed(self):
+        # X = d/dx1 + x1^2 y1 d/dx2 first fails at length 4, on the two
+        # sorted brackets that end in two X's
+        one = TruncatedSeries.constant(Q(1), 4, CAP)
+        mono = TruncatedSeries(4, CAP, {(2, 1, 0, 0): Q(1)})
+        zero = TruncatedSeries.zero(4, CAP)
+        x = VectorField(2, [one, zero, mono, zero])
+        jx = JSTD.apply(x)
+
+        def ad(f, g):
+            return lie_bracket(f.truncate(g.cap), g)
+        inner = ad(x, ad(x, jx))
+        rep = commutation_defect(x, JSTD, 6)
+        assert rep.max_vanishing_order == 3
+        assert rep.defects == {
+            "[JX,[X,[X,JX]]]": tuple(ad(jx, inner).at_zero()),
+            "[X,[X,[X,JX]]]": tuple(ad(x, inner).at_zero())}
+        assert rep.defects["[X,[X,[X,JX]]]"] == (0, 0, -2, 0)
+
     def test_lyndon_words_follow_witt(self):
         # Witt's formula for the free Lie algebra on two generators
-        words = {length: engine._lyndon_words(length) for length in range(1, 11)}
+        words = {length: lyndon_words(length) for length in range(1, 11)}
         assert [len(words[length]) for length in range(1, 11)] == [
             2, 1, 2, 3, 6, 9, 18, 30, 56, 99]
         for length, ws in words.items():
@@ -291,10 +362,10 @@ class TestCommutation:
                 assert all(w < w[i:] + w[:i] for i in range(1, length))
 
     def test_lyndon_words_match_the_rotation_filter(self):
-        # Duval's generation against the filter over all 2^m words, which
-        # also fixes their lexicographic order (the defect labels' order)
+        # the oracle's Duval generation against the filter over all 2^m
+        # words, which also fixes their lexicographic order
         for length in range(1, 15):
-            assert engine._lyndon_words(length) == [
+            assert lyndon_words(length) == [
                 w for w in product((0, 1), repeat=length)
                 if all(w < w[i:] + w[:i] for i in range(1, length))]
 
@@ -314,12 +385,14 @@ class TestCommutation:
         if (a, b) == (1, 0):
             assert set(rep.defects) == {"[X,JX]"}
         orders = rep.criterion_orders
-        assert enumerated_orders(x, JSTD, 8) == (orders[1], orders[4])
+        assert enumerated_orders(x, JSTD, 8) == (orders[1], orders[3],
+                                                 orders[4])
 
     @pytest.mark.parametrize("n", (2, 3))
     def test_sorted_words_match_all_words(self, n):
-        # criteria 1 and 4 read one sorted word per letter count; the
-        # enumeration of every word must give the same orders
+        # criteria 1 and 4 read one sorted word per letter count, and
+        # criterion 3 one sorted right-normed bracket; the enumeration of
+        # every word, and the Lyndon brackets, must give the same orders
         rng = make_rng(f"engine-sorted-words-{n}")
         seen = set()
         for j in structures_under_test(n, 8):
@@ -327,7 +400,8 @@ class TestCommutation:
             fields += [staged_field(rng, n, 8) for _ in range(6)]
             for x in fields:
                 orders = commutation_defect(x, j, 8).criterion_orders
-                assert enumerated_orders(x, j, 8) == (orders[1], orders[4])
+                assert enumerated_orders(x, j, 8) == (orders[1], orders[3],
+                                                      orders[4])
                 seen.add(orders[1])
         assert len(seen) >= 5
 
@@ -632,8 +706,16 @@ class TestCrossValidation:
     def test_probes_and_degrees_fork_one_transport(self, monkeypatch):
         # the stager's probes and cross_validate's degrees copy a transport
         # state; only the witness's whole trace (contact_order) and its
-        # disk (witness_report) are built from scratch
+        # disk (witness_report) are built from scratch.  The stager builds
+        # one state for u1 and one per level, which forces the next normals
+        # once extended by the solved jet
         calls = []
+        init = disks._Transport.__init__
+
+        def constructed(self, *args):
+            calls.append("_Transport")
+            init(self, *args)
+        monkeypatch.setattr(disks._Transport, "__init__", constructed)
         for module, name in product((disks, engine, levi),
                                     ("propagate_cr_jet", "compose_phi_u")):
             if not hasattr(module, name):
@@ -661,8 +743,11 @@ class TestCrossValidation:
                                (harmonic3, perturbed_structure(3, 10, 1), 6,
                                 3)):
             levels.clear()
+            calls.clear()
             rep = type_search(m, j, k_max)
             assert levels and all(not c for c in levels)
+            # u1's state, one per level, and propagate_cr_jet's witness
+            assert calls.count("_Transport") == len(levels) + 2
             if m is QUARTIC:
                 assert rep.obstruction == (
                     "inconsistent affine system at stage 3 "
@@ -670,7 +755,7 @@ class TestCrossValidation:
             calls.clear()
             rec = cross_validate(m, j, rep)
             assert rec.k == k
-            assert calls == ["compose_phi_u"]
+            assert calls == ["compose_phi_u", "_Transport"]
 
     def test_needs_a_witness(self):
         bare = TypeReport((0, 0, 0, 0), 2, False, False, None, None, None)

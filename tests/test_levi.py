@@ -274,6 +274,17 @@ class TestHigherLevi:
             with pytest.raises(ValueError):
                 levi.levi_trace(SPHERE, JSTD, [E1], s)
 
+    def test_mismatched_inputs_rejected(self):
+        # a vector of the wrong length, or a surface and a structure of
+        # different dimensions, fail instead of being read partly
+        with pytest.raises(ValueError, match="wrong arity"):
+            higher_levi(SPHERE, JSTD, [(1, 0, 0, 0, 7, 9)], 0, 0)
+        with pytest.raises(ValueError, match="wrong arity"):
+            higher_levi(SPHERE, JSTD, [(1, 0)], 0, 0)
+        with pytest.raises(ValueError, match=r"C\^2, structure on C\^3"):
+            higher_levi(SPHERE, ACStructure.standard(3, CAP),
+                        [(1, 0, 0, 0, 0, 0)], 0, 0)
+
     def test_trace_values_match_the_whole_trace(self):
         # every L^(p, s - p) that levi_trace reads off one stratum equals
         # the levi_entry of the whole phi . u of the padded disk

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time the series kernel (``levitype.jets``), transport and the Levi matrix.
+"""Time the series kernel (``levitype.jets``), transport, the Levi matrix
+and the commutation check.
 
 Usage (from the root of a source checkout):
 
@@ -17,12 +18,16 @@ degree 2..3) under J_std (``levi_std``) and under that structure
 (``levi_perturbed``), for n = num_vars // 2 >= 2, and ``levi_trace``:
 every L^(p, s - p), s = 0..cap-2, on the disk of the first s + 1 of the
 ``transport`` row's x-derivatives, under its structure, on the
-``compose_phi_u`` row's surface.  It writes
+``compose_phi_u`` row's surface, and ``commutation``:
+``commutation_defect`` of the ``type_search`` witness field of
+2 x_n + Re(z1^2) under J_std, to the order ``cross_validate`` asks, for
+n >= 2.  It writes
 ``BENCH_<label>.json`` (into ``--out``, default the checkout root).  The
 inputs are fixed by a seeded generator, so two kernels see the same
 operands; each row carries a digest of the result (of every component, for
-a disk, of every value, for ``levi_trace``), and rows with equal digests
-computed the same result.  ``--src``
+a disk, of every value, for ``levi_trace``, of every criterion's order, for
+``commutation``), and rows with equal digests computed the same result.
+``--src``
 imports levitype from another source tree, which times an earlier kernel
 with this script; the git sha recorded is that of the tree imported.
 
@@ -132,6 +137,15 @@ def operands(lev, num_vars, cap, seed):
         ops["levi_perturbed"] = (
             lambda: lev.hermitian_levi_matrix(levi_surface, j),
             (levi_surface.phi, *j_plus))
+        # draws no operand: a fixed surface that commutes to the cap
+        n = num_vars // 2
+        harmonic = lev.Hypersurface(n, lev.parse_expression(
+            f"2*x{n}+Re(z1^2)", n, cap=cap))
+        rep = lev.type_search(harmonic, j_std, cap - 2)
+        field, order = rep.witness_field, rep.lower_bound - 1
+        ops["commutation"] = (
+            lambda: lev.commutation_defect(field, j_std, order),
+            field.components)
     return ops
 
 
@@ -166,8 +180,9 @@ def seconds_per_call(fn) -> float:
 
 def parts(result) -> tuple:
     """The series of a result: itself, a disk's components, or those of a
-    Levi matrix's basis fields; levi_trace values hold none."""
-    if isinstance(result, list):
+    Levi matrix's basis fields; levi_trace values and a commutation report
+    hold none."""
+    if isinstance(result, list) or hasattr(result, "criterion_orders"):
         return ()
     if isinstance(result, tuple):
         return result
@@ -185,6 +200,9 @@ def digest(result) -> str:
     if hasattr(result, "entries"):  # a Levi matrix's polar form
         h.update(repr([[str(e) for e in row]
                        for row in result.entries]).encode())
+    if hasattr(result, "criterion_orders"):  # not the defect labels
+        h.update(repr((result.order_tested, result.max_vanishing_order,
+                       sorted(result.criterion_orders.items()))).encode())
     return h.hexdigest()[:16]
 
 
@@ -213,7 +231,7 @@ def main(argv=None) -> int:
                     "digest": digest(result),
                     "seconds": seconds_per_call(fn),
                 })
-                print(f"{op:13s} vars={num_vars} cap={cap:2d} "
+                print(f"{op:14s} vars={num_vars} cap={cap:2d} "
                       f"{rows[-1]['seconds'] * 1e6:12.1f} us", file=sys.stderr)
     doc = {
         "label": args.label,
