@@ -109,8 +109,8 @@ def lyndon_words(length):
 
 
 def enumerated_orders(x, j, k):
-    """Orders of criteria 1, 3 and 4 over all 2^m words of each length m,
-    and for criterion 3 over the Lyndon brackets of each length.
+    """Orders of criteria 1 and 4 over all 2^m words of each length m, and
+    of criterion 3 over the Lyndon brackets of each length.
 
     The reference for commutation_defect, which reads only sorted words and
     sorted right-normed brackets.  Words nest right to left, as there;
