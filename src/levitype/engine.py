@@ -10,7 +10,7 @@ disagreement is raised as TheoremViolation instead of being smoothed over.
 
 from dataclasses import dataclass, replace
 from itertools import product
-from math import isqrt
+from math import factorial, isqrt
 
 from .disks import DiskJet, _Transport, contact_order, propagate_cr_jet
 from .errors import CapError, GeometryError, TheoremViolation
@@ -19,6 +19,7 @@ from .geometry import (
     FieldJet,
     Hypersurface,
     VectorField,
+    _word_jet,
     apply_jstd,
     field_jet,
     is_complex_tangent,
@@ -40,10 +41,6 @@ def _vec_add(a, b):
 
 def _vec_scale(c, v):
     return tuple(c * x for x in v)
-
-
-def _vec_zero(length):
-    return tuple(ZERO for _ in range(length))
 
 
 def _is_zero_vec(v):
@@ -77,9 +74,15 @@ def _tangent_columns(taus):
 
 
 def _disk_triangle(u: DiskJet, k: int) -> FieldJet:
-    """The derivatives d^(p+q+1)u/dx^(p+1)dy^q (0), p+q <= k, as a field jet."""
-    return FieldJet(k, u.n, {(p, q): u.derivative(p + 1, q)
-                             for p in range(k + 1) for q in range(k + 1 - p)})
+    """The derivatives d^(p+q+1)u/dx^(p+1)dy^q (0), p+q <= k, as a field jet,
+    read from the terms of each component of the (k+1)-jet in one pass."""
+    entries = {(p, q): [ZERO] * (2 * u.n)
+               for p in range(k + 1) for q in range(k + 1 - p)}
+    for i, c in enumerate(u.truncate(k + 1).components):
+        for (a, b), v in c.terms():
+            if a:
+                entries[(a - 1, b)][i] = v * (factorial(a) * factorial(b))
+    return FieldJet(k, u.n, {pq: tuple(v) for pq, v in entries.items()})
 
 
 def realize_field_from_disk(m: Hypersurface, j: ACStructure, u: DiskJet,
@@ -144,15 +147,14 @@ def disk_from_commuting_field(m: Hypersurface, j: ACStructure,
     The propagated disk then has contact order at least k+2; anything less
     is a broken theorem.
     """
-    rep = commutation_defect(x, j, k + 1)
+    rep, word = _commutation(x, j, k + 1)
     if rep.max_vanishing_order < k + 1:
         raise GeometryError(
             f"field commutes only to order {rep.max_vanishing_order}, "
             f"needed {k + 1}; defects: {sorted(rep.defects)}")
     if not is_complex_tangent(m, j, x):
         raise GeometryError("field is not complex tangent as a series")
-    fj = field_jet(x, j, k)
-    x_jet = [fj.entry(mm - 1, 0) for mm in range(1, k + 2)]
+    x_jet = [word((0,) * mm).at_zero() for mm in range(1, k + 2)]
     u = propagate_cr_jet(x_jet, j, order=k + 1)
     co = contact_order(m, u)
     if co.order < k + 2:
@@ -167,36 +169,35 @@ def disk_from_commuting_field(m: Hypersurface, j: ACStructure,
 
 @dataclass
 class CommutationReport:
-    """Vanishing orders of the four equivalent commutation criteria."""
+    """Vanishing orders of the three equivalent commutation criteria."""
 
     order_tested: int
     # sorted right-normed bracket -> value at 0, first failing length only;
     # these brackets decide each length, so they fail first
     defects: dict
     max_vanishing_order: int
-    criterion_orders: dict  # criterion index 1..4 -> vanishing order
+    criterion_orders: dict  # criterion index 2, 3 or 4 -> vanishing order
     agreement: bool
 
 
 def commutation_defect(x: VectorField, j: ACStructure,
                        k: int) -> CommutationReport:
-    """Test commutation of X and JX at 0 up to order k, four ways.
+    """Test commutation of X and JX at 0 up to order k, three ways.
 
-    The criteria: (1) values of all words in {X, JX} of each length m <= k
-    are invariant under permutation; (2) appending JX to a word equals
-    rotating one X slot; (3) all iterated Lie brackets of lengths 2..k
-    vanish at 0; (4) derivatives of [X, JX] of orders <= k-2 vanish at 0.
-    All four are equivalent at the same order, so the report carries an
-    agreement flag and disagreement raises TheoremViolation.  (1) and (4)
-    test the same vectors, as D_s is linear, but are computed apart.
+    The criteria: (2) appending JX to a word in {X, JX} equals rotating one
+    X slot; (3) all iterated Lie brackets of lengths 2..k vanish at 0; (4)
+    derivatives of [X, JX] of orders <= k-2 vanish at 0.  All three are
+    equivalent at the same order, so the report carries an agreement flag
+    and disagreement raises TheoremViolation.  Word symmetry is no fourth
+    test: word(s + (X, JX)) - word(s + (JX, X)) = D_s[X, JX], as (4) reads.
 
-    Criteria 1 and 4 read only the sorted words s = JX^q X^p.  With no
+    Criterion 4 reads only the sorted words s = JX^q X^p.  With no
     curvature, D_A D_B F - D_B D_A F = D_[A,B] F, so a swap of the last two
     letters changes a word by exactly +-D_s[X, JX], and an earlier swap, by
     Leibniz at 0, by terms that each carry a shorter D_w[X, JX](0).  Once
     the shorter lengths pass, values at 0 depend only on letter counts (and
-    the last letter), so it suffices to compare word(s + (X, JX)) with
-    word(s + (JX, X)), and to test D_s[X, JX](0), over the sorted s.
+    the last letter), so it suffices to test D_s[X, JX](0) over the sorted
+    s.
 
     Criterion 3 forms only the sorted right-normed brackets
     ad_JX^q ad_X^p [X, JX], p + q = m - 2, each a letter bracketed with one
@@ -208,26 +209,21 @@ def commutation_defect(x: VectorField, j: ACStructure,
     a shorter bracket W at 0.  By the lemma, those word values depend only
     on letter counts, so the sorted brackets fail first, at the same order.
     """
+    return _commutation(x, j, k)[0]
+
+
+def _commutation(x: VectorField, j: ACStructure, k: int):
+    """commutation_defect(x, j, k) and its word table, whose letters 0 and 1
+    are X and JX at cap k - 1, as in field_jet(x, j, k - 1)."""
     if k < 1:
         raise ValueError("commutation order must be at least 1")
     jx_full = j.apply(x)
     cap = min(x.cap, jx_full.cap)
     if cap < k - 1:
         raise CapError(f"order {k} needs field caps >= {k - 1}, have {cap}")
-    work_cap = k - 1
-    base = (x.truncate(work_cap), jx_full.truncate(work_cap))
+    base = (x.truncate(k - 1), jx_full.truncate(k - 1))
     # letters 0, 1 and 2 are X, JX and [X, JX]; k = 1 leaves no cap for 2
     word = word_table(base + (lie_bracket(*base),) if k >= 2 else base)
-
-    def sorted_words(length):
-        return [(1,) * (length - p) + (0,) * p for p in range(length + 1)]
-
-    def crit1():
-        for m in range(2, k + 1):
-            for s in sorted_words(m - 2):
-                if word(s + (0, 1)).at_zero() != word(s + (1, 0)).at_zero():
-                    return m - 1
-        return k
 
     def crit2():
         for length in range(2, k + 1):
@@ -260,20 +256,19 @@ def commutation_defect(x: VectorField, j: ACStructure,
         return k
 
     def crit4():
-        if k < 2:
-            return k  # no word reaches the bracket, matches the others
+        # k = 1 reads no word: letter 2 does not exist then
         for mlen in range(0, k - 1):
-            for s in sorted_words(mlen):
-                if not _is_zero_vec(word(s + (2,)).at_zero()):
+            for p in range(mlen + 1):
+                if any(word((1,) * (mlen - p) + (0,) * p + (2,)).at_zero()):
                     return mlen + 1
         return k
 
-    orders = {1: crit1(), 2: crit2(), 3: crit3(), 4: crit4()}
+    orders = {2: crit2(), 3: crit3(), 4: crit4()}
     agreement = len(set(orders.values())) == 1
     if not agreement:
         raise TheoremViolation(
             f"equivalent commutation criteria disagree: {orders}")
-    return CommutationReport(k, defects, orders[3], orders, agreement)
+    return CommutationReport(k, defects, orders[3], orders, agreement), word
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +500,7 @@ class _Stager:
                 raise TheoremViolation(
                     f"obstructed witness should have contact exactly "
                     f"{lower_bound}, got {co.order} (exact={co.exact})")
-        origin = _vec_zero(2 * self.m.n)
+        origin = (ZERO,) * (2 * self.m.n)
         return TypeReport(origin, lower_bound, certified, cap_reached,
                           u, None, obstruction)
 
@@ -685,9 +680,9 @@ def cross_validate(m: Hypersurface, j: ACStructure,
             f"witness contact {co.order} below reported bound {k + 2}")
     if not is_complex_tangent(m, j, x):
         raise GeometryError("witness field is not complex tangent")
-    if field_jet(x, j, k) != _disk_triangle(u, k):
+    crep, word = _commutation(x, j, k + 1)
+    if _word_jet(word, x.n, k) != _disk_triangle(u, k):
         raise TheoremViolation("realized field misses the disk jet")
-    crep = commutation_defect(x, j, k + 1)
     if crep.max_vanishing_order < k + 1:
         raise TheoremViolation(
             f"realized field commutes to {crep.max_vanishing_order}, "

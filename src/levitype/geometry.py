@@ -362,14 +362,19 @@ def word_table(fields):
 
 
 def field_jet(x: VectorField, j: ACStructure, k: int) -> FieldJet:
-    """All D^(p,q)X(0), p + q <= k: word((1,)*q + (0,)*p + (0,)) in (X, JX)."""
+    """All D^(p,q)X(0), p + q <= k, on the word table of (X, JX) at cap k."""
     if k > x.cap:
         raise CapError(f"order {k} exceeds the field's cap {x.cap}")
     if not j.is_standard and k > j.cap:
         raise CapError(f"order {k} exceeds the structure's cap {j.cap}")
-    word = word_table((x.truncate(k), j.apply(x).truncate(k)))
-    return FieldJet(k, x.n, {(p, q): word((1,) * q + (0,) * p + (0,)).at_zero()
-                             for p in range(k + 1) for q in range(k + 1 - p)})
+    return _word_jet(word_table((x.truncate(k), j.apply(x).truncate(k))),
+                     x.n, k)
+
+
+def _word_jet(word, n: int, k: int) -> FieldJet:
+    """D^(p,q)X(0), p + q <= k, on a word table of X and JX at cap k."""
+    return FieldJet(k, n, {(p, q): word((1,) * q + (0,) * p + (0,)).at_zero()
+                           for p in range(k + 1) for q in range(k + 1 - p)})
 
 
 def complex_tangent_basis(m: Hypersurface, j: ACStructure):

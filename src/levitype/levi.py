@@ -300,7 +300,7 @@ def levi_trace(m: Hypersurface, j: ACStructure, x_jet, s: int):
     if len(x_jet) < s + 1:
         raise ValueError(f"need {s + 1} x-derivatives, got {len(x_jet)}")
     state = _Transport(j, s + 2, m)
-    state.extend(*x_jet[:s + 1])
+    state.extend(*x_jet[:s + 1], (ZERO,) * (2 * j.n))
     return _levi_values(state.read(s + 2))
 
 

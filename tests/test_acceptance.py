@@ -212,8 +212,9 @@ def test_criterion_5_cross_validation(catalog):
 
 
 def test_criterion_6_commutation_equivalence():
-    """The four commutation criteria agree on the maximal vanishing order
-    for 50 randomized fields plus constant fields, orders up to 4."""
+    """The three commutation criteria (JX shifts, iterated brackets,
+    derivatives of [X, JX]) agree on the maximal vanishing order for 50
+    randomized fields plus constant fields, orders up to 4."""
     rng = make_rng("acceptance-6")
     seen_orders = set()
     for i in range(50):

@@ -40,7 +40,8 @@ from levitype import (
 from levitype import classify_point
 
 from conftest import (make_rng, monomials, random_field, random_phi,
-                      random_rational, random_structure, scale_field)
+                      random_rational, random_structure, random_vector,
+                      scale_field)
 
 CAP = 10
 JSTD = ACStructure.standard(2, CAP)
@@ -109,14 +110,15 @@ def lyndon_words(length):
 
 
 def enumerated_orders(x, j, k):
-    """Orders of criteria 1 and 4 over all 2^m words of each length m, and
-    of criterion 3 over the Lyndon brackets of each length.
+    """Orders of word symmetry and of criterion 4 over all 2^m words of each
+    length m, and of criterion 3 over the Lyndon brackets of each length.
 
     The reference for commutation_defect, which reads only sorted words and
-    sorted right-normed brackets.  Words nest right to left, as there;
-    letter 2 is [X, JX].  The Lyndon brackets span every bracket of their
-    length (Chen-Fox-Lyndon; Reutenauer, Free Lie Algebras, ch. 5); each is
-    [[u], [v]] with v the longest proper Lyndon suffix.
+    sorted right-normed brackets; it has no word-symmetry criterion, whose
+    all-words order must equal criterion 4's.  Words nest right to left, as
+    there; letter 2 is [X, JX].  The Lyndon brackets span every bracket of
+    their length (Chen-Fox-Lyndon; Reutenauer, Free Lie Algebras, ch. 5);
+    each is [[u], [v]] with v the longest proper Lyndon suffix.
     """
     base = (x.truncate(k - 1), j.apply(x).truncate(k - 1))
     fields = base + (lie_bracket(*base),) if k >= 2 else base
@@ -135,7 +137,7 @@ def enumerated_orders(x, j, k):
         return [tuple((num >> t) & 1 for t in range(m))
                 for num in range(1 << m)]
 
-    def crit1():
+    def symmetry():
         for m in range(2, k + 1):
             groups = {}
             for bits in all_words(m):
@@ -166,7 +168,7 @@ def enumerated_orders(x, j, k):
                 return mlen + 1
         return k
 
-    return crit1(), crit3(), crit4()
+    return symmetry(), crit3(), crit4()
 
 
 def chained_field_jet(x, j, k):
@@ -212,6 +214,22 @@ def check_report_invariants(rep):
         assert rep.obstruction is not None
     if rep.cap_reached:
         assert not rep.certified_exact
+
+
+def one_word_table(monkeypatch):
+    """Make field_jet raise and count the word tables built, in both modules
+    that build them."""
+    tables = []
+
+    def no_field_jet(*args):
+        raise AssertionError("field jet built apart from the word table")
+    monkeypatch.setattr(engine, "field_jet", no_field_jet)
+    for module in (engine, geometry):
+        def counting(fields, _build=getattr(module, "word_table")):
+            tables.append(len(fields))
+            return _build(fields)
+        monkeypatch.setattr(module, "word_table", counting)
+    return tables
 
 
 class TestRealizeFieldFromDisk:
@@ -279,6 +297,38 @@ class TestRealizeFieldFromDisk:
         assert caps == [k]
 
 
+def disks_under_test(rng, n, cap):
+    """Seeded transported disks of cap `cap` under J_std and
+    perturbed_structure, and one of them with an all-zero component."""
+    out = []
+    for j in structures_under_test(n, cap)[:2]:
+        jets = [random_vector(rng, 2 * n) for _ in range(cap)]
+        out.append(propagate_cr_jet(jets, j, cap))
+    comps = list(out[-1].components)
+    comps[rng.randrange(2 * n)] = TruncatedSeries.zero(2, cap)
+    return out + [disks.DiskJet(n, comps)]
+
+
+class TestDiskTriangle:
+    @pytest.mark.parametrize("n", (2, 3))
+    def test_matches_the_per_slot_derivatives(self, n):
+        # the one-pass read against DiskJet.derivative slot by slot, on
+        # disks whose cap is k + 1 and on disks with terms beyond it
+        rng = make_rng(f"engine-disk-triangle-{n}")
+        seen_zero = False
+        for k in (0, 2, 5):
+            for cap in (k + 1, k + 3):
+                for u in disks_under_test(rng, n, cap):
+                    oracle = {(p, q): u.derivative(p + 1, q)
+                              for p in range(k + 1) for q in range(k + 1 - p)}
+                    tri = engine._disk_triangle(u, k)
+                    assert (tri.order, tri.n) == (k, n)
+                    assert tri.entries == oracle
+                    seen_zero = seen_zero or any(
+                        c.is_zero() for c in u.components)
+        assert seen_zero
+
+
 class TestCommutation:
     def test_constant_field_commutes_to_any_order(self):
         x = constant_field(2, E1)
@@ -330,7 +380,7 @@ class TestCommutation:
         monkeypatch.setattr(engine, "lie_bracket", counting)
         rep = commutation_defect(harmonic_tangent(k - 1),
                                  ACStructure.standard(2, k), k)
-        assert rep.criterion_orders == {c: k for c in (1, 2, 3, 4)}
+        assert rep.criterion_orders == {c: k for c in (2, 3, 4)}
         assert len(calls) == k * (k - 1) // 2
 
     def test_defects_are_labelled_right_normed(self):
@@ -379,20 +429,20 @@ class TestCommutation:
         zero = TruncatedSeries.zero(4, CAP)
         x = VectorField(2, [one, zero, mono, zero])
         rep = commutation_defect(x, JSTD, 8)
-        assert rep.criterion_orders == {c: a + b for c in (1, 2, 3, 4)}
+        assert rep.criterion_orders == {c: a + b for c in (2, 3, 4)}
         assert rep.max_vanishing_order == a + b
         assert rep.defects
         if (a, b) == (1, 0):
             assert set(rep.defects) == {"[X,JX]"}
         orders = rep.criterion_orders
-        assert enumerated_orders(x, JSTD, 8) == (orders[1], orders[3],
+        assert enumerated_orders(x, JSTD, 8) == (orders[4], orders[3],
                                                  orders[4])
 
     @pytest.mark.parametrize("n", (2, 3))
     def test_sorted_words_match_all_words(self, n):
-        # criteria 1 and 4 read one sorted word per letter count, and
-        # criterion 3 one sorted right-normed bracket; the enumeration of
-        # every word, and the Lyndon brackets, must give the same orders
+        # criterion 4 reads one sorted word per letter count, and criterion
+        # 3 one sorted right-normed bracket; the enumeration of every word
+        # (word symmetry too), and the Lyndon brackets, give the same orders
         rng = make_rng(f"engine-sorted-words-{n}")
         seen = set()
         for j in structures_under_test(n, 8):
@@ -400,9 +450,9 @@ class TestCommutation:
             fields += [staged_field(rng, n, 8) for _ in range(6)]
             for x in fields:
                 orders = commutation_defect(x, j, 8).criterion_orders
-                assert enumerated_orders(x, j, 8) == (orders[1], orders[3],
+                assert enumerated_orders(x, j, 8) == (orders[4], orders[3],
                                                       orders[4])
-                seen.add(orders[1])
+                seen.add(orders[4])
         assert len(seen) >= 5
 
     def test_order_and_cap_guards(self):
@@ -449,6 +499,14 @@ class TestDiskFromCommutingField:
         x = constant_field(2, E1)
         with pytest.raises(GeometryError):
             disk_from_commuting_field(SPHERE, JSTD, x, 1)
+
+    def test_reads_the_x_jet_from_the_commutation_table(self, monkeypatch):
+        # the x-jet's words are words of the table the commutation check
+        # builds on (X, JX, [X, JX]); no second table, no field_jet
+        tables = one_word_table(monkeypatch)
+        u = disk_from_commuting_field(HARMONIC, JSTD, harmonic_tangent(), 4)
+        assert u == bent_disk(5)
+        assert tables == [3]
 
 
 def bounded_disk_family():
@@ -756,6 +814,19 @@ class TestCrossValidation:
             rec = cross_validate(m, j, rep)
             assert rec.k == k
             assert calls == ["compose_phi_u", "_Transport"]
+
+    def test_reads_the_field_jet_from_the_commutation_table(self,
+                                                            monkeypatch):
+        # check (a) reads the triangle from the commutation check's table
+        reports = [(m, j, type_search(m, j, k_max)) for m, j, k_max in (
+            (QUARTIC, JSTD, 6), (HARMONIC, JSTD, 8), (SEXTIC, JSTD, 8),
+            (INDEF3, perturbed_structure(3, 8, 1), 6))]
+        tables = one_word_table(monkeypatch)
+        for m, j, rep in reports:
+            tables.clear()
+            rec = cross_validate(m, j, rep)
+            assert rec.k == rep.lower_bound - 2
+            assert tables == [3]
 
     def test_needs_a_witness(self):
         bare = TypeReport((0, 0, 0, 0), 2, False, False, None, None, None)
