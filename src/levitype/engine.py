@@ -397,18 +397,19 @@ class _Stager:
         return _vec_add(_vec_scale(a, self.n0), _vec_scale(b, self.jn0))
 
     def start(self, u1):
-        """u1 transported to cap 2: its Levi value, u2 and first normals."""
-        return _Transport(self.j, 2, self.m).extend(u1)
+        """u1 transported, at the deepest stratum any level reads: the one
+        state that the search extends by each solved jet."""
+        return _Transport(self.j, max(self.k_max - 1, 2), self.m).extend(u1)
 
     def force_normals(self, state):
         """Normal part of u_mnext killing the two leading trace heads.
 
-        state holds the jets through mnext-1 and has cap mnext.  After the
-        stage at level mnext-2 is solved, the pairwise relations chain the
-        whole degree-mnext stratum to these two heads, so the stratum must
-        vanish entirely; that is asserted, not assumed.
+        state holds the jets through mnext-1.  After the stage at level
+        mnext-2 is solved, the pairwise relations chain the whole
+        degree-mnext stratum to these two heads, so the stratum must vanish
+        entirely; that is asserted, not assumed.
         """
-        mnext = state.cap
+        mnext = state.order + 1
         a = state.read(mnext)
         vec = self._solve_normal_2x2(-a[0], -a[1])
         a2 = state.copy().extend(vec).read(mnext)
@@ -419,18 +420,13 @@ class _Stager:
                     f"({p},{mnext - p})")
         return vec
 
-    def support_u2(self, state):
-        """u2 making phi.u = L(u1)/2 (x^2+y^2) + higher, from start(u1)."""
-        a_, b_, c_ = state.read(2)
-        return self._solve_normal_2x2((c_ - a_) / Q(2), -b_)
-
     # -- stages
 
     def attempt_level(self, state, normals_next):
         """Solve the level-ell constraints for the tangential unknown.
 
-        state holds the ell jets found, at cap ell + 2; each probe copies
-        it.  The constraints are affine in the tangential coordinates of the
+        state holds the ell jets found; each probe pads a copy of it.  The
+        constraints are affine in the tangential coordinates of the
         newest derivative; a mixed probe cross-checks that.  Returns (u_next,
         nullspace) or None when the system is inconsistent.
         """
@@ -439,7 +435,8 @@ class _Stager:
 
         def probe(tcoords):
             vec = _vec_add(normals_next, self.tangential(tcoords))
-            return _levi_values(state.copy().extend(vec).read(ell + 2))[::-1]
+            pad = state.copy().extend(vec, (ZERO,) * state.n2)
+            return _levi_values(pad.read(ell + 2))[::-1]
 
         base = probe(zero_t)
         cols = []
@@ -483,54 +480,55 @@ class _Stager:
 
     # -- full runs
 
-    def witness_report(self, jets, lower_bound, certified, cap_reached,
-                       obstruction):
-        # an obstructed witness is padded out to the bound so the nonzero
-        # stratum is inside the trace window; the stratum does not depend
-        # on the padding
-        order = lower_bound if obstruction is not None else max(len(jets), 1)
-        u = propagate_cr_jet(jets, self.j, order=order)
-        co = contact_order(self.m, u)
-        if cap_reached or obstruction is None:
-            if co.order < lower_bound:
-                raise TheoremViolation(
-                    f"witness contact {co.order} below bound {lower_bound}")
-        else:
-            if co.order != lower_bound or not co.exact:
-                raise TheoremViolation(
-                    f"obstructed witness should have contact exactly "
-                    f"{lower_bound}, got {co.order} (exact={co.exact})")
-        origin = (ZERO,) * (2 * self.m.n)
-        return TypeReport(origin, lower_bound, certified, cap_reached,
-                          u, None, obstruction)
+    def witness_report(self, state, lower_bound, certified, obstruction):
+        """The report on the witness disk grown in state.
 
-    def run_from_u1(self, u1, unique_start, certify):
+        An obstructed witness is padded with zero x-derivatives to the bound,
+        where its first nonzero stratum of phi . u must lie; that stratum
+        does not depend on the padding.  A witness at the cap must have no
+        nonzero stratum through its order.
+        """
+        if obstruction is not None:
+            state.extend(*[(ZERO,) * state.n2] * (lower_bound - state.order))
+        first = next((d for d in range(1, state.order + 1)
+                      if any(state.read(d))), None)
+        if first != (None if obstruction is None else lower_bound):
+            raise TheoremViolation(
+                f"witness of bound {lower_bound} has its first nonzero "
+                f"stratum at {first} ({obstruction or 'cap reached'})")
+        return TypeReport((ZERO,) * (2 * self.m.n), lower_bound, certified,
+                          obstruction is None, state.disk(), None,
+                          obstruction)
+
+    def levi_witness(self, state, certified, obstruction):
+        """The bound-2 witness (u1, u2) of a direction with nonzero Levi
+        value, u2 making phi . u = L(u1)/2 (x^2+y^2) + higher; state is
+        start(u1)."""
+        a_, b_, c_ = state.read(2)
+        u2 = self._solve_normal_2x2((c_ - a_) / Q(2), -b_)
+        return self.witness_report(state.extend(u2), 2, certified,
+                                   obstruction)
+
+    def run_from_u1(self, u1, unique, certify):
         state = self.start(u1)
         if _levi_values(state.read(2))[0] != 0:
-            return self.witness_report(
-                [u1, self.support_u2(state)], 2, False, False,
-                "chosen direction has nonzero Levi value")
-        jets = [u1]
-        unique = unique_start
+            return self.levi_witness(
+                state, False, "chosen direction has nonzero Levi value")
         normals_next = self.force_normals(state)
-        while 2 + len(jets) < self.k_max:
-            ell = len(jets)
-            state = _Transport(self.j, ell + 2, self.m).extend(*jets)
+        while 2 + state.order < self.k_max:
+            ell = state.order
             res = self.attempt_level(state, normals_next)
             if res is None:
-                lb = ell + 2
                 return self.witness_report(
-                    jets + [normals_next], lb, certify and unique, False,
+                    state.extend(normals_next), ell + 2, certify and unique,
                     f"inconsistent affine system at stage {ell + 1} "
                     f"(constraints L^(i,j), i+j={ell})")
             vec, nullspace = res
             if unique and not self.gauge_span_ok(u1, nullspace):
                 unique = False
-            jets.append(vec)
-            state.extend(vec)
-            normals_next = self.force_normals(state)
-        return self.witness_report(jets + [normals_next], self.k_max,
-                                   False, True, None)
+            normals_next = self.force_normals(state.extend(vec))
+        return self.witness_report(state.extend(normals_next), self.k_max,
+                                   False, None)
 
     def run_exact(self):
         r0 = self.levi.realified()
@@ -541,8 +539,8 @@ class _Stager:
         if zero == 0 and (pos == 0 or neg == 0):
             sign = "positive" if neg == 0 else "negative"
             u1 = self.normalize_u1(self.taus[0])
-            return self.witness_report(
-                [u1, self.support_u2(self.start(u1))], 2, True, False,
+            return self.levi_witness(
+                self.start(u1), True,
                 f"Levi form {sign} definite: no isotropic direction exists")
         if pos == 0 or neg == 0:
             kernel = solve_affine(r0, [ZERO] * self.d).nullspace
@@ -551,8 +549,8 @@ class _Stager:
         t = _rational_isotropic(r0)
         if t is None:
             u1 = self.normalize_u1(self.taus[0])
-            return self.witness_report(
-                [u1, self.support_u2(self.start(u1))], 2, False, False,
+            return self.levi_witness(
+                self.start(u1), False,
                 "indefinite Levi form with no rational isotropic direction "
                 "found; bound is not certified")
         u1 = self.normalize_u1(self.tangential(t))

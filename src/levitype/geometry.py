@@ -346,16 +346,20 @@ def word_table(fields):
     """word(bits) = D_{F_b1} ... D_{F_b(m-1)} F_bm for the fields F_b.
 
     Each word is built once from its inner word, its direction truncated to
-    that word's cap, so a word of length m has cap F_bm.cap - (m - 1).
+    that word's cap, so a word of length m has cap F_bm.cap - (m - 1).  Each
+    letter is truncated once per cap, for all the words of the table.
     """
     table = {(b,): f for b, f in enumerate(fields)}
+    letters = {}
 
     def word(bits):
         f = table.get(bits)
         if f is None:
             inner = word(bits[1:])
-            f = covariant_derivative(fields[bits[0]].truncate(inner.cap), inner)
-            table[bits] = f
+            key = (bits[0], inner.cap)
+            if key not in letters:
+                letters[key] = fields[bits[0]].truncate(inner.cap)
+            f = table[bits] = covariant_derivative(letters[key], inner)
         return f
 
     return word

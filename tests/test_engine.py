@@ -16,6 +16,7 @@ from levitype import (
     GeometryError,
     Hypersurface,
     Q,
+    TheoremViolation,
     TruncatedSeries,
     TypeReport,
     VectorField,
@@ -38,6 +39,7 @@ from levitype import (
     type_search,
 )
 from levitype import classify_point
+from levitype.cli import CATALOG
 
 from conftest import (make_rng, monomials, random_field, random_phi,
                       random_rational, random_structure, random_vector,
@@ -729,6 +731,58 @@ class TestRealizationContract:
                             assert tuple(fj.entry(p, q)) == u.derivative(p + 1, q)
 
 
+def witness_cases():
+    """(m, j, k_max): catalog surfaces and seeded random ones, n = 2 and 3,
+    each under J_std and a perturbed structure."""
+    rng = make_rng("engine-witness-state")
+    surfaces = [Hypersurface(n, parse_expression(text, n, cap=cap))
+                for _, n, text, _, cap in CATALOG]
+    surfaces += [f(rng, n, 12 - 2 * n) for n in (2, 3)
+                 for f in (random_phi, degenerate_phi)]
+    return [(m, j, min(m.cap - 2, 6 if m.n == 2 else 4))
+            for m in surfaces
+            for j in (ACStructure.standard(m.n, m.cap),
+                      perturbed_structure(m.n, m.cap, 1))]
+
+
+class TestWitnessFromState:
+    """The witness disk and its contact come from the state the search
+    grew; the whole transport and the Horner composition are the oracle."""
+
+    def test_self_check_fires(self):
+        stager = engine._Stager(SPHERE, JSTD, 6)
+        u1 = stager.normalize_u1(stager.taus[0])
+        assert higher_levi(SPHERE, JSTD, [u1], 0, 0) != 0
+        # stratum 2 of phi . u is nonzero whatever u2 is
+        with pytest.raises(TheoremViolation, match="stratum at 2"):
+            stager.witness_report(stager.start(u1), 3, True, "obstructed")
+        with pytest.raises(TheoremViolation, match="stratum at 2"):
+            stager.witness_report(stager.start(u1).extend((Q(0),) * 4), 6,
+                                  False, None)
+
+    @pytest.mark.parametrize("kind", ["exact_staged", "grid", "directions"])
+    def test_matches_transport_and_composition(self, kind):
+        for m, j, k_max in witness_cases():
+            strategy = {
+                "exact_staged": kind,
+                "grid": ("grid", Q(1)),
+                "directions": ("directions",
+                               [[int(i == k) for i in range(2 * m.n)]
+                                for k in (0, 1)]),
+            }[kind]
+            rep = type_search(m, j, k_max, strategy)
+            check_report_invariants(rep)
+            u = rep.witness_disk
+            x_jet = [u.derivative(k, 0) for k in range(1, u.cap + 1)]
+            assert u == propagate_cr_jet(x_jet, j, u.cap)
+            co = contact_order(m, u)
+            if rep.cap_reached:
+                assert rep.obstruction is None
+                assert co.order >= rep.lower_bound
+            else:
+                assert co == ContactOrder(rep.lower_bound, True)
+
+
 class TestCrossValidation:
     def test_sphere_witness(self):
         rec = cross_validate(SPHERE, JSTD, type_search(SPHERE, JSTD, 6))
@@ -763,10 +817,10 @@ class TestCrossValidation:
 
     def test_probes_and_degrees_fork_one_transport(self, monkeypatch):
         # the stager's probes and cross_validate's degrees copy a transport
-        # state; only the witness's whole trace (contact_order) and its
-        # disk (witness_report) are built from scratch.  The stager builds
-        # one state for u1 and one per level, which forces the next normals
-        # once extended by the solved jet
+        # state.  The search builds one state for u1, extends it by each
+        # solved jet and reads the witness disk and its contact from it;
+        # only the guard in realize_field_from_disk composes phi with the
+        # whole disk
         calls = []
         init = disks._Transport.__init__
 
@@ -804,8 +858,7 @@ class TestCrossValidation:
             calls.clear()
             rep = type_search(m, j, k_max)
             assert levels and all(not c for c in levels)
-            # u1's state, one per level, and propagate_cr_jet's witness
-            assert calls.count("_Transport") == len(levels) + 2
+            assert calls == ["_Transport", "compose_phi_u"]
             if m is QUARTIC:
                 assert rep.obstruction == (
                     "inconsistent affine system at stage 3 "

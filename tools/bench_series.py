@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time the series kernel (``levitype.jets``), transport, the Levi matrix
-and the commutation check.
+"""Time the series kernel (``levitype.jets``), transport, the Levi matrix,
+the commutation check and the staged search.
 
 Usage (from the root of a source checkout):
 
@@ -21,15 +21,19 @@ every L^(p, s - p), s = 0..cap-2, on the disk of the first s + 1 of the
 ``compose_phi_u`` row's surface, and ``commutation``:
 ``commutation_defect`` of the ``type_search`` witness field of
 2 x_n + Re(z1^2) under J_std, to the order ``cross_validate`` asks, for
-n >= 2.  It writes
+n >= 2, and ``type_search_std``: ``type_search`` of that surface under J_std
+with k_max = cap - 2, which reaches the cap, and ``type_search_perturbed``:
+that of 2 x_n + |z1|^6 under the ``transport`` row's structure, which stops
+early at n = 2, 3.  It writes
 ``BENCH_<label>.json`` (into ``--out``, default the checkout root).  The
 inputs are fixed by a seeded generator, so two kernels see the same
 operands; each row carries a digest of the result (of every component, for
 a disk, of every value, for ``levi_trace``, of the orders of criteria 2-4,
-for ``commutation``), and rows with equal digests computed the same result.
-``--src``
-imports levitype from another source tree, which times an earlier kernel
-with this script; the git sha recorded is that of the tree imported.
+for ``commutation``, of the witness disk's components and the bound, its
+flags and its obstruction, for ``type_search``), and rows with equal digests
+computed the same result.  ``--src`` imports levitype from another source
+tree, which times an earlier kernel with this script; the git sha recorded is
+that of the tree imported.
 
 Each time is the minimum over REPEATS runs of a loop whose call count is
 calibrated to last at least MIN_LOOP_S, divided by that count: seconds per
@@ -146,6 +150,15 @@ def operands(lev, num_vars, cap, seed):
         ops["commutation"] = (
             lambda: lev.commutation_defect(field, j_std, order),
             field.components)
+        # draw no operand either
+        sextic = lev.Hypersurface(n, lev.parse_expression(
+            f"2*x{n}+abs2(z1)^3", n, cap=cap))
+        ops["type_search_std"] = (
+            lambda: lev.type_search(harmonic, j_std, cap - 2),
+            (harmonic.phi,))
+        ops["type_search_perturbed"] = (
+            lambda: lev.type_search(sextic, j, cap - 2),
+            (sextic.phi, *j_plus))
     return ops
 
 
@@ -179,13 +192,15 @@ def seconds_per_call(fn) -> float:
 
 
 def parts(result) -> tuple:
-    """The series of a result: itself, a disk's components, or those of a
-    Levi matrix's basis fields; levi_trace values and a commutation report
-    hold none."""
+    """The series of a result: itself, a disk's components, those of a
+    type report's witness disk, or those of a Levi matrix's basis fields;
+    levi_trace values and a commutation report hold none."""
     if isinstance(result, list) or hasattr(result, "criterion_orders"):
         return ()
     if isinstance(result, tuple):
         return result
+    if hasattr(result, "witness_disk"):
+        return result.witness_disk.components
     if hasattr(result, "basis"):
         return tuple(c for f in result.basis for c in f.components)
     return (result,)
@@ -207,6 +222,9 @@ def digest(result) -> str:
                   if c in (2, 3, 4)]
         h.update(repr((result.order_tested, result.max_vanishing_order,
                        orders)).encode())
+    if hasattr(result, "witness_disk"):  # a type report
+        h.update(repr((result.lower_bound, result.certified_exact,
+                       result.cap_reached, result.obstruction)).encode())
     return h.hexdigest()[:16]
 
 
