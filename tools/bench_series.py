@@ -24,7 +24,7 @@ every L^(p, s - p), s = 0..cap-2, on the disk of the first s + 1 of the
 n >= 2, and ``type_search_std``: ``type_search`` of that surface under J_std
 with k_max = cap - 2, which reaches the cap, and ``type_search_perturbed``:
 that of 2 x_n + |z1|^6 under the ``transport`` row's structure, which stops
-early at n = 2, 3.  It writes
+early at n = 2 from cap 10 and at n = 3 from cap 8.  It writes
 ``BENCH_<label>.json`` (into ``--out``, default the checkout root).  The
 inputs are fixed by a seeded generator, so two kernels see the same
 operands; each row carries a digest of the result (of every component, for
