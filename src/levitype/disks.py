@@ -185,6 +185,7 @@ class _Transport:
                     self.rows[a].append((len(self.entries), b))
                     self.entries.append(comb)
         self.phi = [] if m is None else combination(m.phi, cap)
+        del product  # it calls itself: free it without the cyclic collector
         # the stratum through which the cap reads each product, for copy()
         self.tops = {i: cap - 1 for comb in self.entries for _, i in comb}
         self.tops.update((i, cap) for _, i in self.phi)

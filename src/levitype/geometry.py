@@ -173,10 +173,11 @@ class ACStructure:
         self.n = n
         self.entries = entries
         std = standard_matrix(n)
+        # J_std's entries are 0 and +-1: integer constants, stored as such
         self.is_standard = all(
-            entries[i][j].constant_term() == std[i][j]
-            and entries[i][j].total_degree() in (None, 0)
-            for i in range(2 * n) for j in range(2 * n)
+            e._den == 1 and e._terms == ({0: int(v)} if v else {})
+            for row, std_row in zip(entries, std)
+            for e, v in zip(row, std_row)
         )
         if not _validated:
             self._validate(std)
@@ -231,7 +232,8 @@ class ACStructure:
             return VectorField(self.n, comps)
         cap = min(self.cap, x.cap)
         xt = [c.truncate(cap) for c in x.components]
-        entries = [[e.truncate(cap) for e in row] for row in self.entries]
+        entries = self.entries if cap == self.cap else [
+            [e.truncate(cap) for e in row] for row in self.entries]
         return VectorField(self.n, mat_vec(entries, xt))
 
 
@@ -259,6 +261,8 @@ def _projector(m: Hypersurface, j: ACStructure, cap: int):
     p = m.dphi(nf)
     q = m.dphi(jn)
     denom = (p * p + q * q).inverse()
+    if not j.is_standard:  # so that apply reads J's entries as they are
+        j = j.truncate(cap)
 
     def project(v: VectorField) -> VectorField:
         vt = v.truncate(cap)
@@ -353,13 +357,17 @@ def word_table(fields):
     letters = {}
 
     def word(bits):
-        f = table.get(bits)
-        if f is None:
-            inner = word(bits[1:])
-            key = (bits[0], inner.cap)
+        # outward from the longest suffix built; not recursive, so the
+        # table is freed without the cyclic collector
+        i = 0
+        while bits[i:] not in table:
+            i += 1
+        f = table[bits[i:]]
+        for i in range(i - 1, -1, -1):
+            key = (bits[i], f.cap)
             if key not in letters:
-                letters[key] = fields[bits[0]].truncate(inner.cap)
-            f = table[bits] = covariant_derivative(letters[key], inner)
+                letters[key] = fields[bits[i]].truncate(f.cap)
+            f = table[bits[i:]] = covariant_derivative(letters[key], f)
         return f
 
     return word

@@ -446,6 +446,7 @@ class TruncatedSeries:
         numerators = {_unpack(k, self.num_vars, width): c
                       for k, c in self._terms.items()}
         acc = horner(numerators, self.num_vars)
+        del horner  # it calls itself: free it without the cyclic collector
         return _reduced(d, cap, acc._terms, acc._den * self._den)
 
     def shift(self, point) -> "TruncatedSeries":

@@ -11,7 +11,7 @@ imaginary part survives the expansion is rejected.
 import re as _re
 
 from .errors import ParseError
-from .jets import TruncatedSeries
+from .jets import TruncatedSeries, _new, _width
 from .rational import Q
 
 _TOKEN = _re.compile(r"""
@@ -200,60 +200,71 @@ def _degree(node) -> int:
 def _bounded(pair):
     """The (real, imaginary) pair, refusing a constant above the limit."""
     for part in pair:
-        if part.total_degree() == 0:
-            c = part.constant_term()
-            bits = (int(c.numerator).bit_length()
-                    + int(c.denominator).bit_length())
+        if part is not None and part._terms.keys() == {0}:
+            # a reduced constant: its numerator and _den are coprime
+            bits = part._terms[0].bit_length() + part._den.bit_length()
             if bits > MAX_CONSTANT_BITS:
                 raise ParseError(f"constant of {bits} bits is above the limit "
                                  f"of {MAX_CONSTANT_BITS}")
     return pair
 
 
+def _mul(ar, ai, br, bi):
+    """(ar + i ai)(br + i bi); a real factor has ai or bi None."""
+    if ai is None:
+        return ar * br, None if bi is None else ar * bi
+    if bi is None:
+        return ar * br, ai * br
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
 def _eval(node, n, cap):
-    """Evaluate to a (real, imaginary) pair of series."""
+    """Evaluate to a (real, imaginary) pair; a real value's second is None."""
     tag = node[0]
-    zero = TruncatedSeries.zero(2 * n, cap)
     if tag == "num":
-        return TruncatedSeries.constant(node[1], 2 * n, cap), zero
+        c = node[1]
+        num = int(c.numerator)
+        return _new(2 * n, cap, {0: num} if num else {},
+                    int(c.denominator)), None
     if tag == "var":
         kind, idx = node[1], node[2]
-        base = 2 * (idx - 1)
-        xs = TruncatedSeries.variable(base, 2 * n, cap)
-        ys = TruncatedSeries.variable(base + 1, 2 * n, cap)
-        if kind == "x":
-            return xs, zero
-        if kind == "y":
-            return ys, zero
-        return xs, ys  # z_i = x_i + i y_i
+        width = _width(cap)
+        # x_idx and y_idx, each one packed key: degree 1, one exponent 1
+        xs, ys = (_new(2 * n, cap, {1 << 2 * n * width | 1 << width * e: 1}, 1)
+                  for e in (2 * (n - idx) + 1, 2 * (n - idx)))
+        if kind == "z":
+            return xs, ys  # z_i = x_i + i y_i
+        return (xs if kind == "x" else ys), None
     if tag == "neg":
         re_, im_ = _eval(node[1], n, cap)
-        return -re_, -im_
+        return -re_, None if im_ is None else -im_
     if tag in ("sum", "prod"):
         ar, ai = _eval(node[1][0], n, cap)
         for t in node[1][1:]:
             br, bi = _eval(t, n, cap)
             if tag == "sum":
-                ar, ai = ar + br, ai + bi
+                ar = ar + br
+                ai = ai if bi is None else bi if ai is None else ai + bi
             else:
-                ar, ai = _bounded((ar * br - ai * bi, ar * bi + ai * br))
+                ar, ai = _bounded(_mul(ar, ai, br, bi))
         return ar, ai
     if tag == "pow":
         ar, ai = _eval(node[1], n, cap)
-        rr, ri = TruncatedSeries.constant(1, 2 * n, cap), zero
+        rr, ri = _new(2 * n, cap, {0: 1}, 1), None
         for _ in range(node[2]):
-            rr, ri = _bounded((rr * ar - ri * ai, rr * ai + ri * ar))
+            rr, ri = _bounded(_mul(rr, ri, ar, ai))
         return rr, ri
     if tag == "fun":
         fr, fi = _eval(node[2], n, cap)
         name = node[1]
         if name == "Re":
-            return fr, zero
+            return fr, None
         if name == "Im":
-            return fi, zero
+            return (_new(2 * n, cap, {}, 1) if fi is None else fi), None
         if name == "conj":
-            return fr, -fi
-        return _bounded((fr * fr + fi * fi, zero))  # abs2
+            return fr, None if fi is None else -fi
+        return _bounded((fr * fr if fi is None else fr * fr + fi * fi,
+                         None))  # abs2
     raise AssertionError(tag)
 
 
@@ -276,7 +287,7 @@ def parse_expression(text: str, n: int, cap: int | None = None) -> TruncatedSeri
             f"expression has degree {degree}, above the limit of {MAX_DEGREE}")
     work = max(degree, cap or 0, 2)
     re_, im_ = _eval(node, n, work)
-    if not im_.is_zero():
+    if im_ is not None and not im_.is_zero():
         raise ParseError("expression is not real-valued")
     if cap is not None and cap < work:
         re_ = re_.truncate(cap)

@@ -1,5 +1,6 @@
 """Command line front end: spec building, documents, exit codes."""
 
+import gc
 import json
 import os
 import subprocess
@@ -9,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import levitype
-from levitype import CapError, Q
+from levitype import (CapError, Hypersurface, Q, higher_levi, parse_expression,
+                      perturbed_structure)
 from levitype.cli import CATALOG, ProblemSpec, main, run_command
 
 ORIGIN = (Q(0), Q(0), Q(0), Q(0))
@@ -338,3 +340,20 @@ def test_high_cap_perturbed_classify_ends_quickly():
                         "--J-perturb", "3", "--cap", "40")
     assert proc.returncode == 0
     assert "Traceback" not in proc.stderr
+
+
+def test_queries_free_their_tables_without_the_cyclic_collector():
+    # word tables, compositions and transport states hold no reference
+    # cycle, so memory does not wait for a collection to be returned
+    m = Hypersurface(2, parse_expression(QUARTIC_PHI, 2, cap=6))
+    j = perturbed_structure(2, 6, 3)
+    jet = [(Q(1), Q(-1, 2), Q(0), Q(2)), (Q(0), Q(1), Q(1, 3), Q(0)),
+           (Q(2), Q(0), Q(-1), Q(1))]
+    gc.collect()
+    gc.disable()
+    try:
+        run_command(spec_for("validate", j=("matrix", J_ROWS)))
+        higher_levi(m, j, jet, 1, 1)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

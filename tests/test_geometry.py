@@ -37,6 +37,7 @@ from levitype.geometry import (
     project_point_to_surface,
     standard_matrix,
 )
+from levitype.jets import mat_vec
 from levitype.linalg import mat_mul
 
 
@@ -316,6 +317,46 @@ class TestPerturbedStructure:
         for a in range(4):
             for b in range(4):
                 assert j.entries[a][b].coefficient((0, 0, 0, 0)) == std[a][b]
+
+
+class TestACStructure:
+    @staticmethod
+    def constant_std(j):
+        """is_standard by its definition: every entry the constant J_std
+        entry."""
+        std = standard_matrix(j.n)
+        return all(e.constant_term() == std[a][b]
+                   and e.total_degree() in (None, 0)
+                   for a, row in enumerate(j.entries)
+                   for b, e in enumerate(row))
+
+    def test_is_standard_is_the_constant_definition(self):
+        assert ACStructure.standard(2, 4).is_standard
+        for n in (1, 2, 3):
+            for seed in range(SEED, SEED + 4):
+                j = perturbed_structure(n, 5, seed)
+                assert j.truncate(0).is_standard
+                for cap in range(j.cap + 1):
+                    jc = j.truncate(cap)
+                    assert jc.is_standard == self.constant_std(jc)
+
+    def test_truncation_below_the_perturbation_is_standard(self):
+        # J = A J_std A^-1 with A = I + x1^2 E_12: J*J = -I exactly
+        rows = [["x1^2", "-1 - x1^4"], ["1", "-x1^2"]]
+        j = ACStructure(1, [[parse_expression(e, 1, cap=4) for e in row]
+                            for row in rows])
+        assert not j.is_standard
+        assert not j.truncate(2).is_standard
+        assert j.truncate(1).is_standard and self.constant_std(j.truncate(1))
+
+    def test_apply_below_the_structure_cap(self):
+        rng = make_rng("acstructure-apply")
+        j = perturbed_structure(2, 6, rng.randrange(1_000_000))
+        for cap in (2, 4, 6):
+            x = random_field(rng, 2, cap)
+            entries = [[e.truncate(cap) for e in row] for row in j.entries]
+            assert j.apply(x).components == tuple(
+                mat_vec(entries, list(x.components)))
 
 
 class TestRecenter:

@@ -1,6 +1,7 @@
 """Expression grammar and the inverse pretty-printer."""
 
 import pytest
+import sympy as sp
 
 from levitype import ParseError, Q, TruncatedSeries, parse_expression, series_to_expression
 from levitype.parser import MAX_CONSTANT_BITS, MAX_DEGREE, MAX_NESTING
@@ -161,3 +162,81 @@ class TestPrinter:
                     terms[exps] = c
             s = TruncatedSeries(4, 6, terms)
             assert parse_expression(series_to_expression(s), 2, cap=6) == s
+
+
+def random_expression(rng, n, depth):
+    """(text, sympy value, degree by the parser's rule) of a random
+    expression in x1..xn, y1..yn, z1..zn, every compound operand in
+    parentheses."""
+    kind = rng.choice(("num", "var") if depth == 0 else
+                      ("var", "sum", "prod", "pow", "neg", "fun", "fun"))
+    if kind == "num":
+        a, b = rng.randint(0, 5), rng.choice((1, 1, 2, 3, 4))
+        return (f"{a}/{b}" if b > 1 else f"{a}"), sp.Rational(a, b), 0
+    if kind == "var":
+        letter, idx = rng.choice("xyz"), rng.randint(1, n)
+        x, y = sp.symbols(f"x{idx} y{idx}", real=True)
+        value = {"x": x, "y": y, "z": x + sp.I * y}[letter]
+        return f"{letter}{idx}", value, 1
+    if kind == "fun":
+        name = rng.choice(("Re", "Im", "conj", "abs2"))
+        text, value, degree = random_expression(rng, n, depth - 1)
+        re_, im_ = sp.expand(value).as_real_imag()
+        value = {"Re": re_, "Im": im_, "conj": re_ - sp.I * im_,
+                 "abs2": re_ ** 2 + im_ ** 2}[name]
+        degree = 2 * degree if name == "abs2" else degree
+        return f"{name}({text})", value, degree
+    if kind == "pow":
+        text, value, degree = random_expression(rng, n, depth - 1)
+        e = rng.randint(0, 3)
+        return f"({text})^{e}", value ** e, degree * e
+    if kind == "neg":
+        text, value, degree = random_expression(rng, n, depth - 1)
+        return f"-({text})", -value, degree
+    parts = [random_expression(rng, n, depth - 1)
+             for _ in range(rng.randint(2, 3))]
+    if kind == "prod":
+        return ("*".join(f"({t})" for t, _, _ in parts),
+                sp.Mul(*(v for _, v, _ in parts)),
+                sum(d for _, _, d in parts))
+    text, value, _ = parts[0]
+    text = f"({text})"
+    for t, v, _ in parts[1:]:
+        sign = rng.choice("+-")
+        text += f" {sign} ({t})"
+        value = value + v if sign == "+" else value - v
+    return text, value, max(d for _, _, d in parts)
+
+
+def test_expansion_matches_sympy():
+    """Random expressions, parsed below, at and above their degree, against
+    sympy's expansion with z = x + i y; a string with an imaginary part is
+    refused, and its Re and Im parse to sympy's real and imaginary parts."""
+    rng = make_rng("parser-sympy")
+    seen = {"real": 0, "complex": 0}
+    for n in (1, 2, 3, 4):
+        gens = sp.symbols(" ".join(f"x{i} y{i}" for i in range(1, n + 1)),
+                          real=True)
+        for _ in range(20):
+            text, value, degree = random_expression(rng, n, 3)
+            while degree > 6:
+                text, value, degree = random_expression(rng, n, 3)
+            re_, im_ = sp.expand(value).as_real_imag()
+            parts = [(text, re_)]
+            if sp.expand(im_) != 0:
+                seen["complex"] += 1
+                with pytest.raises(ParseError, match="real-valued"):
+                    parse_expression(text, n)
+                parts = [(f"Re({text})", re_), (f"Im({text})", im_)]
+            else:
+                seen["real"] += 1
+            for text, part in parts:
+                expected = {exps: Q(int(c.p), int(c.q)) for exps, c in
+                            sp.Poly(part, *gens).terms() if c != 0}
+                for cap in sorted({max(degree - 1, 0), degree, degree + 1}):
+                    s = parse_expression(text, n, cap=cap)
+                    assert s.cap == cap, text
+                    assert dict(s.terms()) == {
+                        e: c for e, c in expected.items() if sum(e) <= cap}, \
+                        text
+    assert seen["real"] >= 10 and seen["complex"] >= 10, seen

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Time the series kernel (``levitype.jets``), transport, the Levi matrix,
-the commutation check and the staged search.
+the commutation check, the staged search and the parser.
 
 Usage (from the root of a source checkout):
 
@@ -24,14 +24,18 @@ every L^(p, s - p), s = 0..cap-2, on the disk of the first s + 1 of the
 n >= 2, and ``type_search_std``: ``type_search`` of that surface under J_std
 with k_max = cap - 2, which reaches the cap, and ``type_search_perturbed``:
 that of 2 x_n + |z1|^6 under the ``transport`` row's structure, which stops
-early at n = 2 from cap 10 and at n = 3 from cap 8.  It writes
+early at n = 2 from cap 10 and at n = 3 from cap 8, and ``parse_phi``:
+``parse_expression`` at the cap of the ``compose_phi_u`` row's phi, rendered
+by ``series_to_expression``, and ``build_structure``: every entry of the
+``transport`` row's structure rendered, parsed and built into an
+``ACStructure``, its J*J = -I check included.  It writes
 ``BENCH_<label>.json`` (into ``--out``, default the checkout root).  The
 inputs are fixed by a seeded generator, so two kernels see the same
 operands; each row carries a digest of the result (of every component, for
-a disk, of every value, for ``levi_trace``, of the orders of criteria 2-4,
-for ``commutation``, of the witness disk's components and the bound, its
-flags and its obstruction, for ``type_search``), and rows with equal digests
-computed the same result.  ``--src`` imports levitype from another source
+a disk, of every entry, for ``build_structure``, of every value, for
+``levi_trace``, of the orders of criteria 2-4, for ``commutation``, of the
+witness disk's components and the bound, its flags and its obstruction, for
+``type_search``), and rows with equal digests computed the same result.  ``--src`` imports levitype from another source
 tree, which times an earlier kernel with this script; the git sha recorded is
 that of the tree imported.
 
@@ -132,6 +136,18 @@ def operands(lev, num_vars, cap, seed):
         "compose_phi_u": (lambda: lev.compose_phi_u(surface, u).series,
                           (surface.phi, *u.components)),
     }
+    # the parse rows render operands drawn above and draw none
+    n = num_vars // 2
+    phi_text = lev.series_to_expression(surface.phi)
+    j_all = tuple(e for row in j.entries for e in row)
+    j_texts = [[lev.series_to_expression(e) for e in row] for row in j.entries]
+    ops["parse_phi"] = (lambda: lev.parse_expression(phi_text, n, cap=cap),
+                        (surface.phi,))
+    ops["build_structure"] = (
+        lambda: tuple(e for row in lev.ACStructure(n, [
+            [lev.parse_expression(t, n, cap=cap) for t in row]
+            for row in j_texts]).entries for e in row),
+        j_all)
     ops["levi_trace"] = (lambda: trace_values(lev, surface, j, derivs, cap),
                          (surface.phi, *j_plus))
     if num_vars >= 4:  # n = 1 has no complex tangent directions
@@ -142,7 +158,6 @@ def operands(lev, num_vars, cap, seed):
             lambda: lev.hermitian_levi_matrix(levi_surface, j),
             (levi_surface.phi, *j_plus))
         # draws no operand: a fixed surface that commutes to the cap
-        n = num_vars // 2
         harmonic = lev.Hypersurface(n, lev.parse_expression(
             f"2*x{n}+Re(z1^2)", n, cap=cap))
         rep = lev.type_search(harmonic, j_std, cap - 2)
