@@ -110,9 +110,14 @@ def _build_structure(spec: ProblemSpec) -> ACStructure:
                     and all(isinstance(e, str) for e in r) for r in rows)):
         raise ParseError(f"J matrix must be a {d}x{d} list of expression "
                          f"strings")
-    entries = [[parse_expression(e, spec.n, cap=spec.cap) for e in row]
-               for row in rows]
-    return ACStructure(spec.n, entries)
+    # each distinct string is parsed once, in row-major order of first
+    # sight, so the first ParseError is that of the row-major scan
+    parsed = {}
+    for row in rows:
+        for e in row:
+            if e not in parsed:
+                parsed[e] = parse_expression(e, spec.n, cap=spec.cap)
+    return ACStructure(spec.n, [[parsed[e] for e in row] for row in rows])
 
 
 def build_problem(spec: ProblemSpec):

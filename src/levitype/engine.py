@@ -363,7 +363,6 @@ class _Stager:
         self.n0 = m.grad_at_zero()
         self.jn0 = tuple(apply_jstd(self.n0))
         self.p0 = m.dphi_at_zero(self.n0)
-        self.q0 = m.dphi_at_zero(self.jn0)
         self.levi = hermitian_levi_matrix(m, j)
         self.taus = [b.at_zero() for b in self.levi.basis]
         self.colmat = _tangent_columns(self.taus)
@@ -391,9 +390,10 @@ class _Stager:
     # -- trace probes
 
     def _solve_normal_2x2(self, rhs1, rhs2):
-        sol = solve_affine([[self.p0, self.q0], [self.q0, -self.p0]],
-                           [rhs1, rhs2])
-        a, b = sol.particular
+        """a N0 + b JN0 with dphi(a N0 + b JN0) = rhs1 and
+        dphi(J(a N0 + b JN0)) = rhs2 at 0.  As dphi(JN0) = g.J_std g = 0
+        for g = grad phi(0), the system is diag(p0, -p0) with p0 = |g|^2."""
+        a, b = rhs1 / self.p0, -rhs2 / self.p0
         return _vec_add(_vec_scale(a, self.n0), _vec_scale(b, self.jn0))
 
     def start(self, u1):

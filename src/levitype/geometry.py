@@ -21,7 +21,8 @@ from math import gcd, lcm
 
 from . import linalg
 from .errors import CapError, GeometryError
-from .jets import TruncatedSeries, mat_mul, mat_vec
+from .jets import (TruncatedSeries, _dot, _operand, _partial_terms, mat_mul,
+                   mat_vec)
 from .rational import Q, ZERO
 
 
@@ -147,11 +148,8 @@ class Hypersurface:
 
     def dphi(self, x: VectorField) -> TruncatedSeries:
         """The series dphi(X); reliable cap is min(X.cap, phi.cap - 1)."""
-        cap = min(x.cap, self.cap - 1)
-        total = TruncatedSeries.zero(2 * self.n, cap)
-        for g, c in zip(self.gradient, x.components):
-            total = total + g.truncate(cap) * c.truncate(cap)
-        return total
+        return mat_vec((self.gradient,), x.components,
+                       min(x.cap, self.cap - 1))[0]
 
     def dphi_at_zero(self, vec):
         g = self.grad_at_zero()
@@ -230,11 +228,8 @@ class ACStructure:
                 comps.append(-x.components[i + 1])
                 comps.append(x.components[i])
             return VectorField(self.n, comps)
-        cap = min(self.cap, x.cap)
-        xt = [c.truncate(cap) for c in x.components]
-        entries = self.entries if cap == self.cap else [
-            [e.truncate(cap) for e in row] for row in self.entries]
-        return VectorField(self.n, mat_vec(entries, xt))
+        return VectorField(self.n, mat_vec(self.entries, x.components,
+                                           min(self.cap, x.cap)))
 
 
 @dataclass
@@ -261,12 +256,10 @@ def _projector(m: Hypersurface, j: ACStructure, cap: int):
     p = m.dphi(nf)
     q = m.dphi(jn)
     denom = (p * p + q * q).inverse()
-    if not j.is_standard:  # so that apply reads J's entries as they are
-        j = j.truncate(cap)
 
     def project(v: VectorField) -> VectorField:
         vt = v.truncate(cap)
-        jv = j.apply(vt).truncate(cap)
+        jv = j.apply(vt)  # cap <= j.cap
         r = m.dphi(vt)
         s = m.dphi(jv)
         a = (p * r + q * s) * denom
@@ -303,14 +296,19 @@ def covariant_derivative(x: VectorField, y: VectorField) -> VectorField:
         raise ValueError("covariant_derivative needs matching caps")
     if y.cap == 0:
         raise CapError("cannot differentiate a field with cap 0")
-    xt = [c.truncate(y.cap - 1) for c in x.components]
-    # a column of the Jacobian meets a component of X; where that component
-    # is zero the column is never read, so Y is not differentiated there
-    live = [not c.is_zero() for c in xt]
-    zero = TruncatedSeries.zero(2 * x.n, y.cap - 1)
-    jacobian = [[yi.partial(v) if live[v] else zero for v in range(2 * x.n)]
-                for yi in y.components]
-    return VectorField(x.n, mat_vec(jacobian, xt))
+    n2, cap = 2 * x.n, y.cap - 1
+    # X_v is read through cap; where it is zero, Y is not differentiated
+    xs = [(v, _operand(c, n2, cap)) for v, c in enumerate(x.components)
+          if c._terms]
+    comps = []
+    for yi in y.components:
+        pairs = []
+        if yi._terms:
+            items = sorted(yi._terms.items())
+            pairs = [(xv, (_partial_terms(items, n2, y.cap, v), yi._den))
+                     for v, xv in xs]
+        comps.append(_dot(pairs, n2, cap))
+    return VectorField(x.n, comps)
 
 
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
@@ -393,32 +391,31 @@ def complex_tangent_basis(m: Hypersurface, j: ACStructure):
     """Projections of coordinate directions spanning T^J_0 M over C.
 
     Greedy in coordinate order; returns n-1 fields whose values at 0 are
-    complex linearly independent.  Deterministic.
+    complex linearly independent.  Deterministic.  The projection P at 0
+    is onto T^J_0 M along span{N(0), JN(0)}; both are J(0)-invariant and
+    J(0) = J_std, so P commutes with J_std, and P e_i lies in the span of
+    the kept P e_c and J_std P e_c exactly when e_i lies in span{N(0),
+    JN(0), e_c, J_std e_c}.  That is decided at 0, and only the kept
+    coordinate fields are projected.
     """
     if m.n < 2:
         raise GeometryError("no complex tangent directions in complex dim 1")
     cap = min(m.cap - 1, (j.cap if j.is_standard else j.cap - 1))
-    project = _projector(m, j, cap)
-    basis = []
-    values = []  # real span generators: T_i(0) and J_0 T_i(0)
+    grad = m.grad_at_zero()
+    span = linalg.Span()
+    span.add(grad)
+    span.add(apply_jstd(grad))
+    kept = []
     for i in range(2 * m.n):
-        if len(basis) == m.n - 1:
+        if len(kept) == m.n - 1:
             break
-        cand = project(VectorField.coordinate(m.n, i, cap))
-        val = list(cand.at_zero())
-        if all(v == 0 for v in val):
-            continue
-        if values:
-            cols = [list(col) for col in zip(*values)]
-            sol = linalg.solve_affine(cols, val)
-            if sol.consistent:
-                continue
-        basis.append(cand)
-        values.append(val)
-        values.append(apply_jstd(val))
-    if len(basis) != m.n - 1:
-        raise GeometryError("failed to span the complex tangent space")
-    return basis
+        e = [ZERO] * (2 * m.n)
+        e[i] = Q(1)
+        if span.add(e):
+            span.add(apply_jstd(e))
+            kept.append(i)
+    project = _projector(m, j, cap)
+    return [project(VectorField.coordinate(m.n, i, cap)) for i in kept]
 
 
 def adapted_frame_matrix(j0):
@@ -427,16 +424,16 @@ def adapted_frame_matrix(j0):
     The returned matrix B satisfies B^-1 j0 B = J_std.
     """
     m = len(j0)
+    span = linalg.Span()
     cols = []
     for cand_idx in range(m):
         if len(cols) == m:
             break
         cand = [Q(1) if r == cand_idx else ZERO for r in range(m)]
-        if cols:
-            mat = [list(col) for col in zip(*cols)]
-            if linalg.solve_affine(mat, cand).consistent:
-                continue
+        if not span.add(cand):
+            continue
         jc = linalg.mat_vec(j0, cand)
+        span.add(jc)
         cols.append(cand)
         cols.append(jc)
     if len(cols) != m:

@@ -33,6 +33,14 @@ changes, which needs a cap of 256 or more.  Rationals (``Q``) appear only
 at the boundary: the constructor from exponent-tuple dicts, ``scale``,
 ``coefficient``, ``constant_term``, ``terms``, ``shift`` and ``evaluate``.
 
+Products.  One kernel, ``_dot``, forms every sum of products sum_i a_i b_i:
+``*`` is its one-pair case, and ``mat_vec`` is one ``_dot`` per row.  It reads its operands at the product's cap (the cap-aware read rule):
+an operand may have a higher cap, and its terms above the product's cap are
+never read, so it is used as it is, with no truncated copy.  Only an
+operand whose key width differs from the product's (one cap below 256, the
+other not) is truncated first.  The products are summed over the lcm of
+their denominators and reduced once.
+
 Term iteration and printing use graded lexicographic order so outputs are
 deterministic.
 """
@@ -308,27 +316,9 @@ class TruncatedSeries:
         cap, num_vars = self.cap, self.num_vars
         if num_vars != other.num_vars or cap != other.cap:
             self._check_binary(other)
-        # sorted keys are sorted by degree, so the inner loop can stop early
-        a = sorted(self._terms.items())
-        b = sorted(other._terms.items())
-        if len(a) > len(b):
-            a, b = b, a
-        limit = (cap + 1) << (num_vars * _width(cap))
-        out = {}
-        get = out.get
-        for ka, ca in a:
-            lim = limit - ka
-            for kb, cb in b:
-                if kb >= lim:
-                    break
-                k = ka + kb
-                out[k] = get(k, 0) + ca * cb
-        if not all(out.values()):
-            out = {k: c for k, c in out.items() if c}
-        den = self._den * other._den
-        if den == 1:
-            return _new(num_vars, cap, out, 1)
-        return _reduced(num_vars, cap, out, den)
+        return _dot((((sorted(self._terms.items()), self._den),
+                      (sorted(other._terms.items()), other._den)),),
+                    num_vars, cap)
 
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse of a unit series (nonzero constant term).
@@ -382,15 +372,7 @@ class TruncatedSeries:
         if self.cap == 0:
             raise CapError("cannot differentiate a series with cap 0")
         cap, num_vars = self.cap, self.num_vars
-        width = _width(cap)
-        shift = width * (num_vars - 1 - i)
-        mask = (1 << width) - 1
-        # lowers the degree field and the field of variable i by one
-        step = (1 << (width * num_vars)) + (1 << shift)
-        out = {k - step: c * e for k, c in self._terms.items()
-               if (e := (k >> shift) & mask)}
-        if cap >= _WIDE:
-            out = _relayout(out, num_vars, cap, cap - 1)
+        out = dict(_partial_terms(self._terms.items(), num_vars, cap, i))
         if self._den == 1:
             return _new(num_vars, cap - 1, out, 1)
         return _reduced(num_vars, cap - 1, out, self._den)
@@ -541,23 +523,92 @@ class TruncatedSeries:
         return [[list(e), str(c)] for e, c in self.terms()]
 
 
-def mat_vec(matrix, vector):
-    """The series vector out[i] = sum_j matrix[i][j] * vector[j].
+def _operand(s: TruncatedSeries, num_vars: int, cap: int):
+    """s as an operand of _dot at cap <= s.cap: (sorted terms, denominator).
 
-    Every entry and component shares one num_vars and one cap; zero entries
-    and zero components are skipped.
+    A series whose keys have another width than cap's is truncated first."""
+    if s.num_vars != num_vars:
+        raise ValueError(f"num_vars mismatch: {s.num_vars} vs {num_vars}")
+    if s.cap < cap:
+        raise ValueError(f"cap {s.cap} is below the product's cap {cap}")
+    if s.cap >= _WIDE and _width(s.cap) != _width(cap):
+        s = s.truncate(cap)
+    return sorted(s._terms.items()), s._den
+
+
+def _partial_terms(items, num_vars: int, cap: int, i: int) -> list:
+    """The terms of d/dx_i of the terms items of a series of cap cap.
+
+    They are (key, numerator) pairs over that series' denominator,
+    unreduced, keyed in the layout of cap - 1 and in the order of items.
     """
-    zero = TruncatedSeries.zero(vector[0].num_vars, vector[0].cap)
-    live = [(j, v) for j, v in enumerate(vector) if v._terms]
-    out = []
-    for row in matrix:
-        acc = zero
-        for j, v in live:
-            e = row[j]
-            if e._terms:
-                acc = acc + e * v
-        out.append(acc)
+    width = _width(cap)
+    shift = width * (num_vars - 1 - i)
+    mask = (1 << width) - 1
+    # lowers the degree field and the field of variable i by one
+    step = (1 << (width * num_vars)) + (1 << shift)
+    out = [(k - step, c * e) for k, c in items if (e := (k >> shift) & mask)]
+    if cap >= _WIDE:
+        out = list(_relayout(dict(out), num_vars, cap, cap - 1).items())
     return out
+
+
+def _dot(pairs, num_vars: int, cap: int) -> TruncatedSeries:
+    """The series sum a * b over pairs of operands a, b, at cap.
+
+    An operand is (terms, den): (key, numerator) pairs in increasing key
+    order, keyed in the layout of cap, over the denominator den (see
+    _operand).  Terms of degree above cap are never read.  The products
+    are summed over the lcm of their denominators and reduced once.
+    """
+    limit = (cap + 1) << (num_vars * _width(cap))
+    out = {}
+    get = out.get
+    den = 1
+    for (a, da), (b, db) in pairs:
+        if not (a and b):
+            continue
+        d = da * db
+        if den % d:  # the sum so far moves to the lcm
+            g = lcm(den, d) // den
+            den *= g
+            if out:
+                out = {k: c * g for k, c in out.items()}
+                get = out.get
+        f = den // d
+        if len(a) > len(b):
+            a, b = b, a
+        # the keys are sorted by degree, so the inner loop can stop early
+        for ka, ca in a:
+            lim = limit - ka
+            ca *= f
+            for kb, cb in b:
+                if kb >= lim:
+                    break
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+    if not all(out.values()):
+        out = {k: c for k, c in out.items() if c}
+    if den == 1:
+        return _new(num_vars, cap, out, 1)
+    return _reduced(num_vars, cap, out, den)
+
+
+def mat_vec(matrix, vector, cap=None):
+    """The series vector out[i] = sum_j matrix[i][j] * vector[j] at cap.
+
+    cap defaults to that of the vector's first component; every entry and
+    component shares one num_vars and has a cap of at least cap, and is read
+    through cap only.  Zero entries and zero components are skipped.
+    """
+    num_vars = vector[0].num_vars
+    if cap is None:
+        cap = vector[0].cap
+    vec = [_operand(v, num_vars, cap) if v._terms else None for v in vector]
+    return [_dot([(_operand(e, num_vars, cap), v)
+                  for e, v in zip(row, vec) if v and e._terms],
+                 num_vars, cap)
+            for row in matrix]
 
 
 def mat_mul(a, b):

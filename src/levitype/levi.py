@@ -128,17 +128,16 @@ def _one_jets(m: Hypersurface, j: ACStructure, fields):
 
     w_F = c DF(0) for the row vector c = dphi(0) J_std, kept as {k: value}
     over its nonzero entries.  As [A, B](0) = DB(0)A(0) - DA(0)B(0),
-    dphi(J_std [A, B](0)) = w_B.A(0) - w_A.B(0).  J is truncated to cap 1 once.
+    dphi(J_std [A, B](0)) = w_B.A(0) - w_A.B(0).
     """
     c = [(i, -v) for i, v in enumerate(apply_jstd(m.grad_at_zero())) if v]
-    j1 = j.truncate(min(j.cap, 1))
     out = []
     for x in fields:
         if x.cap == 0:
             raise CapError("cannot differentiate a field with cap 0")
         x1 = x.truncate(1)
         data = []
-        for f in (x1, j1.apply(x1)):
+        for f in (x1, j.apply(x1)):
             w = {}
             for i, ci in c:
                 for exps, v in f.components[i].terms():
@@ -244,16 +243,15 @@ def hermitian_levi_matrix(m: Hypersurface, j: ACStructure) -> HermitianLeviMatri
 
     Theta(X, Y) reads dphi(0), J(0) and the 1-jets of X, Y, JX and JY, so
     the 2-jet of phi and the 1-jet of J.  The basis and the entries are built
-    on those.  J keeps cap 2 (or its own, if lower) because a non-standard J
-    of cap c gives complex_tangent_basis fields of cap c - 1; the basis
-    fields have cap 1 and agree with the full-cap ones through degree 1.
-    Each field is checked tangent once; an entry is the covector formula of
-    levi_polar, (w_JY.X0 - w_X.JY0 + w_JX.Y0 - w_Y.JX0) / 2
+    on the 2-jet of phi; the basis fields have cap 1 (or 0, for a
+    non-standard J of cap 1) and agree with the full-cap ones through
+    degree 1, and J.apply reads J through the fields' cap.  Each field is
+    checked tangent once; an entry is the covector formula of levi_polar,
+    (w_JY.X0 - w_X.JY0 + w_JX.Y0 - w_Y.JX0) / 2
     + i (w_Y.X0 - w_X.Y0 + w_JY.JX0 - w_JX.JY0) / 2, w_F = dphi(0) J_std DF(0).
     """
-    m, j = m.truncate(2), j.truncate(min(j.cap, 2))
+    m = m.truncate(2)
     basis = complex_tangent_basis(m, j)
-    j = j.truncate(min(j.cap, 1))
     for x in basis:
         _require_tangent(m, j, x, "hermitian_levi_matrix")
     jets = _one_jets(m, j, basis)

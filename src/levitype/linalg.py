@@ -2,14 +2,16 @@
 
 Dense Gaussian elimination with deterministic pivoting (first nonzero entry
 in column order), affine solves returning particular solution plus nullspace,
-matrix inverse, and the inertia of a symmetric matrix by symmetric
-elimination.  All matrices are lists of lists of rationals; sizes here are
+matrix inverse, an incremental span of vectors in fraction-free echelon
+form, and the inertia of a symmetric matrix by symmetric elimination.  All matrices are lists of lists of rationals; sizes here are
 tiny (<= ~10).
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
+from math import gcd, lcm
 
 from .rational import Q, ZERO
 
@@ -105,6 +107,43 @@ def mat_inverse(a):
             raise ValueError("matrix is singular")
         cols.append(sol.particular)
     return [list(row) for row in zip(*cols)]
+
+
+def _primitive(ints):
+    """ints divided by their greatest common divisor."""
+    g = gcd(*ints)
+    return [c // g for c in ints] if g > 1 else ints
+
+
+class Span:
+    """The span over Q of vectors added one at a time.
+
+    The span is kept as primitive integer rows in echelon form, each with
+    its own pivot column.  A vector is reduced against the rows by
+    fraction-free two-term elimination (in the style of Bareiss), each step
+    made primitive again, so every entry stays a small integer and no
+    fraction is formed.
+    """
+
+    def __init__(self):
+        self.rows = []  # (pivot column, row), sorted by pivot
+
+    def add(self, vec) -> bool:
+        """Add vec; True when it was outside the span (and the span grew)."""
+        vec = [Q(x) for x in vec]
+        den = lcm(*(int(x.denominator) for x in vec))
+        v = _primitive([int(x.numerator) * (den // int(x.denominator))
+                        for x in vec])
+        for p, row in self.rows:
+            c = v[p]
+            if c:
+                a = row[p]
+                v = _primitive([a * x - c * y for x, y in zip(v, row)])
+        pivot = next((i for i, x in enumerate(v) if x), None)
+        if pivot is None:
+            return False
+        insort(self.rows, (pivot, v))
+        return True
 
 
 def real_symmetric_signature(a):

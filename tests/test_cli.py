@@ -73,6 +73,29 @@ class TestRunCommand:
         assert doc["result"]["classification"] == "strictly_pseudoconvex"
         assert doc["parameters"]["J"] == {"matrix": J_ROWS}
 
+    def test_structure_parses_each_distinct_entry_once(self, monkeypatch):
+        calls = []
+
+        def counting(text, *args, **kwargs):
+            calls.append(text)
+            return parse_expression(text, *args, **kwargs)
+
+        monkeypatch.setattr(levitype.cli, "parse_expression", counting)
+        j = levitype.cli.build_problem(
+            spec_for("levi", phi=SPHERE_PHI, j=("matrix", J_ROWS)))[1]
+        seen = list(dict.fromkeys(e for row in J_ROWS for e in row))
+        assert calls == [SPHERE_PHI] + seen
+        assert [[str(e) for e in row] for row in j.entries] == [
+            [str(parse_expression(e, 2, cap=10)) for e in row]
+            for row in J_ROWS]
+
+    def test_structure_reports_the_first_bad_entry(self):
+        rows = [list(row) for row in J_ROWS]
+        rows[1][3], rows[2][0] = "(x1", "x1^y1"
+        with pytest.raises(levitype.ParseError) as err:
+            run_command(spec_for("levi", phi=SPHERE_PHI, j=("matrix", rows)))
+        assert str(err.value) == "expected ')' (at position 3)"
+
     def test_levi_at_point_is_recentered(self):
         # agrees with scan, which certifies type 2 at this point
         point = (Q(1, 2), Q(0), Q(-1, 32), Q(0))

@@ -28,7 +28,11 @@ early at n = 2 from cap 10 and at n = 3 from cap 8, and ``parse_phi``:
 ``parse_expression`` at the cap of the ``compose_phi_u`` row's phi, rendered
 by ``series_to_expression``, and ``build_structure``: every entry of the
 ``transport`` row's structure rendered, parsed and built into an
-``ACStructure``, its J*J = -I check included.  It writes
+``ACStructure``, its J*J = -I check included, and ``mat_vec``: the
+``transport`` row's structure times a vector of num_vars series of
+VECTOR_TERMS terms, and ``covariant_derivative``: D_X Y of two fields of
+such components, and, outside the grid, ``levi_std`` at n in LARGE_LEVI_N
+(cap LARGE_LEVI_CAP), on a surface drawn as the grid's.  It writes
 ``BENCH_<label>.json`` (into ``--out``, default the checkout root).  The
 inputs are fixed by a seeded generator, so two kernels see the same
 operands; each row carries a digest of the result (of every component, for
@@ -57,6 +61,7 @@ import random
 import subprocess
 import sys
 import time
+from itertools import chain
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -70,6 +75,10 @@ COMPOSE_TERMS = 12  # terms of the outer series of compose
 DISK_TERMS = 6      # terms of each substituted 2-variable series
 INVERSE_TERMS = 4   # non-constant terms of the unit series inverted
 LEVI_TERMS = 8      # terms of degree 2..3 of the Levi rows' surface
+VECTOR_TERMS = 6    # terms of each component of the mat_vec and
+                    # covariant_derivative rows' operands
+LARGE_LEVI_N = (8, 16, 32)
+LARGE_LEVI_CAP = 4
 
 
 def git(src: Path, *args) -> str | None:
@@ -174,7 +183,30 @@ def operands(lev, num_vars, cap, seed):
         ops["type_search_perturbed"] = (
             lambda: lev.type_search(sextic, j, cap - 2),
             (sextic.phi, *j_plus))
+    # drawn after every operand above, so their digests do not move
+    vec, x, y = ([series(num_vars, cap, random_terms(
+        rng, num_vars, 0, cap, VECTOR_TERMS, q)) for _ in range(num_vars)]
+        for _ in range(3))
+    ops["mat_vec"] = (lambda: tuple(lev.jets.mat_vec(j.entries, vec)),
+                      (*j_all, *vec))
+    x, y = lev.VectorField(n, x), lev.VectorField(n, y)
+    ops["covariant_derivative"] = (
+        lambda: lev.covariant_derivative(x, y).components,
+        (*x.components, *y.components))
     return ops
+
+
+def large_levi_operands(lev, n, seed):
+    """The levi_std row at n, off the grid: its own generator, so no grid
+    operand moves."""
+    rng = random.Random(f"{seed}:levi:{n}")
+    num_vars, cap = 2 * n, LARGE_LEVI_CAP
+    terms = random_terms(rng, num_vars, 2, 3, LEVI_TERMS, lev.Q)
+    terms[(0,) * (num_vars - 1) + (1,)] = lev.Q(2)
+    surface = lev.Hypersurface(n, lev.TruncatedSeries(num_vars, cap, terms))
+    j_std = lev.ACStructure.standard(n, cap)
+    return {"levi_std": (lambda: lev.hermitian_levi_matrix(surface, j_std),
+                         (surface.phi,))}
 
 
 def trace_values(lev, surface, j, derivs, cap) -> list:
@@ -254,22 +286,24 @@ def main(argv=None) -> int:
     lev = importlib.import_module("levitype")
     rational = importlib.import_module("levitype.rational")
     rows = []
-    for num_vars in GRID_VARS:
-        for cap in GRID_CAPS:
-            for op, (fn, inputs) in operands(lev, num_vars, cap,
-                                             SEED).items():
-                result = fn()
-                rows.append({
-                    "op": op, "num_vars": num_vars, "cap": cap,
-                    "terms_in": [len(s.as_list()) for s in inputs],
-                    "terms_out": (sum(map(len, result))
-                                  if isinstance(result, list) else
-                                  sum(len(s.as_list()) for s in parts(result))),
-                    "digest": digest(result),
-                    "seconds": seconds_per_call(fn),
-                })
-                print(f"{op:14s} vars={num_vars} cap={cap:2d} "
-                      f"{rows[-1]['seconds'] * 1e6:12.1f} us", file=sys.stderr)
+    grid = chain(((num_vars, cap, operands(lev, num_vars, cap, SEED))
+                  for num_vars in GRID_VARS for cap in GRID_CAPS),
+                 ((2 * n, LARGE_LEVI_CAP, large_levi_operands(lev, n, SEED))
+                  for n in LARGE_LEVI_N))
+    for num_vars, cap, ops in grid:
+        for op, (fn, inputs) in ops.items():
+            result = fn()
+            rows.append({
+                "op": op, "num_vars": num_vars, "cap": cap,
+                "terms_in": [len(s.as_list()) for s in inputs],
+                "terms_out": (sum(map(len, result))
+                              if isinstance(result, list) else
+                              sum(len(s.as_list()) for s in parts(result))),
+                "digest": digest(result),
+                "seconds": seconds_per_call(fn),
+            })
+            print(f"{op:14s} vars={num_vars} cap={cap:2d} "
+                  f"{rows[-1]['seconds'] * 1e6:12.1f} us", file=sys.stderr)
     doc = {
         "label": args.label,
         "git_sha": git(args.src, "rev-parse", "HEAD") or "unknown",
