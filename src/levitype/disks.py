@@ -21,12 +21,22 @@ stratum formed, so disks that differ only from some order on transport
 their common part once.  propagate_cr_jet is that state extended to its
 order.  Strata are Python-int numerators over one denominator; rationals
 appear only in the x-derivatives read and in what is returned.
+
+What a transport reads of J and phi, its plan (_Plan: the products u^alpha
+that their monomials need, the entries of J - J_std and the rows of R as
+combinations of them, and phi . u as one), depends on neither the cap nor
+the disk, so it is built once per (J, phi) pair and held by J (see _plan).
+Strata are formed by three kernels shaped to their operands: _product for
+one product of u's components, _combine for a combination of strata with
+constant coefficients (e(u) and phi . u), and _stratum for the rows of R.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import factorial, gcd, lcm
+from weakref import WeakKeyDictionary
 
 from .errors import CapError, GeometryError, TheoremViolation
 from .geometry import ACStructure, Hypersurface
@@ -82,27 +92,30 @@ class DiskJet:
         return f"DiskJet(n={self.n}, cap={self.cap})"
 
 
-def _stratum(pairs, d: int):
-    """Stratum d of sum(a * b for a, b in pairs), as (numerators, den) or None.
+def _convolve(pairs, d: int):
+    """Stratum d of sum(sa * sb for sa, sb in pairs), as (nums, den) or None.
 
     A series is held as the list of its strata, indexed by degree, with None
     for a zero stratum.  Stratum k is a pair (nums, den) of k + 1 Python-int
     numerators over one positive denominator: nums[q] / den is the
-    coefficient of x^(k-q) y^q.  Strata of degree d or more that a series
-    does not hold yet are never read: stratum d of a * b reads a[t] and
-    b[d-t] only where both lists reach.  The result is reduced.
+    coefficient of x^(k-q) y^q.  pairs holds strata (or None) whose degrees
+    sum to d.  The result is reduced, so it is the unique (nums, den) of
+    its value.
     """
     out = [0] * (d + 1)
-    den = 1
-    for a, b in pairs:
-        for t in range(max(0, d + 1 - len(b)), min(d, len(a) - 1) + 1):
-            sa, sb = a[t], b[d - t]
-            if sa is None or sb is None:
-                continue
-            na, da = sa
-            nb, db = sb
-            f = da * db
-            if f != den:
+    den = 0
+    for sa, sb in pairs:
+        if sa is None or sb is None:
+            continue
+        na, da = sa
+        nb, db = sb
+        if len(na) > len(nb):
+            na, nb = nb, na
+        f = da * db
+        if f != den:
+            if not den:
+                den = f
+            else:
                 m = lcm(den, f)
                 if m != den:
                     g = m // den
@@ -111,11 +124,11 @@ def _stratum(pairs, d: int):
                 if m != f:
                     g = m // f
                     na = [c * g for c in na]
-            for i, ca in enumerate(na):
-                if ca:
-                    for k, cb in enumerate(nb, i):
-                        out[k] += ca * cb
-    if not any(out):
+        for i, ca in enumerate(na):
+            if ca:
+                for k, cb in enumerate(nb, i):
+                    out[k] += ca * cb
+    if not den or not any(out):
         return None
     if den != 1:
         g = gcd(den, *out)
@@ -123,6 +136,129 @@ def _stratum(pairs, d: int):
             den //= g
             out = [c // g for c in out]
     return out, den
+
+
+def _aligned(a, b, d: int):
+    """The pairs (a[t], b[d-t]) of strata that both lists hold.
+
+    Strata of degree d or more that a series does not hold yet are never
+    read.
+    """
+    lo = max(0, d + 1 - len(b))
+    return zip(a[lo:d + 1], b[d - lo::-1])
+
+
+def _stratum(pairs, d: int):
+    """Stratum d of sum(a * b for a, b in pairs) for lists of strata."""
+    return _convolve(chain.from_iterable(_aligned(a, b, d) for a, b in pairs),
+                     d)
+
+
+def _product(a, b, d: int):
+    """Stratum d of a * b for two lists of strata."""
+    return _convolve(_aligned(a, b, d), d)
+
+
+def _combine(terms, d: int):
+    """Stratum d of sum(c / dc * s for c, dc, s in terms), as (nums, den) or
+    None.
+
+    A term is a constant c / dc and a stratum s of degree d (or None); the
+    result is reduced, as _convolve's.
+    """
+    out = None
+    for c, dc, st in terms:
+        if st is None:
+            continue
+        ns, ds = st
+        f = dc * ds
+        if out is None:
+            out, den = [c * v for v in ns], f
+            continue
+        if f != den:
+            m = lcm(den, f)
+            if m != den:
+                g = m // den
+                out = [v * g for v in out]
+                den = m
+            c *= m // f
+        out = [v + c * w for v, w in zip(out, ns)]
+    if out is None or not any(out):
+        return None
+    if den != 1:
+        g = gcd(den, *out)
+        if g != 1:
+            den //= g
+            out = [v // g for v in out]
+    return out, den
+
+
+class _Plan:
+    """What every transport of J, and of phi . u, reads of their terms.
+
+    table holds (|alpha|, parent, k) of each product u^alpha that a monomial
+    of J - J_std or of phi needs, u^alpha = u^(alpha - e_k) * u_k, the
+    first 2n being the u_k.  entries holds e(u) for each entry e of J - J_std
+    with a term, as (numerator, den, product) terms, and rows[a] the
+    (entry, b) pairs of row a of R; phi holds phi . u as such terms.  Every term of
+    positive degree is planned, whatever the cap of a transport: a product
+    above what a cap reads is never filled, and reads as None.
+    """
+
+    __slots__ = ("table", "entries", "rows", "phi")
+
+    def __init__(self, j: ACStructure, phi: TruncatedSeries | None):
+        n2 = 2 * j.n
+        table = self.table = [(1, None, None)] * n2
+        index = {tuple(int(i == k) for i in range(n2)): k for k in range(n2)}
+
+        def product(alpha):
+            i = index.get(alpha)
+            if i is None:
+                k = max(i for i, e in enumerate(alpha) if e)
+                parent = product(alpha[:k] + (alpha[k] - 1,) + alpha[k + 1:])
+                i = index[alpha] = len(table)
+                table.append((sum(alpha), parent, k))
+            return i
+
+        def combination(e):
+            width = _width(e.cap)
+            return [(c, e._den, product(_unpack(key, n2, width)))
+                    for key, c in e._terms.items() if key >> n2 * width]
+
+        # row a of R pairs (e(u), du_b/dx) over the entries e = (J - J_std)_ab;
+        # J(0) = J_std, so e is J_ab without its constant
+        self.entries, self.rows = [], [[] for _ in range(n2)]
+        for a, row in enumerate(j.entries):
+            for b, e in enumerate(row):
+                comb = combination(e)
+                if comb:
+                    self.rows[a].append((len(self.entries), b))
+                    self.entries.append(comb)
+        self.phi = [] if phi is None else combination(phi)
+        del product  # it calls itself: free it without the cyclic collector
+
+
+def _plan(j: ACStructure, m: Hypersurface | None) -> _Plan:
+    """The plan of J and phi, or of J alone when m is None, built once.
+
+    J holds both: its own plan as an attribute, and the plan of each
+    surface in a WeakKeyDictionary keyed by the surface, so a plan dies
+    with either object.  It is keyed neither by cap, since one plan serves
+    every cap, nor by id(m): a freed surface's id is reused by a new one,
+    which would read the old surface's plan.
+    """
+    held = vars(j)
+    if m is None:
+        if "_plan" not in held:
+            held["_plan"] = _Plan(j, None)
+        return held["_plan"]
+    if "_plans" not in held:
+        held["_plans"] = WeakKeyDictionary()
+    plans = held["_plans"]
+    if m not in plans:
+        plans[m] = _Plan(j, m.phi)
+    return plans[m]
 
 
 class _Transport:
@@ -136,8 +272,9 @@ class _Transport:
     [u_x]_{m-1-t} reads stratum m-t <= m-1 of u, and [(J - J_std)(u)]_t
     reads strata <= t <= m-1: all final before order m starts, while
     stratum m, still being filled, never enters R.  The state holds u, u_x,
-    each entry e(u) of J - J_std and each product u^alpha that a monomial
-    of J - J_std or of phi needs, all as lists of strata (see _stratum).
+    each entry e(u) of J - J_std and each product u^alpha of the plan of
+    (J, phi) (see _Plan), all as lists of strata (see _convolve).  The plan
+    is built once per pair and shared by every transport of it, at any cap.
     u^alpha = u^(alpha - e_k) * u_k, parents shared, so its stratum t reads
     strata < t of its parent and <= t + 1 - |alpha| of u_k.  Order m needs
     the products of J - J_std through m-1 and stratum d of phi . u those of
@@ -148,49 +285,21 @@ class _Transport:
     """
 
     def __init__(self, j: ACStructure, cap: int, m: Hypersurface | None = None):
-        n2 = 2 * j.n
         if m is not None and m.n != j.n:
             raise ValueError(f"surface in C^{m.n}, structure on C^{j.n}")
         if not j.is_standard and j.cap < max(cap - 1, 0):
             raise CapError(
                 f"structure cap {j.cap} too small to transport to order {cap}")
-        self.n2, self.cap, self.order = n2, cap, 0
-        # (|alpha|, parent, k) of each product; the first n2 are the u_k
-        table = self.table = [(1, None, None)] * n2
-        index = {tuple(int(i == k) for i in range(n2)): k for k in range(n2)}
-
-        def product(alpha):
-            i = index.get(alpha)
-            if i is None:
-                k = max(i for i, e in enumerate(alpha) if e)
-                parent = product(alpha[:k] + (alpha[k] - 1,) + alpha[k + 1:])
-                i = index[alpha] = len(table)
-                table.append((sum(alpha), parent, k))
-            return i
-
-        def combination(e, top):
-            # e(u) through degree top, as (constant series, product) pairs
-            width = _width(e.cap)
-            return [([((c,), e._den)], product(_unpack(key, n2, width)))
-                    for key, c in e._terms.items()
-                    if 0 < key >> n2 * width <= top]
-
-        # row a of R pairs (e(u), du_b/dx) over the entries e = (J - J_std)_ab;
-        # J(0) = J_std, so e is J_ab without its constant
-        self.entries, self.rows = [], [[] for _ in range(n2)]
-        for a, row in enumerate(j.entries):
-            for b, e in enumerate(row):
-                comb = combination(e, cap - 1)
-                if comb:
-                    self.rows[a].append((len(self.entries), b))
-                    self.entries.append(comb)
-        self.phi = [] if m is None else combination(m.phi, cap)
-        del product  # it calls itself: free it without the cyclic collector
+        plan = _plan(j, m)
+        self.n2, self.cap, self.order = 2 * j.n, cap, 0
+        table = self.table = plan.table
+        self.entries, self.rows, self.phi = plan.entries, plan.rows, plan.phi
         # the stratum through which the cap reads each product, for copy()
-        self.tops = {i: cap - 1 for comb in self.entries for _, i in comb}
-        self.tops.update((i, cap) for _, i in self.phi)
+        self.tops = {i: cap - 1 for comb in self.entries for _, _, i in comb
+                     if table[i][0] < cap}
+        self.tops.update((i, cap) for _, _, i in self.phi if table[i][0] <= cap)
         self.strata = [[None] * deg for deg, _, _ in table]
-        self.ux = [[] for _ in range(n2)]
+        self.ux = [[] for _ in range(self.n2)]
         self.eu = [[] for _ in self.entries]
 
     def _fill(self, i, d):
@@ -199,8 +308,8 @@ class _Transport:
         if len(s) <= d:
             _, parent, k = self.table[i]
             self._fill(parent, d - 1)
-            pair = ((self.strata[parent], self.strata[k]),)
-            s.extend(_stratum(pair, t) for t in range(len(s), d + 1))
+            a, b = self.strata[parent], self.strata[k]
+            s.extend(_product(a, b, t) for t in range(len(s), d + 1))
 
     def copy(self) -> "_Transport":
         for i, top in self.tops.items():
@@ -229,11 +338,12 @@ class _Transport:
             low = m - 1
             strata = self.strata
             for comb, eu in zip(self.entries, self.eu):
-                for _, i in comb:
+                for _, _, i in comb:
                     self._fill(i, low)
-                eu.append(_stratum([(c, strata[i]) for c, i in comb], low))
+                eu.append(_combine([(c, dc, strata[i][low])
+                                    for c, dc, i in comb], low))
             r = [_stratum([(self.eu[e], self.ux[b]) for e, b in row], low)
-                 for row in self.rows]
+                 if row else None for row in self.rows]
             den = lcm(*(v.denominator for v in vec),
                       *(ri[1] for ri in r if ri is not None))
             # numerators over den * m!: c_{m,0} = v / m!
@@ -273,9 +383,10 @@ class _Transport:
             pad = self.copy()
             pad.extend(*[(ZERO,) * self.n2] * (d - self.order))
             return pad.read(d)
-        for _, i in self.phi:
+        for _, _, i in self.phi:
             self._fill(i, d)
-        st = _stratum([(c, self.strata[i]) for c, i in self.phi], d)
+        st = _combine([(c, dc, self.strata[i][d]) for c, dc, i in self.phi],
+                      d)
         if st is None:
             return [ZERO] * (d + 1)
         return [Q(c * factorial(d - q) * factorial(q), st[1])

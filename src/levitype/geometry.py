@@ -21,8 +21,8 @@ from math import gcd, lcm
 
 from . import linalg
 from .errors import CapError, GeometryError
-from .jets import (TruncatedSeries, _dot, _operand, _partial_terms, mat_mul,
-                   mat_vec)
+from .jets import (TruncatedSeries, _dot, _new, _operand, _partial_terms,
+                   mat_mul, mat_vec)
 from .rational import Q, ZERO
 
 
@@ -51,9 +51,13 @@ def apply_jstd(vec):
 
 
 class VectorField:
-    """Vector field on a neighborhood of 0 in R^(2n), components as series."""
+    """Vector field on a neighborhood of 0 in R^(2n), components as series.
 
-    __slots__ = ("n", "components")
+    _direction holds the field's operands as a direction of
+    covariant_derivative, formed on first use.
+    """
+
+    __slots__ = ("n", "components", "_direction")
 
     def __init__(self, n: int, components):
         components = tuple(components)
@@ -67,6 +71,7 @@ class VectorField:
                 raise ValueError("components must share one cap")
         self.n = n
         self.components = components
+        self._direction = None
 
     @property
     def cap(self) -> int:
@@ -297,17 +302,19 @@ def covariant_derivative(x: VectorField, y: VectorField) -> VectorField:
     if y.cap == 0:
         raise CapError("cannot differentiate a field with cap 0")
     n2, cap = 2 * x.n, y.cap - 1
-    # X_v is read through cap; where it is zero, Y is not differentiated
-    xs = [(v, _operand(c, n2, cap)) for v, c in enumerate(x.components)
-          if c._terms]
+    xs = x._direction
+    if xs is None:
+        # X_v is read through cap; where it is zero, Y is not differentiated
+        xs = x._direction = [(v, _operand(c, n2, cap))
+                             for v, c in enumerate(x.components) if c._terms]
     comps = []
     for yi in y.components:
-        pairs = []
-        if yi._terms:
+        if yi._terms and xs:
             items = sorted(yi._terms.items())
-            pairs = [(xv, (_partial_terms(items, n2, y.cap, v), yi._den))
-                     for v, xv in xs]
-        comps.append(_dot(pairs, n2, cap))
+            comps.append(_dot([(xv, (_partial_terms(items, n2, y.cap, v),
+                                     yi._den)) for v, xv in xs], n2, cap))
+        else:
+            comps.append(_new(n2, cap, {}, 1))
     return VectorField(x.n, comps)
 
 
@@ -349,7 +356,8 @@ def word_table(fields):
 
     Each word is built once from its inner word, its direction truncated to
     that word's cap, so a word of length m has cap F_bm.cap - (m - 1).  Each
-    letter is truncated once per cap, for all the words of the table.
+    letter is truncated once per cap, for all the words of the table, so its
+    operands as a direction are formed once per cap too.
     """
     table = {(b,): f for b, f in enumerate(fields)}
     letters = {}

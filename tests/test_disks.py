@@ -1,5 +1,8 @@
 """Disk-jet transport, traces along disks, and holomorphic reparametrization."""
 
+from fractions import Fraction
+from math import gcd
+
 import pytest
 
 from levitype import (
@@ -16,7 +19,8 @@ from levitype import (
     propagate_cr_jet,
     reparametrize_disk_jet,
 )
-from levitype.disks import _Transport, holomorphic_reparam_series, is_cr_jet
+from levitype.disks import (_Transport, _combine, _product, _stratum,
+                            holomorphic_reparam_series, is_cr_jet)
 from levitype.geometry import apply_jstd
 
 from conftest import (
@@ -276,6 +280,118 @@ class TestPerturbedTransport:
         v = random_vector(rng, 4)
         with pytest.raises(CapError):
             propagate_cr_jet([v], j, 5)
+
+
+def random_strata(rng, length, dens):
+    """length strata: None, or k + 1 numerators over a denominator, reduced."""
+    out = []
+    for k in range(length):
+        if rng.random() < 0.25:
+            out.append(None)
+            continue
+        nums = [rng.randint(-3, 3) for _ in range(k + 1)]
+        nums[rng.randrange(k + 1)] = rng.choice((-2, -1, 1, 2))
+        den = rng.choice(dens)
+        g = gcd(den, *nums)
+        out.append(([c // g for c in nums], den // g))
+    return out
+
+
+def as_fractions(st, d):
+    return [Fraction(0)] * (d + 1) if st is None else \
+        [Fraction(c, st[1]) for c in st[0]]
+
+
+def fraction_stratum(pairs, d):
+    """Stratum d of sum(a * b) over pairs of strata lists, in Fractions."""
+    out = [Fraction(0)] * (d + 1)
+    for a, b in pairs:
+        for t in range(d + 1):
+            if t < len(a) and d - t < len(b):
+                fa, fb = as_fractions(a[t], t), as_fractions(b[d - t], d - t)
+                for i, x in enumerate(fa):
+                    for k, y in enumerate(fb, i):
+                        out[k] += x * y
+    return out
+
+
+def assert_reduced(st, want):
+    """st is the unique reduced (numerators, den) of want, or None if zero."""
+    if not any(want):
+        assert st is None
+        return
+    nums, den = st
+    assert den > 0 and gcd(den, *nums) == 1
+    assert [Fraction(c, den) for c in nums] == want
+
+
+class TestStratumKernels:
+    DENS = ((1,), (1, 2, 3, 4, 6))
+
+    def test_stratum_is_the_reduced_sum_of_products(self):
+        rng = make_rng("disks-kernel-stratum")
+        for dens in self.DENS:
+            for _ in range(200):
+                d = rng.randint(0, 7)
+                pairs = [(random_strata(rng, rng.randint(0, d + 2), dens),
+                          random_strata(rng, rng.randint(0, d + 2), dens))
+                         for _ in range(rng.randint(0, 4))]
+                assert_reduced(_stratum(pairs, d), fraction_stratum(pairs, d))
+
+    def test_product_is_the_one_pair_stratum(self):
+        # lists may stop short of d; a zero list and a cancelling pair
+        # read as None
+        rng = make_rng("disks-kernel-product")
+        for dens in self.DENS:
+            for _ in range(300):
+                d = rng.randint(0, 8)
+                a = random_strata(rng, rng.randint(0, d + 2), dens)
+                b = random_strata(rng, rng.randint(0, d + 2), dens)
+                want = _stratum([(a, b)], d)
+                assert _product(a, b, d) == want
+                assert_reduced(want, fraction_stratum([(a, b)], d))
+                neg = [None if st is None else ([-c for c in st[0]], st[1])
+                       for st in b]
+                assert _stratum([(a, b), (a, neg)], d) is None
+        assert _product([None] * 3, random_strata(rng, 4, (2,)), 3) is None
+
+    def test_combine_is_the_stratum_of_constant_series(self):
+        # a constant c / den is the one-stratum series [((c,), den)], and a
+        # stratum s of degree d the series with s at d
+        rng = make_rng("disks-kernel-combine")
+        for dens in self.DENS:
+            for _ in range(300):
+                d = rng.randint(0, 8)
+                terms = [(rng.choice((-3, -2, -1, 1, 2, 5)), rng.choice(dens),
+                          random_strata(rng, d + 1, dens)[d])
+                         for _ in range(rng.randint(0, 5))]
+                if terms and rng.random() < 0.3:
+                    c, dc, st = terms[0]
+                    terms.append((-c, dc, st))  # may cancel to None
+                want = _stratum([([((c,), dc)], [None] * d + [st])
+                                 for c, dc, st in terms], d)
+                assert _combine(terms, d) == want
+
+    def test_transport_below_the_plans_top_degree(self):
+        # the plan of (J, phi) holds every term; a transport of lower cap
+        # never fills the products above it, which read as None
+        rng = make_rng("disks-kernel-plan")
+        j = random_structure(rng, 2, 8)
+        m = random_phi(rng, 2, 8, max_degree=6)
+        derivs = [tuple(Q(c) for c in random_vector(rng, 4, 2))
+                  for _ in range(8)]
+        top = _Transport(j, 8, m).extend(*derivs)
+        high = max(deg for deg, _, _ in top.table)
+        assert high >= 5
+        for cap in range(1, high):
+            state = _Transport(j, cap, m).extend(*derivs[:cap])
+            assert state.table is top.table
+            u = state.disk()
+            assert u == propagate_cr_jet(derivs[:cap], j, cap)
+            assert u == top.disk().truncate(cap)
+            assert is_cr_jet(u, j)
+            assert state.read(cap) == [compose_phi_u(m, u).a(cap - q, q)
+                                       for q in range(cap + 1)]
 
 
 class TestTraceAndContact:

@@ -174,6 +174,23 @@ class TestGeometryOnTheKernel:
                     for yi in y.components]
             assert covariant_derivative(x, y) == VectorField(n, want)
 
+    def test_covariant_derivative_reuses_its_direction(self):
+        # a word table differentiates many fields along one direction,
+        # whose operands are formed once; a zero component of Y gives the
+        # zero series in its reduced form
+        rng = make_rng("kernel-covariant-reuse")
+        for n in (1, 2, 3):
+            x = random_vector_field(rng, n, 5)
+            for _ in range(4):
+                y = random_vector_field(rng, n, 5, zero=0.6)
+                want = [reference_dot(((xv, yi.partial(v))
+                                       for v, xv in enumerate(x.components)),
+                                      2 * n, 4)
+                        for yi in y.components]
+                got = covariant_derivative(x, y).components
+                assert [(c._terms, c._den) for c in got] == \
+                    [(c._terms, c._den) for c in want]
+
     def test_covariant_derivative_along_a_zero_field(self):
         rng = make_rng("kernel-covariant-zero")
         y = random_vector_field(rng, 2, 5)

@@ -1,5 +1,7 @@
 """Levi forms: route agreement, higher forms, printed formulas, classification."""
 
+import gc
+import weakref
 from itertools import product as iproduct
 
 import pytest
@@ -243,6 +245,27 @@ class TestHigherLevi:
             tr = compose_phi_u(m, u)
             assert tr.levi_entry(i, jj) == \
                 higher_levi(m, j, jets[:i + jj + 1], i, jj)
+
+    def test_plan_lives_and_dies_with_its_surface(self):
+        # transports of one (J, surface) pair share a plan held by J; each
+        # of 50 surfaces in turn, built after the last one is freed (so at
+        # its address, often), must read its own plan, and a freed surface
+        # must not be kept alive by it
+        rng = make_rng("levi-plan")
+        for j in (ACStructure.standard(2, 6), random_structure(rng, 2, 6)):
+            dropped = []
+            for _ in range(50):
+                m = random_phi(rng, 2, 6)
+                i, jj = rng.choice(((0, 0), (1, 0), (0, 1), (2, 0), (1, 1),
+                                    (0, 2)))
+                jets = [random_vector(rng, 4, 2) for _ in range(i + jj + 2)]
+                u = propagate_cr_jet(jets, j, i + jj + 4)
+                assert higher_levi(m, j, jets[:i + jj + 1], i, jj) == \
+                    compose_phi_u(m, u).levi_entry(i, jj)
+                dropped.append(weakref.ref(m))
+                del m
+            gc.collect()
+            assert all(ref() is None for ref in dropped)
 
     def test_laplacian_identity_for_tangent_fields(self):
         rng = make_rng("levi-lap")

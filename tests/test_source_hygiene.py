@@ -2,7 +2,7 @@
 
 Two kinds of leftovers are refused: a module-level import that its module
 never uses, and a private module-level function or class that no module of
-the package references.
+the package references.  A call of the builtin id() is refused too.
 """
 
 import ast
@@ -84,3 +84,15 @@ def test_private_definitions_are_referenced():
                    if other is not stmt):
             unused.append(f"{name}:{stmt.name}")
     assert not unused, f"private definitions nobody references: {unused}"
+
+
+def test_no_builtin_id_calls():
+    # an object's id is reused once the object is freed, so a table keyed
+    # by id() hands a freed object's entry to a new object at its address
+    # (a transport plan keyed by id(surface) once gave a new surface the
+    # plan of a freed one); key by the object itself, weakly if need be
+    calls = [f"{name}:{node.lineno}" for name, tree in MODULES.items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "id"]
+    assert not calls, f"calls of builtin id(): {calls}"

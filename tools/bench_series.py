@@ -18,7 +18,9 @@ degree 2..3) under J_std (``levi_std``) and under that structure
 (``levi_perturbed``), for n = num_vars // 2 >= 2, and ``levi_trace``:
 every L^(p, s - p), s = 0..cap-2, on the disk of the first s + 1 of the
 ``transport`` row's x-derivatives, under its structure, on the
-``compose_phi_u`` row's surface, and ``commutation``:
+``compose_phi_u`` row's surface, and ``higher_levi``: the same values as
+one ``higher_levi`` call per (p, q), p + q = s <= cap - 2, as a library
+user asks them, and ``commutation``:
 ``commutation_defect`` of the ``type_search`` witness field of
 2 x_n + Re(z1^2) under J_std, to the order ``cross_validate`` asks, for
 n >= 2, and ``type_search_std``: ``type_search`` of that surface under J_std
@@ -37,11 +39,12 @@ such components, and, outside the grid, ``levi_std`` at n in LARGE_LEVI_N
 inputs are fixed by a seeded generator, so two kernels see the same
 operands; each row carries a digest of the result (of every component, for
 a disk, of every entry, for ``build_structure``, of every value, for
-``levi_trace``, of the orders of criteria 2-4, for ``commutation``, of the
-witness disk's components and the bound, its flags and its obstruction, for
-``type_search``), and rows with equal digests computed the same result.  ``--src`` imports levitype from another source
-tree, which times an earlier kernel with this script; the git sha recorded is
-that of the tree imported.
+``levi_trace`` and ``higher_levi``, of the orders of criteria 2-4, for
+``commutation``, of the witness disk's components and the bound, its flags
+and its obstruction, for ``type_search``), and rows with equal digests
+computed the same result.  ``--src`` imports levitype from another source
+tree, which times an earlier kernel with this script; the git sha recorded
+is that of the tree imported.
 
 Each time is the minimum over REPEATS runs of a loop whose call count is
 calibrated to last at least MIN_LOOP_S, divided by that count: seconds per
@@ -133,7 +136,7 @@ def operands(lev, num_vars, cap, seed):
     levi_surface = lev.Hypersurface(num_vars // 2,
                                     series(num_vars, cap, levi_terms))
     j_std = lev.ACStructure.standard(num_vars // 2, cap)
-    # levi_trace reuses operands drawn above and draws none
+    # levi_trace and higher_levi reuse operands drawn above and draw none
     ops = {
         "mul": (lambda: a * b, (a, b)),
         "compose": (lambda: outer.compose(disk), (outer,)),
@@ -159,6 +162,10 @@ def operands(lev, num_vars, cap, seed):
         j_all)
     ops["levi_trace"] = (lambda: trace_values(lev, surface, j, derivs, cap),
                          (surface.phi, *j_plus))
+    ops["higher_levi"] = (
+        lambda: [[lev.higher_levi(surface, j, derivs[:s + 1], p, s - p)
+                  for p in range(s + 1)] for s in range(cap - 1)],
+        (surface.phi, *j_plus))
     if num_vars >= 4:  # n = 1 has no complex tangent directions
         ops["levi_std"] = (
             lambda: lev.hermitian_levi_matrix(levi_surface, j_std),
@@ -241,7 +248,7 @@ def seconds_per_call(fn) -> float:
 def parts(result) -> tuple:
     """The series of a result: itself, a disk's components, those of a
     type report's witness disk, or those of a Levi matrix's basis fields;
-    levi_trace values and a commutation report hold none."""
+    levi_trace and higher_levi values and a commutation report hold none."""
     if isinstance(result, list) or hasattr(result, "criterion_orders"):
         return ()
     if isinstance(result, tuple):
@@ -257,7 +264,7 @@ def digest(result) -> str:
     h = hashlib.sha256()
     for s in parts(result):
         h.update(repr((s.num_vars, s.cap, s.as_list())).encode())
-    if isinstance(result, list):  # levi_trace values
+    if isinstance(result, list):  # levi_trace or higher_levi values
         h.update(repr([[str(v) for v in row] for row in result]).encode())
     if hasattr(result, "entries"):  # a Levi matrix's polar form
         h.update(repr([[str(e) for e in row]
