@@ -26,9 +26,10 @@ What a transport reads of J and phi, its plan (_Plan: the products u^alpha
 that their monomials need, the entries of J - J_std and the rows of R as
 combinations of them, and phi . u as one), depends on neither the cap nor
 the disk, so it is built once per (J, phi) pair and held by J (see _plan).
-Strata are formed by three kernels shaped to their operands: _product for
-one product of u's components, _combine for a combination of strata with
-constant coefficients (e(u) and phi . u), and _stratum for the rows of R.
+Strata are formed by kernels shaped to their operands: _product for one
+product of u's components and _stratum for the rows of R, both on one
+convolution loop (_convolve), and _combine for a combination of strata with
+constant coefficients (e(u) and phi . u).
 """
 
 from __future__ import annotations
@@ -200,9 +201,9 @@ class _Plan:
     of J - J_std or of phi needs, u^alpha = u^(alpha - e_k) * u_k, the
     first 2n being the u_k.  entries holds e(u) for each entry e of J - J_std
     with a term, as (numerator, den, product) terms, and rows[a] the
-    (entry, b) pairs of row a of R; phi holds phi . u as such terms.  Every term of
-    positive degree is planned, whatever the cap of a transport: a product
-    above what a cap reads is never filled, and reads as None.
+    (entry, b) pairs of row a of R; phi holds phi . u as such terms.  Every
+    term of positive degree is planned, whatever the cap of a transport: a
+    product above what a cap reads is never filled, and reads as None.
     """
 
     __slots__ = ("table", "entries", "rows", "phi")
