@@ -26,6 +26,11 @@ What a transport reads of J and phi, its plan (_Plan: the products u^alpha
 that their monomials need, the entries of J - J_std and the rows of R as
 combinations of them, and phi . u as one), depends on neither the cap nor
 the disk, so it is built once per (J, phi) pair and held by J (see _plan).
+The plan of a surface also holds the one transport state that
+levi.levi_trace grows: the x-jet it was extended by and the values last read
+from it, so that the higher Levi forms of one disk, asked one (p, q) at a
+time, transport each order once.  A read one order past the state pads that
+order in place and pops it again (see _Transport.read).
 Strata are formed by kernels shaped to their operands: _product for one
 product of u's components and _stratum for the rows of R, both on one
 convolution loop (_convolve), and _combine for a combination of strata with
@@ -37,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from math import factorial, gcd, lcm
+from threading import Lock
 from weakref import WeakKeyDictionary
 
 from .errors import CapError, GeometryError, TheoremViolation
@@ -204,11 +210,19 @@ class _Plan:
     (entry, b) pairs of row a of R; phi holds phi . u as such terms.  Every
     term of positive degree is planned, whatever the cap of a transport: a
     product above what a cap reads is never filled, and reads as None.
+
+    state, jet and values are levi.levi_trace's: one _Transport of the pair,
+    the tuple of x-derivatives it was extended by, and the L^(p, q) last read
+    from it (None until a trace is read, and state None again while the
+    state is being grown); lock serializes the calls that use them.
     """
 
-    __slots__ = ("table", "entries", "rows", "phi")
+    __slots__ = ("table", "entries", "rows", "phi", "state", "jet", "values",
+                 "lock")
 
     def __init__(self, j: ACStructure, phi: TruncatedSeries | None):
+        self.state = self.jet = self.values = None
+        self.lock = Lock()
         n2 = 2 * j.n
         table = self.table = [(1, None, None)] * n2
         index = {tuple(int(i == k) for i in range(n2)): k for k in range(n2)}
@@ -247,19 +261,29 @@ def _plan(j: ACStructure, m: Hypersurface | None) -> _Plan:
     surface in a WeakKeyDictionary keyed by the surface, so a plan dies
     with either object.  It is keyed neither by cap, since one plan serves
     every cap, nor by id(m): a freed surface's id is reused by a new one,
-    which would read the old surface's plan.
+    which would read the old surface's plan.  A plan is stored with
+    setdefault, so threads that build one at once all get the one stored.
     """
     held = vars(j)
     if m is None:
-        if "_plan" not in held:
-            held["_plan"] = _Plan(j, None)
-        return held["_plan"]
-    if "_plans" not in held:
-        held["_plans"] = WeakKeyDictionary()
-    plans = held["_plans"]
-    if m not in plans:
-        plans[m] = _Plan(j, m.phi)
-    return plans[m]
+        plan = held.get("_plan")
+        return plan or held.setdefault("_plan", _Plan(j, None))
+    plans = held.get("_plans")
+    if plans is None:
+        plans = held.setdefault("_plans", WeakKeyDictionary())
+    plan = plans.get(m)
+    return plan or plans.setdefault(m, _Plan(j, m.phi))
+
+
+def _transport_plan(j: ACStructure, cap: int, m: Hypersurface | None):
+    """The plan of a transport to order cap, after the checks that every
+    transport makes: m and J live on one C^n, and J reaches order cap."""
+    if m is not None and m.n != j.n:
+        raise ValueError(f"surface in C^{m.n}, structure on C^{j.n}")
+    if not j.is_standard and j.cap < max(cap - 1, 0):
+        raise CapError(
+            f"structure cap {j.cap} too small to transport to order {cap}")
+    return _plan(j, m)
 
 
 class _Transport:
@@ -286,12 +310,7 @@ class _Transport:
     """
 
     def __init__(self, j: ACStructure, cap: int, m: Hypersurface | None = None):
-        if m is not None and m.n != j.n:
-            raise ValueError(f"surface in C^{m.n}, structure on C^{j.n}")
-        if not j.is_standard and j.cap < max(cap - 1, 0):
-            raise CapError(
-                f"structure cap {j.cap} too small to transport to order {cap}")
-        plan = _plan(j, m)
+        plan = _transport_plan(j, cap, m)
         self.n2, self.cap, self.order = 2 * j.n, cap, 0
         table = self.table = plan.table
         self.entries, self.rows, self.phi = plan.entries, plan.rows, plan.phi
@@ -378,12 +397,31 @@ class _Transport:
     def read(self, d: int):
         """d^d(phi . u)/dx^(d-q) dy^q at 0 for q = 0..d.
 
-        Orders missing up to d take zero x-derivatives, on a copy.
+        Orders missing up to d take zero x-derivatives.  One missing order
+        is padded in place and popped after the read, failed or not, which
+        is exact: of what the pad adds, stratum d of phi . u reads only u's
+        own stratum d.  A product of two or more factors has its stratum d
+        from strata below d of u (see the class docstring), so the product
+        strata formed on the way are those of every later disk and stay;
+        e(u)'s stratum d - 1 reads strata below d as well, but is popped
+        with u's stratum d and u_x's stratum d - 1, so that each list again
+        holds one stratum per order.  More missing orders pad a copy.
         """
-        if d > self.order:
+        if d > self.order + 1:
             pad = self.copy()
             pad.extend(*[(ZERO,) * self.n2] * (d - self.order))
             return pad.read(d)
+        if d > self.order:
+            low = self.order
+            try:
+                self.extend((ZERO,) * self.n2)
+                return self.read(d)
+            finally:
+                self.order = low
+                for st in self.strata[:self.n2]:
+                    del st[d:]
+                for st in chain(self.ux, self.eu):
+                    del st[low:]
         for _, _, i in self.phi:
             self._fill(i, d)
         st = _combine([(c, dc, self.strata[i][d]) for c, dc, i in self.phi],

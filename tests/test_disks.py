@@ -19,9 +19,11 @@ from levitype import (
     propagate_cr_jet,
     reparametrize_disk_jet,
 )
+import levitype.disks as disks
 from levitype.disks import (_Transport, _combine, _product, _stratum,
                             holomorphic_reparam_series, is_cr_jet)
 from levitype.geometry import apply_jstd
+from levitype.rational import ZERO
 
 from conftest import (
     make_rng,
@@ -325,6 +327,27 @@ def assert_reduced(st, want):
     assert [Fraction(c, den) for c in nums] == want
 
 
+def padded_states(rng):
+    """(J, m, derivs, state at order k) over n, structures and orders k,
+    the states read at k + 1 as read pads in place."""
+    for n in (1, 2, 3):
+        cap = 6 if n <= 2 else 5
+        for j in (ACStructure.standard(n, cap), random_structure(rng, n, cap),
+                  nonlinear_structure(rng, n, cap)):
+            m = random_phi(rng, n, cap)
+            derivs = [tuple(Q(c) for c in random_vector(rng, 2 * n, 2))
+                      for _ in range(cap)]
+            for k in range(cap):
+                yield j, m, derivs, _Transport(j, cap, m).extend(*derivs[:k])
+
+
+def shape(state):
+    """What an in-place pad must leave as it found: the order and the
+    strata of u, u_x and e(u)."""
+    return (state.order, [len(st) for st in state.strata[:state.n2]],
+            [len(st) for st in state.ux], [len(st) for st in state.eu])
+
+
 class TestStratumKernels:
     DENS = ((1,), (1, 2, 3, 4, 6))
 
@@ -392,6 +415,61 @@ class TestStratumKernels:
             assert is_cr_jet(u, j)
             assert state.read(cap) == [compose_phi_u(m, u).a(cap - q, q)
                                        for q in range(cap + 1)]
+
+    def test_read_one_order_past_pads_in_place(self):
+        # read(order + 1) is the read of a zero-padded copy, and leaves the
+        # state as an unpadded one that goes on like a fresh transport
+        rng = make_rng("disks-kernel-inplace")
+        for j, m, derivs, state in padded_states(rng):
+            k = state.order
+            before = shape(state)
+            want = state.copy().extend((ZERO,) * state.n2).read(k + 1)
+            assert state.read(k + 1) == want
+            assert shape(state) == before
+            assert state.read(k + 1) == want
+            fresh = _Transport(j, state.cap, m).extend(*derivs[:k + 1])
+            state.extend(derivs[k])
+            assert state.disk() == fresh.disk()
+            assert state.read(k + 1) == fresh.read(k + 1)
+            if k + 2 <= state.cap:
+                assert state.read(k + 2) == fresh.read(k + 2)
+
+    def test_failed_in_place_read_leaves_the_state(self, monkeypatch):
+        # _combine raising at any one of the calls a read makes (e(u) in
+        # the pad, or phi . u) leaves the state intact
+        rng = make_rng("disks-kernel-inplace-fail")
+        combine = disks._combine
+        for j, m, derivs, state in padded_states(rng):
+            k = state.order
+            before = shape(state)
+            want = state.copy().extend((ZERO,) * state.n2).read(k + 1)
+            calls = [0]
+
+            def counted(terms, d):
+                calls[0] += 1
+                return combine(terms, d)
+
+            monkeypatch.setattr(disks, "_combine", counted)
+            state.copy().read(k + 1)
+            for fail_at in range(1, calls[0] + 1):
+                calls[0] = 0
+
+                def failing(terms, d):
+                    calls[0] += 1
+                    if calls[0] == fail_at:
+                        raise ArithmeticError("injected")
+                    return combine(terms, d)
+
+                monkeypatch.setattr(disks, "_combine", failing)
+                with pytest.raises(ArithmeticError, match="injected"):
+                    state.read(k + 1)
+                assert shape(state) == before
+            monkeypatch.setattr(disks, "_combine", combine)
+            assert state.read(k + 1) == want
+            if k < state.cap - 1:
+                fresh = _Transport(j, state.cap, m).extend(*derivs[:k + 1])
+                assert state.extend(derivs[k]).read(k + 2) == \
+                    fresh.read(k + 2)
 
 
 class TestTraceAndContact:

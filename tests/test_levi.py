@@ -1,6 +1,9 @@
 """Levi forms: route agreement, higher forms, printed formulas, classification."""
 
 import gc
+import re
+import sys
+import threading
 import weakref
 from itertools import product as iproduct
 
@@ -329,6 +332,200 @@ class TestHigherLevi:
                         m, propagate_cr_jet(jets[:s + 1], j, s + 2))
                     assert levi.levi_trace(m, j, jets, s) == [
                         tr.levi_entry(p, s - p) for p in range(s + 1)]
+
+
+def fresh_trace(m, j, jet, s):
+    """L^(p, s - p), p = 0..s, by the route of the master-identity test: a
+    disk transported afresh to order s + 2 and composed with phi whole."""
+    tr = compose_phi_u(m, propagate_cr_jet(list(jet[:s + 1]), j, s + 2))
+    return [tr.levi_entry(p, s - p) for p in range(s + 1)]
+
+
+def pair(rng, n=2, cap=6, standard=False):
+    j = ACStructure.standard(n, cap) if standard \
+        else random_structure(rng, n, cap)
+    return random_phi(rng, n, cap), j
+
+
+class TestHeldTransport:
+    """levi_trace grows one transport state per (J, surface) pair; every
+    value must be the fresh route's, whatever sequence of calls it serves."""
+
+    def assert_fresh(self, m, j, jet, s):
+        want = fresh_trace(m, j, jet, s)
+        assert levi.levi_trace(m, j, jet, s) == want
+        for p in range(s + 1):
+            assert higher_levi(m, j, jet[:s + 1], p, s - p) == want[p]
+
+    def test_interleaved_jets_on_one_pair(self):
+        rng = make_rng("levi-held-interleaved")
+        for standard in (True, False):
+            m, j = pair(rng, standard=standard)
+            jets = [[random_vector(rng, 4, 2) for _ in range(5)]
+                    for _ in range(3)]
+            for s in range(5):
+                for jet in jets + jets[::-1]:
+                    self.assert_fresh(m, j, jet, s)
+
+    def test_jets_differing_in_an_early_derivative(self):
+        # the later derivatives agree, so only the prefix check tells the
+        # two disks apart
+        rng = make_rng("levi-held-early")
+        for standard in (True, False):
+            m, j = pair(rng, standard=standard)
+            base = [random_vector(rng, 4, 2) for _ in range(5)]
+            for at in (0, 1, 2):
+                other = list(base)
+                other[at] = tuple(c + 1 for c in base[at])
+                for s in range(at, 4):
+                    self.assert_fresh(m, j, base, s)
+                    self.assert_fresh(m, j, other, s + 1)
+                    self.assert_fresh(m, j, base, s + 1)
+
+    def test_shorter_jet_after_a_longer_one(self):
+        rng = make_rng("levi-held-shorter")
+        for standard in (True, False):
+            m, j = pair(rng, standard=standard)
+            jet = [random_vector(rng, 4, 2) for _ in range(5)]
+            for s in (4, 1, 3, 0, 2, 2, 4):
+                self.assert_fresh(m, j, jet, s)
+
+    def test_two_surfaces_under_one_structure(self):
+        rng = make_rng("levi-held-surfaces")
+        for standard in (True, False):
+            m1, j = pair(rng, standard=standard)
+            m2 = random_phi(rng, 2, 6)
+            jet = [random_vector(rng, 4, 2) for _ in range(5)]
+            for s in range(5):
+                for m in (m1, m2, m1):
+                    self.assert_fresh(m, j, jet, s)
+
+    def test_list_jet_mutated_in_place(self):
+        # the state holds a snapshot of the jet, not the caller's lists
+        rng = make_rng("levi-held-mutated")
+        m, j = pair(rng)
+        jet = [list(random_vector(rng, 4, 2)) for _ in range(5)]
+        for s in range(4):
+            self.assert_fresh(m, j, jet, s)
+            jet[s][0] += 1  # a vector already read
+            self.assert_fresh(m, j, jet, s)
+            jet[0] = list(random_vector(rng, 4, 2))  # a vector replaced
+            self.assert_fresh(m, j, jet, s + 1)
+
+    def test_returned_list_mutated(self):
+        rng = make_rng("levi-held-returned")
+        m, j = pair(rng)
+        jet = [random_vector(rng, 4, 2) for _ in range(4)]
+        for s in range(4):
+            values = levi.levi_trace(m, j, jet, s)
+            values[0] += 1
+            values.append(Q(7))
+            self.assert_fresh(m, j, jet, s)
+
+    def test_wrong_arity_vector_mid_jet(self):
+        # a failed extension, of the held state or of a fresh one, leaves
+        # no half-grown state behind
+        rng = make_rng("levi-held-arity")
+        for standard in (True, False):
+            m, j = pair(rng, standard=standard)
+            good = [random_vector(rng, 4, 2) for _ in range(5)]
+            bad = good[:3] + [(1, 0, 0)] + good[4:]
+            self.assert_fresh(m, j, good, 1)
+            # extends the held state by good[2], then fails; a state kept
+            # at good[:3] would be extended by good[2] once more
+            with pytest.raises(ValueError, match="wrong arity"):
+                levi.levi_trace(m, j, bad, 3)
+            self.assert_fresh(m, j, good, 3)
+            other = [random_vector(rng, 4, 2)] + bad[1:]
+            with pytest.raises(ValueError, match="wrong arity"):
+                levi.levi_trace(m, j, other, 3)
+            self.assert_fresh(m, j, other, 2)
+            self.assert_fresh(m, j, good, 3)
+
+    def test_structure_cap_error_is_the_transports(self):
+        # J of cap 4 transports to order 5 only: the largest state is of
+        # cap 5, and s = 4 must fail as a transport to order 6 does
+        rng = make_rng("levi-held-capguard")
+        j = random_structure(rng, 2, 4)
+        m = random_phi(rng, 2, 6)
+        assert j.cap < m.cap - 1
+        jet = [random_vector(rng, 4, 2) for _ in range(5)]
+        message = re.escape(
+            f"structure cap {j.cap} too small to transport to order "
+            f"{j.cap + 2}")
+        for s in range(j.cap):
+            self.assert_fresh(m, j, jet, s)
+        for _ in range(2):
+            with pytest.raises(CapError, match=message):
+                levi.levi_trace(m, j, jet, j.cap)
+            with pytest.raises(CapError, match=message):
+                higher_levi(m, j, jet, 1, j.cap - 1)
+            self.assert_fresh(m, j, jet, j.cap - 1)
+
+    def test_state_dies_with_structure_and_surface(self):
+        # the held state makes no reference cycle: with the cyclic
+        # collector off, dropping J or the surface frees it at once
+        rng = make_rng("levi-held-weak")
+        gc.disable()
+        try:
+            for standard in (True, False):
+                m, j = pair(rng, standard=standard)
+                jet = [random_vector(rng, 4, 2) for _ in range(4)]
+                for s in range(4):
+                    higher_levi(m, j, jet, 0, s)
+                ref_m, ref_j = weakref.ref(m), weakref.ref(j)
+                del m
+                assert ref_m() is None
+                m = random_phi(rng, 2, 6)
+                higher_levi(m, j, jet, 1, 1)
+                ref_m = weakref.ref(m)
+                del j
+                assert ref_j() is None
+                del m
+                assert ref_m() is None
+        finally:
+            gc.enable()
+
+    def test_threads_on_one_pair_match_serial_calls(self):
+        # four threads, each sweeping its own jet on one (J, surface) pair,
+        # switching as often as the interpreter allows.  The jets share a
+        # prefix, so that each thread may extend the state another left,
+        # and are given as strings, so that every call compares new
+        # rationals (a Python-level __eq__, where a thread can switch)
+        rng = make_rng("levi-held-threads")
+        for standard in (True, False):
+            m, j = pair(rng, standard=standard)
+            common = [random_vector(rng, 4, 2) for _ in range(2)]
+            jets = [[tuple(map(str, v)) for v in
+                     common + [random_vector(rng, 4, 2) for _ in range(3)]]
+                    for _ in range(4)]
+
+            def sweep(jet):
+                return [[higher_levi(m, j, jet, p, s - p)
+                         for p in range(s + 1)] for s in range(5)]
+
+            want = [[fresh_trace(m, j, jet, s) for s in range(5)]
+                    for jet in jets]
+            assert [sweep(jet) for jet in jets] == want
+            got = [[] for _ in jets]
+
+            def worker(k):
+                for _ in range(10):
+                    got[k].append(sweep(jets[k]))
+
+            old = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=worker, args=(k,))
+                           for k in range(len(jets))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+            finally:
+                sys.setswitchinterval(old)
+            assert got == [[w] * 10 for w in want]
 
 
 class TestPrintedClosedForms:

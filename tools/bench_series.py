@@ -20,7 +20,12 @@ every L^(p, s - p), s = 0..cap-2, on the disk of the first s + 1 of the
 ``transport`` row's x-derivatives, under its structure, on the
 ``compose_phi_u`` row's surface, and ``higher_levi``: the same values as
 one ``higher_levi`` call per (p, q), p + q = s <= cap - 2, as a library
-user asks them, and ``commutation``:
+user asks them, and ``higher_levi_fresh``: one ``higher_levi`` call per
+(p, q) as well, but looping p-major, s descending, over the reversed
+prefixes ``derivs[s::-1]``, so that no call's jet starts with the jet of
+the call before and none reuses a transport state (but the first call of
+a pass timed right after another asks the jet of that pass's last call),
+and ``commutation``:
 ``commutation_defect`` of the ``type_search`` witness field of
 2 x_n + Re(z1^2) under J_std, to the order ``cross_validate`` asks, for
 n >= 2, and ``type_search_std``: ``type_search`` of that surface under J_std
@@ -39,7 +44,8 @@ such components, and, outside the grid, ``levi_std`` at n in LARGE_LEVI_N
 inputs are fixed by a seeded generator, so two kernels see the same
 operands; each row carries a digest of the result (of every component, for
 a disk, of every entry, for ``build_structure``, of every value, for
-``levi_trace`` and ``higher_levi``, of the orders of criteria 2-4, for
+``levi_trace`` and the ``higher_levi`` rows, of the orders of criteria
+2-4, for
 ``commutation``, of the witness disk's components and the bound, its flags
 and its obstruction, for ``type_search``), and rows with equal digests
 computed the same result.  ``--src`` imports levitype from another source
@@ -136,7 +142,8 @@ def operands(lev, num_vars, cap, seed):
     levi_surface = lev.Hypersurface(num_vars // 2,
                                     series(num_vars, cap, levi_terms))
     j_std = lev.ACStructure.standard(num_vars // 2, cap)
-    # levi_trace and higher_levi reuse operands drawn above and draw none
+    # levi_trace and the higher_levi rows reuse operands drawn above and
+    # draw none
     ops = {
         "mul": (lambda: a * b, (a, b)),
         "compose": (lambda: outer.compose(disk), (outer,)),
@@ -165,6 +172,11 @@ def operands(lev, num_vars, cap, seed):
     ops["higher_levi"] = (
         lambda: [[lev.higher_levi(surface, j, derivs[:s + 1], p, s - p)
                   for p in range(s + 1)] for s in range(cap - 1)],
+        (surface.phi, *j_plus))
+    ops["higher_levi_fresh"] = (
+        lambda: [[lev.higher_levi(surface, j, derivs[s::-1], p, s - p)
+                  for s in range(cap - 2, p - 1, -1)]
+                 for p in range(cap - 1)],
         (surface.phi, *j_plus))
     if num_vars >= 4:  # n = 1 has no complex tangent directions
         ops["levi_std"] = (
