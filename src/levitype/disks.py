@@ -26,11 +26,11 @@ What a transport reads of J and phi, its plan (_Plan: the products u^alpha
 that their monomials need, the entries of J - J_std and the rows of R as
 combinations of them, and phi . u as one), depends on neither the cap nor
 the disk, so it is built once per (J, phi) pair and held by J (see _plan).
-The plan of a surface also holds the one transport state that
-levi.levi_trace grows: the x-jet it was extended by and the values last read
-from it, so that the higher Levi forms of one disk, asked one (p, q) at a
-time, transport each order once.  A read one order past the state pads that
-order in place and pops it again (see _Transport.read).
+The plan of a surface also holds one transport state, grown by _read_held:
+the x-jet it was extended by and the stratum last read from it, so that the
+higher Levi forms of one disk, asked one (p, q) at a time, transport each
+order once.  A read one order past a state pads that order in place and
+pops it again (see _Transport.read).
 Strata are formed by kernels shaped to their operands: _product for one
 product of u's components and _stratum for the rows of R, both on one
 convolution loop (_convolve), and _combine for a combination of strata with
@@ -211,17 +211,18 @@ class _Plan:
     term of positive degree is planned, whatever the cap of a transport: a
     product above what a cap reads is never filled, and reads as None.
 
-    state, jet and values are levi.levi_trace's: one _Transport of the pair,
-    the tuple of x-derivatives it was extended by, and the L^(p, q) last read
-    from it (None until a trace is read, and state None again while the
-    state is being grown); lock serializes the calls that use them.
+    state, jet and stratum are the held transport state that _read_held
+    grows: one _Transport of the pair, the tuple of x-derivatives it was
+    extended by, and the stratum of phi . u last read from it (None until
+    one is read, and state None again while the state is being grown); lock
+    serializes the calls that use them.
     """
 
-    __slots__ = ("table", "entries", "rows", "phi", "state", "jet", "values",
+    __slots__ = ("table", "entries", "rows", "phi", "state", "jet", "stratum",
                  "lock")
 
     def __init__(self, j: ACStructure, phi: TruncatedSeries | None):
-        self.state = self.jet = self.values = None
+        self.state = self.jet = self.stratum = None
         self.lock = Lock()
         n2 = 2 * j.n
         table = self.table = [(1, None, None)] * n2
@@ -397,20 +398,20 @@ class _Transport:
     def read(self, d: int):
         """d^d(phi . u)/dx^(d-q) dy^q at 0 for q = 0..d.
 
-        Orders missing up to d take zero x-derivatives.  One missing order
-        is padded in place and popped after the read, failed or not, which
-        is exact: of what the pad adds, stratum d of phi . u reads only u's
-        own stratum d.  A product of two or more factors has its stratum d
-        from strata below d of u (see the class docstring), so the product
+        d is at most order + 1.  A missing order d takes a zero x-derivative:
+        it is padded in place and popped after the read, failed or not,
+        which is exact: of what the pad adds, stratum d of phi . u reads only
+        u's own stratum d.  A product of two or more factors has its stratum
+        d from strata below d of u (see the class docstring), so the product
         strata formed on the way are those of every later disk and stay;
         e(u)'s stratum d - 1 reads strata below d as well, but is popped
         with u's stratum d and u_x's stratum d - 1, so that each list again
-        holds one stratum per order.  More missing orders pad a copy.
+        holds one stratum per order.  Two or more missing orders are
+        refused: products would then read padded strata, and could not stay.
         """
         if d > self.order + 1:
-            pad = self.copy()
-            pad.extend(*[(ZERO,) * self.n2] * (d - self.order))
-            return pad.read(d)
+            raise ValueError(
+                f"read({d}) is more than one order past order {self.order}")
         if d > self.order:
             low = self.order
             try:
@@ -448,6 +449,42 @@ class _Transport:
                             terms[(d << 2 * w) | ((d - q) << w) | q] = c * scale
             comps.append(_new(2, self.order, terms, den))
         return DiskJet(self.n2 // 2, comps)
+
+
+def _read_held(j: ACStructure, m: Hypersurface, jet):
+    """Stratum len(jet) + 1 of phi . u, as _Transport.read gives it, on the
+    disk of the x-derivatives jet, read from the one transport state that
+    the plan of (J, m) holds; len(jet) + 1 is at most m.cap.
+
+    A jet equal to the held one returns the held stratum, and one that
+    starts with it extends the state by the rest; any other jet replaces the
+    state by a fresh one, at the largest cap that m and J allow, so that any
+    later jet can extend it.  So a caller that reads one stratum many times,
+    and the strata of the prefixes of one x-jet in turn, transports each
+    order once.  The jet is held as tuples, so a caller that mutates its
+    lists cannot change it; the state is dropped while it grows, so a failed
+    extension leaves none behind; and the plan's lock serializes the calls
+    on one pair.  The state is bounded per pair, by m.cap orders and the
+    product strata they read, and dies with the plan, so with J or with m:
+    the memory held grows with the number of live (J, m) pairs read.
+    """
+    d = len(jet) + 1
+    plan = _transport_plan(j, d, m)
+    jet = tuple(map(tuple, jet))
+    with plan.lock:
+        state, held = plan.state, plan.jet
+        if state is not None and jet[:len(held)] == held:
+            if len(jet) == len(held):
+                return plan.stratum
+            new = jet[len(held):]
+        else:
+            cap = m.cap if j.is_standard else min(m.cap, j.cap + 1)
+            state, new = _Transport(j, cap, m), jet
+        plan.state = None  # a failed extension leaves no state behind
+        state.extend(*new)
+        stratum = tuple(state.read(d))
+        plan.state, plan.jet, plan.stratum = state, jet, stratum
+    return stratum
 
 
 def propagate_cr_jet(x_derivs, j: ACStructure, order: int | None = None) -> DiskJet:

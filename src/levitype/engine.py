@@ -30,7 +30,7 @@ from .geometry import (
     word_table,
 )
 from .jets import TruncatedSeries
-from .levi import _levi_values, hermitian_levi_matrix
+from .levi import _levi_values, hermitian_levi_matrix, levi_trace
 from .linalg import mat_vec, real_symmetric_signature, solve_affine
 from .rational import Q, ZERO, rat
 
@@ -686,10 +686,9 @@ def cross_validate(m: Hypersurface, j: ACStructure,
             f"realized field commutes to {crep.max_vanishing_order}, "
             f"expected {k + 1}")
     slots = 0
-    state = _Transport(j, k + 1, m)
+    jet = [u.derivative(s + 1, 0) for s in range(k)]
     for s in range(k):
-        state.extend(u.derivative(s + 1, 0))
-        for p, value in enumerate(_levi_values(state.read(s + 2))):
+        for p, value in enumerate(levi_trace(m, j, jet, s)):
             if value != 0:
                 raise TheoremViolation(
                     f"L^({p},{s - p}) nonzero on a contact-{co.order} witness")

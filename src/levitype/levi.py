@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .disks import _Transport, _transport_plan
+from .disks import _read_held
 from .errors import CapError, ClosedFormMismatch, GeometryError
 from .geometry import (
     ACStructure,
@@ -290,18 +290,20 @@ def levi_trace(m: Hypersurface, j: ACStructure, x_jet, s: int):
     The disk is padded with a zero (s+2)-th x-derivative; the values do not
     depend on the padding.
 
-    The plan of (J, m) that J holds (see disks._plan) keeps one transport
-    state, the x-jet it was extended by and the values last read from it.
-    A call whose x_jet[:s + 1] equals that jet returns a copy of those
-    values, and one whose x_jet[:s + 1] starts with it extends the state by
-    the rest; any other call replaces the state by a fresh one, at the
-    largest cap that m and J allow, so that any later s can extend it.  So
-    a caller that asks every p of one s, and s = 0, 1, ... on prefixes of
-    one x-jet, transports each order once.  The state is bounded: one per
-    plan, of at most m.cap orders, and it dies with the plan, so with J or
-    with m.  The jet is held as tuples, so a caller that mutates its lists
-    cannot change it, and the plan's lock serializes the calls on one pair.
+    Stratum s + 2 of phi . u is read by disks._read_held from the one
+    transport state that the plan of (J, m), held by J, keeps.  A call whose
+    x_jet[:s + 1] equals the jet of that state reuses its stratum, and one
+    whose x_jet[:s + 1] starts with it extends the state; any other call
+    replaces it.  So a caller that asks every p of one s, and s = 0, 1, ...
+    on prefixes of one x-jet, transports each order once.  The state is
+    bounded, one per pair of at most m.cap orders, and dies with J or with
+    m; the memory held grows with the number of live (J, m) pairs traced.
     """
+    return _levi_values(_trace_stratum(m, j, x_jet, s))
+
+
+def _trace_stratum(m: Hypersurface, j: ACStructure, x_jet, s: int):
+    """Stratum s + 2 of phi . u on the disk from x_jet[:s + 1], held."""
     if s < 0:
         raise ValueError(f"L^(p,q) needs p + q >= 0, got {s}")
     if s + 2 > m.cap:
@@ -309,22 +311,7 @@ def levi_trace(m: Hypersurface, j: ACStructure, x_jet, s: int):
             f"L^(p,q) with p + q = {s} needs phi cap >= {s + 2}, have {m.cap}")
     if len(x_jet) < s + 1:
         raise ValueError(f"need {s + 1} x-derivatives, got {len(x_jet)}")
-    plan = _transport_plan(j, s + 2, m)
-    jet = tuple(map(tuple, x_jet[:s + 1]))
-    with plan.lock:
-        state, held = plan.state, plan.jet
-        if state is not None and jet[:len(held)] == held:
-            if len(jet) == len(held):
-                return list(plan.values)
-            new = jet[len(held):]
-        else:
-            cap = m.cap if j.is_standard else min(m.cap, j.cap + 1)
-            state, new = _Transport(j, cap, m), jet
-        plan.state = None  # a failed extension leaves no state behind
-        state.extend(*new)
-        values = _levi_values(state.read(s + 2))
-        plan.state, plan.jet, plan.values = state, jet, values
-    return list(values)
+    return _read_held(j, m, x_jet[:s + 1])
 
 
 def higher_levi(m: Hypersurface, j: ACStructure, x_jet, p: int, q: int):
@@ -333,16 +320,17 @@ def higher_levi(m: Hypersurface, j: ACStructure, x_jet, p: int, q: int):
     Propagates the disk jet from the given x-derivatives with the
     (p+q+2)-th derivative set to zero, composes with phi, and reads the
     (p,q)-derivative of the disk Laplacian at 0, a(p+2,q) + a(p,q+2).  The
-    value does not depend on the padding.  It is read by levi_trace, so the
-    calls on one (J, m) pair share its one transport state: every p of one
-    p + q reads one stratum, and a longer prefix of the same x-jet extends
-    the disk of a shorter one.  That state is bounded and dies with J or m
-    (see levi_trace).
+    value does not depend on the padding.  Its stratum is read as
+    levi_trace reads it, so the calls on one (J, m) pair share its one
+    transport state: every p of one p + q reads one stratum, and a longer
+    prefix of the same x-jet extends the disk of a shorter one.  That state
+    is bounded and dies with J or m (see levi_trace).
     """
     if p < 0 or q < 0:
         raise ValueError(f"L^(p,q) needs p, q >= 0, got ({p},{q})")
     jets = [tuple(rat(v) for v in vec) for vec in x_jet]
-    return levi_trace(m, j, jets, p + q)[p]
+    a = _trace_stratum(m, j, jets, p + q)
+    return a[q] + a[q + 2]
 
 
 def _dir_derivative(series: TruncatedSeries, vec):

@@ -418,13 +418,17 @@ class TestStratumKernels:
 
     def test_read_one_order_past_pads_in_place(self):
         # read(order + 1) is the read of a zero-padded copy, and leaves the
-        # state as an unpadded one that goes on like a fresh transport
+        # state as an unpadded one that goes on like a fresh transport;
+        # a read two orders past is refused
         rng = make_rng("disks-kernel-inplace")
         for j, m, derivs, state in padded_states(rng):
             k = state.order
             before = shape(state)
             want = state.copy().extend((ZERO,) * state.n2).read(k + 1)
             assert state.read(k + 1) == want
+            assert shape(state) == before
+            with pytest.raises(ValueError, match="more than one order past"):
+                state.read(k + 2)
             assert shape(state) == before
             assert state.read(k + 1) == want
             fresh = _Transport(j, state.cap, m).extend(*derivs[:k + 1])

@@ -10,6 +10,7 @@ from itertools import product as iproduct
 import pytest
 import sympy as sp
 
+import levitype.disks as disks
 import levitype.geometry as geometry
 import levitype.levi as levi
 from levitype import (
@@ -292,7 +293,7 @@ class TestHigherLevi:
     def test_negative_indices_rejected_before_transport(self, monkeypatch):
         def forbidden(*args):
             raise AssertionError("transported a disk for a negative index")
-        monkeypatch.setattr(levi, "_Transport", forbidden)
+        monkeypatch.setattr(disks, "_Transport", forbidden)
         for p, q in ((-1, 2), (2, -1), (-1, 1), (1, -1), (-1, -1)):
             with pytest.raises(ValueError):
                 higher_levi(SPHERE, JSTD, [E1, E1, E1], p, q)
