@@ -31,7 +31,7 @@ from .geometry import (
 )
 from .jets import TruncatedSeries
 from .levi import _levi_values, hermitian_levi_matrix, levi_trace
-from .linalg import mat_vec, real_symmetric_signature, solve_affine
+from .linalg import Span, mat_vec, real_symmetric_signature, solve_affine
 from .rational import Q, ZERO, rat
 
 
@@ -466,17 +466,14 @@ class _Stager:
         Adding multiples of the tangential coordinates of u1 and J_0 u1 to a
         higher derivative is realized by z -> z + gamma z^m, which does not
         change the contact order; a nullspace inside that span keeps the
-        obstruction certificate exact.
+        obstruction certificate exact.  The columns of colmat are
+        independent, so coordinates w lie in that span exactly when
+        tangential(w) lies in span{u1, J_0 u1}.
         """
-        if not nullspace:
-            return True
-        g1 = self.coords_of(u1)
-        g2 = self.coords_of(apply_jstd(u1))
-        gmat = [[g1[r], g2[r]] for r in range(self.d)]
-        for w in nullspace:
-            if not solve_affine(gmat, list(w)).consistent:
-                return False
-        return True
+        span = Span()
+        span.add(u1)
+        span.add(apply_jstd(u1))
+        return not any(span.add(self.tangential(w)) for w in nullspace)
 
     # -- full runs
 

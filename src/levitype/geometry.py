@@ -17,7 +17,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 
 from . import linalg
 from .errors import CapError, GeometryError
@@ -552,7 +551,7 @@ def _rational_roots(coeffs):
     sturm.append(_poly_deriv(sturm[0]))
     while len(sturm[-1]) > 1:  # ends in a nonzero constant
         sturm.append([-c for c in _poly_divmod(sturm[-2], sturm[-1])[1]])
-    sturm = [_primitive(p) for p in sturm]
+    sturm = [linalg.primitive(p) for p in sturm]  # same signs, integers
     poly = sturm[0]
     lead = abs(poly[-1])
 
@@ -585,17 +584,6 @@ def _rational_roots(coeffs):
             if _poly_eval(poly, cand) == 0:
                 roots.add(cand)
     return sorted(roots)
-
-
-def _primitive(p):
-    """The primitive integer polynomial that is a positive multiple of p.
-
-    It has the signs of p and evaluates in integers.
-    """
-    k = lcm(*(int(c.denominator) for c in p))
-    ints = [int(c * k) for c in p]
-    g = gcd(*ints)
-    return [c // g for c in ints]
 
 
 def _poly_eval(p, x):

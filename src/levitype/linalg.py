@@ -1,10 +1,15 @@
 """Small exact linear algebra toolkit over Q.
 
-Dense Gaussian elimination with deterministic pivoting (first nonzero entry
-in column order), affine solves returning particular solution plus nullspace,
-matrix inverse, an incremental span of vectors in fraction-free echelon
-form, and the inertia of a symmetric matrix by symmetric elimination.  All matrices are lists of lists of rationals; sizes here are
-tiny (<= ~10).
+One row elimination serves every exact solve and span test: rows are kept
+as primitive integer vectors in echelon form, and _reduce clears their
+pivots from a vector by fraction-free two-term steps (in the style of
+Bareiss).  Span grows such rows one vector at a time; solve_affine puts
+the rows of [a | b] in a Span, reduces them on to reduced row echelon
+form and reads its particular solution and nullspace from that form;
+mat_inverse solves for each column.  real_symmetric_signature is no row
+reduction but a congruence a -> E a E^T, and counts the signs of its
+pivots.  All matrices are lists of lists of rationals; sizes here are tiny
+(<= ~10).
 """
 
 from __future__ import annotations
@@ -55,46 +60,87 @@ class AffineSolution:
     nullspace: list  # basis vectors of the homogeneous solution space
 
 
+def primitive(vec):
+    """The primitive integer vector that is a positive multiple of the
+    rational vector vec; the zero vector stays zero."""
+    den = lcm(*(int(x.denominator) for x in vec))
+    ints = [int(x.numerator) * (den // int(x.denominator)) for x in vec]
+    g = gcd(*ints)
+    return [c // g for c in ints] if g > 1 else ints
+
+
+def _reduce(v, rows):
+    """The integer vector v with its entry at each row's pivot cleared.
+
+    rows holds (pivot, row) pairs sorted by pivot, each row zero before its
+    pivot.  Each step is fraction-free two-term elimination (in the style
+    of Bareiss), made primitive again, so the entries stay small integers.
+    """
+    for p, row in rows:
+        c = v[p]
+        if c:
+            a = row[p]
+            v = [a * x - c * y for x, y in zip(v, row)]
+            g = gcd(*v)
+            if g > 1:
+                v = [x // g for x in v]
+    return v
+
+
+class Span:
+    """The span over Q of vectors added one at a time.
+
+    The span is kept as primitive integer rows in echelon form, each with
+    its own pivot column, and a vector is reduced against them by
+    _reduce, so no fraction is formed.
+    """
+
+    def __init__(self):
+        self.rows = []  # (pivot column, row), sorted by pivot
+
+    def add(self, vec) -> bool:
+        """Add vec; True when it was outside the span (and the span grew)."""
+        v = _reduce(primitive(vec), self.rows)
+        pivot = next((i for i, x in enumerate(v) if x), None)
+        if pivot is None:
+            return False
+        insort(self.rows, (pivot, v))
+        return True
+
+
 def solve_affine(a, b) -> AffineSolution:
-    """Solve a x = b exactly; a is rows x cols, b length rows."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    m = [list(map(Q, row)) + [Q(bi)] for row, bi in zip(a, b)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if m[i][cols] != 0:
-            return AffineSolution(False, None, [])
+    """Solve a x = b exactly; a is rows x cols, b length rows.
+
+    A Span of the rows of [a | b] holds them in integer echelon form, and
+    each row is then reduced against the rows below it, which gives the
+    reduced row echelon form up to the scale of each row.  That form is
+    unique, and the answer is read from it: the particular solution with
+    every free variable 0, and one nullspace vector per free column, with
+    that column 1.
+    """
+    cols = len(a[0]) if a else 0
+    span = Span()
+    for row, bi in zip(a, b):
+        span.add([*row, bi])
+    rows = span.rows
+    if rows and rows[-1][0] == cols:  # a row 0 = nonzero
+        return AffineSolution(False, None, [])
+    for i in range(len(rows) - 2, -1, -1):
+        p, v = rows[i]
+        rows[i] = p, _reduce(v, rows[i + 1:])
     particular = [ZERO] * cols
-    for row_idx, c in enumerate(pivots):
-        particular[c] = m[row_idx][cols]
-    free = [c for c in range(cols) if c not in pivots]
+    for p, v in rows:
+        particular[p] = Q(v[cols], v[p])
+    pivots = {p for p, _ in rows}
     nullspace = []
-    for fc in free:
-        v = [ZERO] * cols
-        v[fc] = Q(1)
-        for row_idx, c in enumerate(pivots):
-            v[c] = -m[row_idx][fc]
-        nullspace.append(v)
+    for f in range(cols):
+        if f not in pivots:
+            w = [ZERO] * cols
+            w[f] = Q(1)
+            for p, v in rows:
+                if v[f]:
+                    w[p] = Q(-v[f], v[p])
+            nullspace.append(w)
     return AffineSolution(True, particular, nullspace)
 
 
@@ -107,43 +153,6 @@ def mat_inverse(a):
             raise ValueError("matrix is singular")
         cols.append(sol.particular)
     return [list(row) for row in zip(*cols)]
-
-
-def _primitive(ints):
-    """ints divided by their greatest common divisor."""
-    g = gcd(*ints)
-    return [c // g for c in ints] if g > 1 else ints
-
-
-class Span:
-    """The span over Q of vectors added one at a time.
-
-    The span is kept as primitive integer rows in echelon form, each with
-    its own pivot column.  A vector is reduced against the rows by
-    fraction-free two-term elimination (in the style of Bareiss), each step
-    made primitive again, so every entry stays a small integer and no
-    fraction is formed.
-    """
-
-    def __init__(self):
-        self.rows = []  # (pivot column, row), sorted by pivot
-
-    def add(self, vec) -> bool:
-        """Add vec; True when it was outside the span (and the span grew)."""
-        vec = [Q(x) for x in vec]
-        den = lcm(*(int(x.denominator) for x in vec))
-        v = _primitive([int(x.numerator) * (den // int(x.denominator))
-                        for x in vec])
-        for p, row in self.rows:
-            c = v[p]
-            if c:
-                a = row[p]
-                v = _primitive([a * x - c * y for x, y in zip(v, row)])
-        pivot = next((i for i, x in enumerate(v) if x), None)
-        if pivot is None:
-            return False
-        insort(self.rows, (pivot, v))
-        return True
 
 
 def real_symmetric_signature(a):

@@ -21,6 +21,8 @@ from levitype import (
 )
 from levitype.geometry import constant_matrix, standard_matrix
 from levitype.jets import mat_mul
+from levitype.linalg import AffineSolution
+from levitype.rational import ZERO
 
 SEED = int(os.environ.get("LEVITYPE_SEED", "0"))
 
@@ -140,3 +142,48 @@ def nonlinear_structure(rng, n, cap):
         power, sign = mat_mul(power, nmat), -sign
     jstd = constant_matrix(standard_matrix(n), n2, cap)
     return ACStructure(n, mat_mul(mat_mul(amat, jstd), ainv))
+
+
+def reference_solve_affine(a, b) -> AffineSolution:
+    """solve_affine as Gauss-Jordan elimination on rationals, pivoting on
+    the first nonzero entry in column order: an oracle that shares no code
+    with the fraction-free echelon of levitype.linalg."""
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    m = [list(map(Q, row)) + [Q(bi)] for row, bi in zip(a, b)]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot_row = None
+        for i in range(r, rows):
+            if m[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    for i in range(r, rows):
+        if m[i][cols] != 0:
+            return AffineSolution(False, None, [])
+    particular = [ZERO] * cols
+    for row_idx, c in enumerate(pivots):
+        particular[c] = m[row_idx][cols]
+    free = [c for c in range(cols) if c not in pivots]
+    nullspace = []
+    for fc in free:
+        v = [ZERO] * cols
+        v[fc] = Q(1)
+        for row_idx, c in enumerate(pivots):
+            v[c] = -m[row_idx][fc]
+        nullspace.append(v)
+    return AffineSolution(True, particular, nullspace)

@@ -40,10 +40,11 @@ from levitype import (
 )
 from levitype import classify_point
 from levitype.cli import CATALOG
+from levitype.geometry import apply_jstd
 
 from conftest import (make_rng, monomials, random_field, random_phi,
                       random_rational, random_structure, random_vector,
-                      scale_field)
+                      reference_solve_affine, scale_field)
 
 CAP = 10
 JSTD = ACStructure.standard(2, CAP)
@@ -783,6 +784,52 @@ class TestWitnessFromState:
                 assert co == ContactOrder(rep.lower_bound, True)
 
 
+def reference_coords(stager, vec):
+    return reference_solve_affine(stager.colmat, list(vec)).particular
+
+
+def reference_gauge_span_ok(stager, u1, nullspace):
+    """gauge_span_ok as it was: the coordinates of u1 and J_std u1 as the
+    columns of a matrix, and every nullspace vector solved against it."""
+    g1, g2 = reference_coords(stager, u1), reference_coords(
+        stager, apply_jstd(u1))
+    gmat = [[g1[r], g2[r]] for r in range(stager.d)]
+    return all(reference_solve_affine(gmat, list(w)).consistent
+               for w in nullspace)
+
+
+class TestGaugeSpan:
+    @pytest.mark.parametrize("case", ["quartic", "indefinite3",
+                                      "perturbed3"])
+    def test_matches_the_coordinate_solve(self, case):
+        # at n = 2 the span is all of the d = 2 coordinates, so only n = 3
+        # has nullspaces outside it
+        m, j = {"quartic": (QUARTIC, JSTD),
+                "indefinite3": (INDEF3, JSTD3),
+                "perturbed3": (INDEF3, perturbed_structure(3, 8, 1))}[case]
+        stager = engine._Stager(m, j, 6)
+        rng = make_rng(f"engine-gauge-{case}")
+        seen = set()
+        for _ in range(10):
+            u1 = stager.tangential([random_rational(rng)
+                                    for _ in range(stager.d)])
+            if not any(u1):
+                continue
+            g1 = reference_coords(stager, u1)
+            g2 = reference_coords(stager, apply_jstd(u1))
+            inside = [[a * x + b * y for x, y in zip(g1, g2)]
+                      for a, b in ((Q(1), Q(0)), (random_rational(rng),
+                                                  random_rational(rng)))]
+            other = [random_rational(rng) for _ in range(stager.d)]
+            for nullspace in ([], inside, [other], inside + [other]):
+                want = reference_gauge_span_ok(stager, u1, nullspace)
+                assert stager.gauge_span_ok(u1, nullspace) == want
+                seen.add((len(nullspace), want))
+        outside = m.n > 2
+        assert seen == {(0, True), (2, True), (1, not outside),
+                        (3, not outside)}
+
+
 class TestCrossValidation:
     def test_sphere_witness(self):
         rec = cross_validate(SPHERE, JSTD, type_search(SPHERE, JSTD, 6))
@@ -820,7 +867,11 @@ class TestCrossValidation:
         # state.  The search builds one state for u1, extends it by each
         # solved jet and reads the witness disk and its contact from it;
         # only the guard in realize_field_from_disk composes phi with the
-        # whole disk
+        # whole disk.  Each case has a structure of its own, so no held
+        # state of an earlier read (such as this one, on the module's JSTD
+        # at the quartic witness's first derivative) spares a transport
+        levi.levi_trace(QUARTIC, JSTD, [type_search(
+            QUARTIC, JSTD, 6).witness_disk.derivative(1, 0)], 0)
         calls = []
         init = disks._Transport.__init__
 
@@ -850,8 +901,9 @@ class TestCrossValidation:
         harmonic3 = surface(3, 10, {(0, 0, 0, 0, 1, 0): 2,
                                     (2, 0, 0, 0, 0, 0): 1,
                                     (0, 2, 0, 0, 0, 0): -1})
-        for m, j, k_max, k in ((QUARTIC, JSTD, 6, 2), (HARMONIC, JSTD, 8, 6),
-                               (SEXTIC, JSTD, 8, 4),
+        for m, j, k_max, k in ((QUARTIC, ACStructure.standard(2, CAP), 6, 2),
+                               (HARMONIC, ACStructure.standard(2, CAP), 8, 6),
+                               (SEXTIC, ACStructure.standard(2, CAP), 8, 4),
                                (harmonic3, perturbed_structure(3, 10, 1), 6,
                                 3)):
             levels.clear()

@@ -4,14 +4,17 @@ mat_vec, dphi, ACStructure.apply and covariant_derivative are checked
 against a reference that truncates every operand to the product's cap and
 then multiplies term by term over rationals.  complex_tangent_basis and
 adapted_frame_matrix are checked against the greedy that re-solved the kept
-system with solve_affine for every candidate.
+system with solve_affine for every candidate; that greedy and the Span test
+solve with reference_solve_affine, since Span and solve_affine share one
+echelon.
 """
 
 from math import gcd
 from operator import add
 
 import pytest
-from conftest import SEED, make_rng, nonlinear_structure, random_rational
+from conftest import (SEED, make_rng, nonlinear_structure, random_rational,
+                      reference_solve_affine)
 
 from levitype import (
     ACStructure,
@@ -29,7 +32,7 @@ from levitype import (
 )
 from levitype.geometry import adapted_frame_matrix, apply_jstd, standard_matrix
 from levitype.jets import mat_vec
-from levitype.linalg import Span, solve_affine
+from levitype.linalg import Span
 
 # caps on both sides of the key-width boundary at 256
 WIDE_CAPS = (255, 256, 300)
@@ -216,8 +219,8 @@ def solve_affine_basis(m, j):
         val = list(cand.at_zero())
         if all(v == 0 for v in val):
             continue
-        if values and solve_affine([list(c) for c in zip(*values)],
-                                   val).consistent:
+        if values and reference_solve_affine([list(c) for c in zip(*values)],
+                                             val).consistent:
             continue
         basis.append(cand)
         values += [val, apply_jstd(val)]
@@ -234,8 +237,8 @@ def solve_affine_frame(j0):
         if len(cols) == size:
             break
         cand = [Q(int(r == idx)) for r in range(size)]
-        if cols and solve_affine([list(c) for c in zip(*cols)],
-                                 cand).consistent:
+        if cols and reference_solve_affine([list(c) for c in zip(*cols)],
+                                           cand).consistent:
             continue
         cols += [cand, linalg.mat_vec(j0, cand)]
     if len(cols) != size:
@@ -323,13 +326,14 @@ class TestSpan:
             for _ in range(dim + 3):
                 v = [random_rational(rng, 2) if rng.random() < 0.6 else Q(0)
                      for _ in range(dim)]
-                outside = not kept or not solve_affine(
+                outside = not kept or not reference_solve_affine(
                     [list(c) for c in zip(*kept)], v).consistent
                 outside = outside and any(v)
                 assert span.add(v) == outside
                 if outside:
                     kept.append(v)
                 assert len(span.rows) == len(kept)
+                assert all(gcd(*row) == 1 for _, row in span.rows)
 
     def test_rows_are_primitive_integers(self):
         span = Span()

@@ -1,6 +1,10 @@
-"""Exact linear algebra: affine solving and symmetric signatures."""
+"""Exact linear algebra: affine solving and symmetric signatures.
 
-from conftest import make_rng, random_rational
+solve_affine is checked bit for bit against reference_solve_affine, the
+Gauss-Jordan elimination on rationals that it replaced.
+"""
+
+from conftest import make_rng, random_rational, reference_solve_affine
 
 import pytest
 
@@ -55,6 +59,83 @@ class TestSolveAffine:
             assert mat_vec(mat, sol.particular) == rhs
             for vec in sol.nullspace:
                 assert mat_vec(mat, vec) == [Q(0)] * rows
+
+
+def answer(sol):
+    """Every value of a solution with its type, so equal answers are equal
+    bit for bit."""
+    def typed(vec):
+        return [(type(x), x) for x in vec]
+    return (sol.consistent,
+            None if sol.particular is None else typed(sol.particular),
+            [typed(v) for v in sol.nullspace])
+
+
+def random_system(rng, rows, cols, rank, rational):
+    """rows x cols with right-hand side, its augmented rows drawn from the
+    span of rank random rows, so rank below rows makes it rank-deficient;
+    one right-hand side is then moved half the time, which mostly makes it
+    inconsistent."""
+    basis = [[rational() for _ in range(cols + 1)] for _ in range(rank)]
+    aug = [[sum((c * v[k] for c, v in
+                 zip([rational() for _ in basis], basis)), Q(0))
+            for k in range(cols + 1)] for _ in range(rows)]
+    if rows and rng.random() < 0.5:
+        aug[rng.randrange(rows)][cols] += 1
+    return [row[:cols] for row in aug], [row[cols] for row in aug]
+
+
+class TestAgainstReference:
+    def check(self, mat, rhs):
+        assert answer(solve_affine(mat, rhs)) == \
+            answer(reference_solve_affine(mat, rhs))
+
+    def test_random_systems(self):
+        rng = make_rng("linalg-reference")
+
+        def sparse():
+            return random_rational(rng) if rng.random() < 0.6 else Q(0)
+        for _ in range(400):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            self.check(*random_system(rng, rows, cols,
+                                      rng.randint(0, min(rows, cols + 1)),
+                                      sparse))
+
+    def test_large_denominators(self):
+        rng = make_rng("linalg-reference-large")
+
+        def large():
+            return Q(rng.randint(-10**30, 10**30),
+                     rng.choice((1, 3, 10**20 + 39, 2**61 - 1)))
+        for _ in range(100):
+            rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+            self.check(*random_system(rng, rows, cols,
+                                      rng.randint(0, min(rows, cols)), large))
+
+    def test_edge_shapes(self):
+        rng = make_rng("linalg-reference-edges")
+        one, zero = Q(1), Q(0)
+        for mat, rhs in (([], []), ([[]], [zero]), ([[]], [one]),
+                         ([[], []], [zero, one]), ([[zero]], [zero]),
+                         ([[zero]], [one]), ([[zero, zero]], [zero]),
+                         ([[zero] * 3] * 4, [zero] * 4),
+                         ([[zero] * 3] * 4, [zero, zero, one, zero]),
+                         ([[Q(3)], [Q(-6)]], [Q(1, 2), Q(-1)]),
+                         ([[Q(3)], [Q(-6)]], [Q(1, 2), Q(1)])):
+            self.check(mat, rhs)
+        for _ in range(100):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            mat = [[random_rational(rng) for _ in range(cols)]
+                   for _ in range(rows)]
+            rhs = [random_rational(rng) for _ in range(rows)]
+            for r in rng.sample(range(rows), rng.randint(0, rows)):
+                mat[r] = [Q(0)] * cols  # zero rows, some with rhs 0
+                if rng.random() < 0.5:
+                    rhs[r] = Q(0)
+            self.check(mat, rhs)
+            self.check([row[:1] for row in mat], rhs)  # one column
+            self.check([[Q(0)] * cols] * rows, [Q(0)] * rows)
+            self.check([[Q(0)] * cols] * rows, rhs)
 
 
 class TestInverse:

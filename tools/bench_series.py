@@ -38,13 +38,16 @@ by ``series_to_expression``, and ``build_structure``: every entry of the
 ``ACStructure``, its J*J = -I check included, and ``mat_vec``: the
 ``transport`` row's structure times a vector of num_vars series of
 VECTOR_TERMS terms, and ``covariant_derivative``: D_X Y of two fields of
-such components, and, outside the grid, ``levi_std`` at n in LARGE_LEVI_N
+such components, and ``solve_affine``: the level systems and tangential
+coordinate systems of a staged search at n = num_vars // 2 >= 2 (see
+``affine_systems``), and, outside the grid, ``levi_std`` at n in LARGE_LEVI_N
 (cap LARGE_LEVI_CAP), on a surface drawn as the grid's.  It writes
 ``BENCH_<label>.json`` (into ``--out``, default the checkout root).  The
 inputs are fixed by a seeded generator, so two kernels see the same
 operands; each row carries a digest of the result (of every component, for
 a disk, of every entry, for ``build_structure``, of every value, for
-``levi_trace`` and the ``higher_levi`` rows, of the orders of criteria
+``levi_trace`` and the ``higher_levi`` rows, of every solution's
+consistency and values, for ``solve_affine``, of the orders of criteria
 2-4, for
 ``commutation``, of the witness disk's components and the bound, its flags
 and its obstruction, for ``type_search``), and rows with equal digests
@@ -212,7 +215,53 @@ def operands(lev, num_vars, cap, seed):
     ops["covariant_derivative"] = (
         lambda: lev.covariant_derivative(x, y).components,
         (*x.components, *y.components))
+    if num_vars >= 4:
+        # drawn after every operand above, so their digests do not move
+        systems = affine_systems(rng, q, n, cap)
+        ops["solve_affine"] = (
+            lambda: [solution_values(lev.linalg.solve_affine(a, b))
+                     for a, b in systems],
+            ())
     return ops
+
+
+def affine_systems(rng, q, n, cap):
+    """Systems shaped as the staged search solves them, d = 2n - 2 columns.
+
+    For each level ell = 1..cap-3, ell + 1 rows of rank 0 and of rank 2,
+    each with a right-hand side inside the column span and a random one, as
+    attempt_level solves; then a 2n x d matrix with four right-hand sides
+    inside its column span and a random one, as coords_of solves.
+    """
+    d = 2 * n - 2
+
+    def rational():
+        return q(rng.choice((-3, -2, -1, 1, 2, 3)),
+                 rng.choice((1, 1, 2, 3, 4)))
+
+    def inside(mat):
+        t = [rational() for _ in range(d)]
+        return [sum((x * y for x, y in zip(row, t)), q(0)) for row in mat]
+    systems = []
+    for ell in range(1, cap - 2):
+        r1, r2 = [rational() for _ in range(d)], [rational() for _ in range(d)]
+        rank2 = []
+        for _ in range(ell + 1):
+            a, b = rational(), rational()
+            rank2.append([a * x + b * y for x, y in zip(r1, r2)])
+        for mat in ([[q(0)] * d for _ in range(ell + 1)], rank2):
+            systems += [(mat, inside(mat)),
+                        (mat, [rational() for _ in range(ell + 1)])]
+    colmat = [[rational() for _ in range(d)] for _ in range(2 * n)]
+    systems += [(colmat, inside(colmat)) for _ in range(4)]
+    systems.append((colmat, [rational() for _ in range(2 * n)]))
+    return systems
+
+
+def solution_values(sol) -> list:
+    """consistent, then the particular solution and each nullspace vector."""
+    return [sol.consistent, *(sol.particular or ()),
+            *(x for v in sol.nullspace for x in v)]
 
 
 def large_levi_operands(lev, n, seed):
@@ -260,7 +309,8 @@ def seconds_per_call(fn) -> float:
 def parts(result) -> tuple:
     """The series of a result: itself, a disk's components, those of a
     type report's witness disk, or those of a Levi matrix's basis fields;
-    levi_trace and higher_levi values and a commutation report hold none."""
+    levi_trace, higher_levi and solve_affine values and a commutation
+    report hold none."""
     if isinstance(result, list) or hasattr(result, "criterion_orders"):
         return ()
     if isinstance(result, tuple):
@@ -276,7 +326,7 @@ def digest(result) -> str:
     h = hashlib.sha256()
     for s in parts(result):
         h.update(repr((s.num_vars, s.cap, s.as_list())).encode())
-    if isinstance(result, list):  # levi_trace or higher_levi values
+    if isinstance(result, list):  # levi_trace, higher_levi or solve_affine
         h.update(repr([[str(v) for v in row] for row in result]).encode())
     if hasattr(result, "entries"):  # a Levi matrix's polar form
         h.update(repr([[str(e) for e in row]
