@@ -29,8 +29,13 @@ the disk, so it is built once per (J, phi) pair and held by J (see _plan).
 The plan of a surface also holds one transport state, grown by _read_held:
 the x-jet it was extended by and the stratum last read from it, so that the
 higher Levi forms of one disk, asked one (p, q) at a time, transport each
-order once.  A read one order past a state pads that order in place and
-pops it again (see _Transport.read).
+order once.  propagate_cr_jet starts from a copy of that state when its
+x-jet begins with the held one, and leaves the held state as it was (see
+_held_copy).  A read one order past a state pads that order in place and
+pops it again from the lists of u, u_x and e(u); the e(u) and R strata of
+that order read only strata below it, so the state keeps them aside, and
+the order's next extension, padded, probed or real, forms them no more
+(see _Transport._next).
 Strata are formed by kernels shaped to their operands: _product for one
 product of u's components and _stratum for the rows of R, both on one
 convolution loop (_convolve), and _combine for a combination of strata with
@@ -215,7 +220,7 @@ class _Plan:
     grows: one _Transport of the pair, the tuple of x-derivatives it was
     extended by, and the stratum of phi . u last read from it (None until
     one is read, and state None again while the state is being grown); lock
-    serializes the calls that use them.
+    serializes the calls that use them, the copies of _held_copy among them.
     """
 
     __slots__ = ("table", "entries", "rows", "phi", "state", "jet", "stratum",
@@ -307,7 +312,10 @@ class _Transport:
     phi through d, so a degree-k factor of a degree-K monomial is formed
     only through d - (K - k).  A stratum never changes once formed, so
     copy() shares them all, after filling those that the order makes final
-    and the cap will read, so that the copies do not each form them.
+    and the cap will read, so that the copies do not each form them.  The
+    e(u) strata and the rows of R of order + 1 are formed once, whether a
+    pad, a probe or the real x-derivative comes first, and shared the same
+    way (see _next).
     """
 
     def __init__(self, j: ACStructure, cap: int, m: Hypersurface | None = None):
@@ -322,6 +330,7 @@ class _Transport:
         self.strata = [[None] * deg for deg, _, _ in table]
         self.ux = [[] for _ in range(self.n2)]
         self.eu = [[] for _ in self.entries]
+        self.slot = None  # (order + 1, its e(u) strata, its R): see _next
 
     def _fill(self, i, d):
         """Form the strata of product i through d."""
@@ -342,29 +351,47 @@ class _Transport:
         new.eu = [list(s) for s in self.eu]
         return new
 
+    def _next(self):
+        """The strata of e(u) and the rows of R that order + 1 reads.
+
+        R of order m reads only strata of u below m, so it is the same
+        whatever x-derivative order m then takes: a zero pad, a probe's or
+        the real one.  So it is formed once per order, held in slot (with
+        its order) until the state passes that order, and shared by
+        copy(); a failure while forming it leaves slot as it was.
+        """
+        m = self.order + 1
+        if self.slot is None or self.slot[0] != m:
+            low, strata = m - 1, self.strata
+            eus = []
+            for comb in self.entries:
+                for _, _, i in comb:
+                    self._fill(i, low)
+                eus.append(_combine([(c, dc, strata[i][low])
+                                     for c, dc, i in comb], low))
+            eu = [s + [t] for s, t in zip(self.eu, eus)]
+            r = tuple(_stratum([(eu[e], self.ux[b]) for e, b in row], low)
+                      if row else None for row in self.rows)
+            self.slot = m, tuple(eus), r
+        return self.slot[1:]
+
     def extend(self, *vecs):
         """Add one order m per vec, the x-derivative d^m u/dx^m(0); returns
         the state.
 
         Stratum m of u is solved along the y-power q.  Its coefficients all
         divide the denominator lcm(R, c_{m,0}) * m!, by induction on q, so
-        on numerators over it every division by q+1 is exact.
+        on numerators over it every division by q+1 is exact.  The strata
+        of order m are added only once all of them are formed, so a vec
+        that fails leaves the state at order m - 1.
         """
         for vec in vecs:
             if self.order == self.cap:
                 raise ValueError(f"the transport stops at its cap {self.cap}")
             if len(vec) != self.n2:
                 raise ValueError("x-axis derivative has wrong arity")
-            m = self.order = self.order + 1
-            low = m - 1
-            strata = self.strata
-            for comb, eu in zip(self.entries, self.eu):
-                for _, _, i in comb:
-                    self._fill(i, low)
-                eu.append(_combine([(c, dc, strata[i][low])
-                                    for c, dc, i in comb], low))
-            r = [_stratum([(self.eu[e], self.ux[b]) for e, b in row], low)
-                 if row else None for row in self.rows]
+            eus, r = self._next()
+            m = self.order + 1
             den = lcm(*(v.denominator for v in vec),
                       *(ri[1] for ri in r if ri is not None))
             # numerators over den * m!: c_{m,0} = v / m!
@@ -375,6 +402,7 @@ class _Transport:
                   for ri in r]
             # stratum m along the y-power q, one pair (x_i, y_i) at a time:
             # (q+1) c_{m-1-q,q+1} = (m-q) J_std c_{m-q,q} + R_{m-1-q,q}
+            us, dxs = [], []
             for i in range(0, self.n2, 2):
                 a, b = cur[i], cur[i + 1]
                 ra, rb = rs[i], rs[i + 1]
@@ -384,15 +412,20 @@ class _Transport:
                     a, b = (ra[q] - k * b) // (q + 1), (k * a + rb[q]) // (q + 1)
                     col_a.append(a)
                     col_b.append(b)
-                for c, col in ((i, col_a), (i + 1, col_b)):
+                for col in (col_a, col_b):
                     st = dx = None
                     if any(col):
                         g = gcd(den, *col)
                         st = ([v // g for v in col], den // g)
                         dx = ([(m - q) * v for q, v in enumerate(st[0][:m])],
                               st[1])
-                    strata[c].append(st)
-                    self.ux[c].append(dx)
+                    us.append(st)
+                    dxs.append(dx)
+            for lists, new in ((self.strata, us), (self.ux, dxs),
+                               (self.eu, eus)):
+                for st, s in zip(lists, new):
+                    st.append(s)
+            self.order = m
         return self
 
     def read(self, d: int):
@@ -403,11 +436,13 @@ class _Transport:
         which is exact: of what the pad adds, stratum d of phi . u reads only
         u's own stratum d.  A product of two or more factors has its stratum
         d from strata below d of u (see the class docstring), so the product
-        strata formed on the way are those of every later disk and stay;
-        e(u)'s stratum d - 1 reads strata below d as well, but is popped
-        with u's stratum d and u_x's stratum d - 1, so that each list again
-        holds one stratum per order.  Two or more missing orders are
-        refused: products would then read padded strata, and could not stay.
+        strata formed on the way are those of every later disk and stay; so
+        do order d's e(u) strata and rows of R, which read strata below d
+        too, in slot (see _next), where the next extend or probe finds them.
+        u's stratum d and u_x's and e(u)'s strata d - 1 are popped, so that
+        each list again holds one stratum per order.  Two or more missing
+        orders are refused: products would then read padded strata, and
+        could not stay.
         """
         if d > self.order + 1:
             raise ValueError(
@@ -464,9 +499,12 @@ def _read_held(j: ACStructure, m: Hypersurface, jet):
     order once.  The jet is held as tuples, so a caller that mutates its
     lists cannot change it; the state is dropped while it grows, so a failed
     extension leaves none behind; and the plan's lock serializes the calls
-    on one pair.  The state is bounded per pair, by m.cap orders and the
-    product strata they read, and dies with the plan, so with J or with m:
-    the memory held grows with the number of live (J, m) pairs read.
+    on one pair.  propagate_cr_jet copies the state under that lock when
+    its x-jet starts with the held one (see _held_copy), and changes neither
+    the state, the jet nor the stratum.  The state is bounded per pair, by
+    m.cap orders and the product strata they read, and dies with the plan,
+    so with J or with m: the memory held grows with the number of live
+    (J, m) pairs read.
     """
     d = len(jet) + 1
     plan = _transport_plan(j, d, m)
@@ -487,13 +525,39 @@ def _read_held(j: ACStructure, m: Hypersurface, jet):
     return stratum
 
 
+def _held_copy(j: ACStructure, jet):
+    """A copy of a held state of J whose x-jet is a prefix of jet and whose
+    cap reaches len(jet), or None.
+
+    The held states are those that _read_held keeps, one in the plan of
+    each surface J holds a plan for.  The first that qualifies is copied
+    under its plan's lock; its order, jet and stratum stay as they were,
+    and the copy only fills, in the held state, product strata that its cap
+    reads and that never change once formed.  The disk of a jet does not
+    depend on the surface, so any plan's state serves.
+    """
+    plans = vars(j).get("_plans")
+    # a snapshot: another thread may add a plan meanwhile
+    for plan in list(plans.data.values()) if plans is not None else ():
+        with plan.lock:
+            state, held = plan.state, plan.jet
+            if (state is not None and len(jet) <= state.cap
+                    and jet[:len(held)] == held):
+                return state.copy()
+    return None
+
+
 def propagate_cr_jet(x_derivs, j: ACStructure, order: int | None = None) -> DiskJet:
     """Disk jet with the given x-axis derivatives, transported by J.
 
     x_derivs[m-1] is d^m u/dx^m(0) for m = 1..len(x_derivs); missing orders up
     to the requested cap are padded with zero.  The returned jet satisfies the
     transport equation through cap-1 and is the unique such jet.  It is a
-    _Transport extended to order, one stratum per order.
+    _Transport extended to order, one stratum per order.  When a state that
+    _read_held holds for J has transported a prefix of the padded x-jet and
+    reaches order, a copy of it is extended by the rest (see _held_copy);
+    the held state itself is read, never extended or replaced.  The disk is
+    unique given the jet, so both routes return the same DiskJet.
     """
     n2 = 2 * j.n
     derivs = [tuple(rat(v) for v in vec) for vec in x_derivs]
@@ -502,8 +566,9 @@ def propagate_cr_jet(x_derivs, j: ACStructure, order: int | None = None) -> Disk
             raise ValueError("x-axis derivative has wrong arity")
     if order is None:
         order = len(derivs)
-    state = _Transport(j, order)
-    state.extend(*derivs[:order], *[(ZERO,) * n2] * (order - len(derivs)))
+    jet = (*derivs[:order], *[(ZERO,) * n2] * (order - len(derivs)))
+    state = _held_copy(j, jet) or _Transport(j, order)
+    state.extend(*jet[state.order:])
     return state.disk()
 
 

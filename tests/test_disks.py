@@ -1,5 +1,7 @@
 """Disk-jet transport, traces along disks, and holomorphic reparametrization."""
 
+import sys
+import threading
 from fractions import Fraction
 from math import gcd
 
@@ -16,10 +18,14 @@ from levitype import (
     TruncatedSeries,
     compose_phi_u,
     contact_order,
+    higher_levi,
+    perturbed_structure,
     propagate_cr_jet,
     reparametrize_disk_jet,
+    type_search,
 )
 import levitype.disks as disks
+import levitype.engine as engine
 from levitype.disks import (_Transport, _combine, _product, _stratum,
                             holomorphic_reparam_series, is_cr_jet)
 from levitype.geometry import apply_jstd
@@ -474,6 +480,258 @@ class TestStratumKernels:
                 fresh = _Transport(j, state.cap, m).extend(*derivs[:k + 1])
                 assert state.extend(derivs[k]).read(k + 2) == \
                     fresh.read(k + 2)
+
+
+def counting(monkeypatch, module, name):
+    """Patch module.name to record its calls: a list of their arguments."""
+    calls, call = [], getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return call(*args)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def count_transports(monkeypatch):
+    """Patch _Transport.__init__ to count the transports built."""
+    built, init = [], _Transport.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+    monkeypatch.setattr(_Transport, "__init__", counted)
+    return built
+
+
+class TestOneRPerOrder:
+    """Each order's e(u) and R strata are formed once: a pad, a probe and
+    the real x-derivative of that order all read the slot that formed
+    them first, and a copy shares it."""
+
+    def test_read_then_extend_forms_each_row_of_r_once(self, monkeypatch):
+        rng = make_rng("disks-one-r")
+        calls = counting(monkeypatch, disks, "_stratum")
+        rows_seen = 0
+        for j, m, derivs, state in padded_states(rng):
+            k = state.order
+            rows = sum(1 for row in state.rows if row)
+            rows_seen += rows
+            fresh = _Transport(j, state.cap, m).extend(*derivs[:k + 1])
+            calls.clear()
+            state.read(k + 1)
+            fork = state.copy().extend(derivs[k])
+            state.extend(derivs[k])
+            assert [d for _, d in calls] == [k] * rows
+            for st in (state, fork):
+                assert st.disk() == fresh.disk()
+                assert st.read(k + 1) == fresh.read(k + 1)
+        assert rows_seen
+
+    def test_probes_of_a_level_form_no_r_of_its_order(self, monkeypatch):
+        # force_normals reads order l + 1 of the state before attempt_level
+        # probes it, so the d + 2 probes, each a copy extended by order
+        # l + 1 and a zero order l + 2, form only R of order l + 2
+        calls = counting(monkeypatch, disks, "_stratum")
+        levels = []
+        attempt = engine._Stager.attempt_level
+
+        def watched(self, state, *args):
+            calls.clear()
+            out = attempt(self, state, *args)
+            rows = sum(1 for row in state.rows if row)
+            levels.append((state.order, self.d, rows,
+                           [d for _, d in calls]))
+            return out
+        monkeypatch.setattr(engine._Stager, "attempt_level", watched)
+        harmonic3 = surface(3, 10, {(0, 0, 0, 0, 1, 0): 2,
+                                    (2, 0, 0, 0, 0, 0): 1,
+                                    (0, 2, 0, 0, 0, 0): -1})
+        type_search(harmonic3, perturbed_structure(3, 10, 1), 6)
+        assert levels
+        for ell, d, rows, degrees in levels:
+            assert rows
+            assert degrees == [ell + 1] * ((d + 2) * rows)
+
+    def test_failed_slot_leaves_the_state_and_the_slot(self, monkeypatch):
+        # _combine (e(u)) or _stratum (R) raising at any one of the calls
+        # that form the slot, in a pad or in an extension, leaves the
+        # state's shape and its slot as they were
+        rng = make_rng("disks-one-r-fail")
+        for name in ("_combine", "_stratum"):
+            kernel = getattr(disks, name)
+            for j, m, derivs, state in padded_states(rng):
+                k = state.order
+                before, slot = shape(state), state.slot
+                calls = counting(monkeypatch, disks, name)
+                state.copy()._next()
+                formed = len(calls)
+                for fail_at in range(1, formed + 1):
+                    for op in (lambda: state.read(k + 1),
+                               lambda: state.extend(derivs[k])):
+                        count = [0]
+
+                        def failing(*args):
+                            count[0] += 1
+                            if count[0] == fail_at:
+                                raise ArithmeticError("injected")
+                            return kernel(*args)
+
+                        monkeypatch.setattr(disks, name, failing)
+                        with pytest.raises(ArithmeticError, match="injected"):
+                            op()
+                        assert shape(state) == before
+                        assert state.slot is slot
+                monkeypatch.setattr(disks, name, kernel)
+                fresh = _Transport(j, state.cap, m).extend(*derivs[:k + 1])
+                state.read(k + 1)
+                assert state.slot[0] == k + 1
+                assert state.extend(derivs[k]).disk() == fresh.disk()
+
+
+def fresh_disk(j, jet, order):
+    """The disk of jet, padded with zeros to order, by a transport of its
+    own."""
+    vecs = [tuple(Q(c) for c in v) for v in jet[:order]]
+    vecs += [(ZERO,) * (2 * j.n)] * (order - len(vecs))
+    return _Transport(j, order).extend(*vecs).disk()
+
+
+class TestHeldDisk:
+    """propagate_cr_jet starts from a copy of the state that _read_held
+    holds for a surface of J when that state transported a prefix of the
+    padded jet and reaches the order; the disk is the fresh transport's,
+    and the held state is left as it was."""
+
+    def held(self, rng, standard=False, m_cap=6, length=3):
+        """(m, J, jet) with the plan of (J, m) holding jet[:length]."""
+        j = ACStructure.standard(2, 6) if standard \
+            else random_structure(rng, 2, 6)
+        m = random_phi(rng, 2, m_cap)
+        jet = [tuple(Q(c) for c in random_vector(rng, 4, 2))
+               for _ in range(6)]
+        disks._read_held(j, m, jet[:length])
+        return m, j, jet
+
+    def assert_disk(self, monkeypatch, j, jet, order, builds):
+        """propagate_cr_jet(jet, j, order) is the fresh disk, term for
+        term, and builds that many transports; every held state of J is
+        left as it was."""
+        want = fresh_disk(j, jet, order)
+        plans = list(vars(j).get("_plans", {}).values())
+        held = [(p.state, p.jet, p.stratum) for p in plans]
+        shapes = [p.state and shape(p.state) for p in plans]
+        built = count_transports(monkeypatch)
+        got = propagate_cr_jet(jet, j, order)
+        monkeypatch.undo()
+        assert len(built) == builds
+        assert got == want
+        for c, d in zip(got.components, want.components):
+            assert (c._terms, c._den) == (d._terms, d._den)
+        for p, (state, jet_, stratum), sh in zip(plans, held, shapes):
+            assert p.state is state and p.jet is jet_ and p.stratum is stratum
+            assert (p.state and shape(p.state)) == sh
+
+    def test_prefix_equal_longer_and_diverging_jets(self, monkeypatch):
+        rng = make_rng("disks-held-cases")
+        for standard in (True, False):
+            # a strict prefix, padded or not, and an equal jet: no transport
+            for jet_len, order in ((5, 5), (4, 6), (3, 3), (3, 5)):
+                m, j, jet = self.held(rng, standard)
+                self.assert_disk(monkeypatch, j, jet[:jet_len], order, 0)
+            # the held jet longer than the order, and one that diverges
+            m, j, jet = self.held(rng, standard)
+            self.assert_disk(monkeypatch, j, jet, 2, 1)
+            other = list(jet)
+            other[1] = tuple(c + 1 for c in jet[1])
+            self.assert_disk(monkeypatch, j, other, 5, 1)
+            # a held jet of zeros is a prefix of a zero-padded jet
+            m, j, jet = self.held(rng, standard)
+            disks._read_held(j, m, [(ZERO,) * 4])
+            self.assert_disk(monkeypatch, j, [], 4, 0)
+
+    def test_held_cap_below_the_order(self, monkeypatch):
+        # a surface of cap 4 holds a state of cap 4, which cannot reach
+        # order 5 of a structure of cap 6
+        rng = make_rng("disks-held-cap")
+        for standard in (True, False):
+            m, j, jet = self.held(rng, standard, m_cap=4)
+            assert vars(j)["_plans"][m].state.cap == 4
+            self.assert_disk(monkeypatch, j, jet, 5, 1)
+            self.assert_disk(monkeypatch, j, jet, 4, 0)
+
+    def test_no_plan_or_no_held_state(self, monkeypatch):
+        rng = make_rng("disks-held-none")
+        for standard in (True, False):
+            j = ACStructure.standard(2, 6) if standard \
+                else random_structure(rng, 2, 6)
+            jet = [random_vector(rng, 4, 2) for _ in range(4)]
+            assert "_plans" not in vars(j)
+            self.assert_disk(monkeypatch, j, jet, 5, 1)
+            _Transport(j, 4, random_phi(rng, 2, 6))  # a plan, no state
+            self.assert_disk(monkeypatch, j, jet, 5, 1)
+
+    def test_higher_levi_after_the_disk_builds_nothing(self, monkeypatch):
+        rng = make_rng("disks-held-after")
+        for standard in (True, False):
+            # the same prefix reads the held stratum, a longer one extends
+            # the held state
+            m, j, jet = self.held(rng, standard)
+            want = [[compose_phi_u(m, fresh_disk(j, jet[:s + 1], s + 2))
+                     .levi_entry(p, s - p) for p in range(s + 1)]
+                    for s in (2, 3)]
+            propagate_cr_jet(jet, j, 6)
+            built = count_transports(monkeypatch)
+            assert [[higher_levi(m, j, jet[:s + 1], p, s - p)
+                     for p in range(s + 1)] for s in (2, 3)] == want
+            monkeypatch.undo()
+            assert built == []
+
+    def test_two_threads_alternating_levi_forms_and_disks(self):
+        # two threads on one (J, surface) pair, switching as often as the
+        # interpreter allows, each alternating the L^(p, q) of a prefix of
+        # its jet with the whole jet's disk.  The jets share a prefix and
+        # are given as strings, so every call compares new rationals
+        rng = make_rng("disks-held-threads")
+        for standard in (True, False):
+            j = ACStructure.standard(2, 6) if standard \
+                else random_structure(rng, 2, 6)
+            m = random_phi(rng, 2, 6)
+            common = [random_vector(rng, 4, 2) for _ in range(2)]
+            jets = [[tuple(map(str, v)) for v in
+                     common + [random_vector(rng, 4, 2) for _ in range(3)]]
+                    for _ in range(2)]
+
+            def sweep(jet):
+                out = []
+                for s in range(4):
+                    out.append([higher_levi(m, j, jet[:s + 1], p, s - p)
+                                for p in range(s + 1)])
+                    out.append(propagate_cr_jet(jet, j, 5))
+                return out
+
+            want = [sweep(jet) for jet in jets]
+            for jet, w in zip(jets, want):
+                assert w[1::2] == [fresh_disk(j, jet, 5)] * 4
+            got = [[] for _ in jets]
+
+            def worker(k):
+                for _ in range(10):
+                    got[k].append(sweep(jets[k]))
+
+            old = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=worker, args=(k,))
+                           for k in range(len(jets))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+            finally:
+                sys.setswitchinterval(old)
+            assert got == [[w] * 10 for w in want]
 
 
 class TestTraceAndContact:

@@ -36,7 +36,7 @@ from levitype import (
     propagate_cr_jet,
 )
 from levitype.geometry import apply_jstd
-from levitype.rational import QC
+from levitype.rational import QC, ZERO, rat
 
 from conftest import (
     make_rng,
@@ -337,8 +337,12 @@ class TestHigherLevi:
 
 def fresh_trace(m, j, jet, s):
     """L^(p, s - p), p = 0..s, by the route of the master-identity test: a
-    disk transported afresh to order s + 2 and composed with phi whole."""
-    tr = compose_phi_u(m, propagate_cr_jet(list(jet[:s + 1]), j, s + 2))
+    disk transported afresh to order s + 2 and composed with phi whole.
+    The disk is a transport of its own: propagate_cr_jet may start from the
+    held state that these tests check."""
+    vecs = [tuple(rat(c) for c in v) for v in jet[:s + 1]]
+    vecs += [(ZERO,) * (2 * j.n)] * (s + 2 - len(vecs))
+    tr = compose_phi_u(m, disks._Transport(j, s + 2).extend(*vecs).disk())
     return [tr.levi_entry(p, s - p) for p in range(s + 1)]
 
 

@@ -40,13 +40,18 @@ by ``series_to_expression``, and ``build_structure``: every entry of the
 VECTOR_TERMS terms, and ``covariant_derivative``: D_X Y of two fields of
 such components, and ``solve_affine``: the level systems and tangential
 coordinate systems of a staged search at n = num_vars // 2 >= 2 (see
-``affine_systems``), and, outside the grid, ``levi_std`` at n in LARGE_LEVI_N
+``affine_systems``), and ``held_disk``: at n >= 2, under J_std and then the
+``transport`` row's structure, every L^(p, s - p) on each prefix of an
+x-jet of cap derivatives, on a surface drawn as the ``compose_phi_u``
+row's, and then ``propagate_cr_jet`` of the whole jet to order cap, which
+may start from the state those calls left, and, outside the grid, ``levi_std`` at n in LARGE_LEVI_N
 (cap LARGE_LEVI_CAP), on a surface drawn as the grid's.  It writes
 ``BENCH_<label>.json`` (into ``--out``, default the checkout root).  The
 inputs are fixed by a seeded generator, so two kernels see the same
 operands; each row carries a digest of the result (of every component, for
 a disk, of every entry, for ``build_structure``, of every value, for
-``levi_trace`` and the ``higher_levi`` rows, of every solution's
+``levi_trace`` and the ``higher_levi`` rows, of every value and every
+disk term, for ``held_disk``, of every solution's
 consistency and values, for ``solve_affine``, of the orders of criteria
 2-4, for
 ``commutation``, of the witness disk's components and the bound, its flags
@@ -222,6 +227,17 @@ def operands(lev, num_vars, cap, seed):
             lambda: [solution_values(lev.linalg.solve_affine(a, b))
                      for a, b in systems],
             ())
+        # drawn after every operand above, so their digests do not move
+        held_terms = random_terms(rng, num_vars, 2, min(cap, 5),
+                                  COMPOSE_TERMS, q)
+        held_terms[(0,) * (num_vars - 1) + (1,)] = q(2)
+        held_surface = lev.Hypersurface(n, series(num_vars, cap, held_terms))
+        held_jet = [[q(rng.choice((-3, -2, -1, 1, 2, 3)),
+                       rng.choice((1, 1, 2, 3, 4))) for _ in range(num_vars)]
+                    for _ in range(cap)]
+        ops["held_disk"] = (
+            lambda: held_disk(lev, held_surface, (j_std, j), held_jet, cap),
+            (held_surface.phi, *j_plus))
     return ops
 
 
@@ -288,6 +304,20 @@ def trace_values(lev, surface, j, derivs, cap) -> list:
     return out
 
 
+def held_disk(lev, surface, structures, derivs, cap) -> list:
+    """Under each structure, [L^(p, s - p) for p = 0..s] on derivs[:s + 1]
+    for s = 0..cap-2, then the terms of each component of the disk of all
+    of derivs to order cap."""
+    out = []
+    for j in structures:
+        for s in range(cap - 1):
+            out.append([lev.higher_levi(surface, j, derivs[:s + 1], p, s - p)
+                        for p in range(s + 1)])
+        u = lev.propagate_cr_jet(derivs, j, cap)
+        out.append([c.as_list() for c in u.components])
+    return out
+
+
 def seconds_per_call(fn) -> float:
     number = 1
     while True:
@@ -309,8 +339,8 @@ def seconds_per_call(fn) -> float:
 def parts(result) -> tuple:
     """The series of a result: itself, a disk's components, those of a
     type report's witness disk, or those of a Levi matrix's basis fields;
-    levi_trace, higher_levi and solve_affine values and a commutation
-    report hold none."""
+    levi_trace, higher_levi, held_disk and solve_affine values and a
+    commutation report hold none."""
     if isinstance(result, list) or hasattr(result, "criterion_orders"):
         return ()
     if isinstance(result, tuple):
@@ -326,7 +356,8 @@ def digest(result) -> str:
     h = hashlib.sha256()
     for s in parts(result):
         h.update(repr((s.num_vars, s.cap, s.as_list())).encode())
-    if isinstance(result, list):  # levi_trace, higher_levi or solve_affine
+    # levi_trace, the higher_levi rows, held_disk and solve_affine
+    if isinstance(result, list):
         h.update(repr([[str(v) for v in row] for row in result]).encode())
     if hasattr(result, "entries"):  # a Levi matrix's polar form
         h.update(repr([[str(e) for e in row]
