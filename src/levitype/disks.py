@@ -361,7 +361,8 @@ class _Transport:
         copy(); a failure while forming it leaves slot as it was.
         """
         m = self.order + 1
-        if self.slot is None or self.slot[0] != m:
+        slot = self.slot
+        if slot is None or slot[0] != m:
             low, strata = m - 1, self.strata
             eus = []
             for comb in self.entries:
@@ -370,10 +371,10 @@ class _Transport:
                 eus.append(_combine([(c, dc, strata[i][low])
                                      for c, dc, i in comb], low))
             eu = [s + [t] for s, t in zip(self.eu, eus)]
-            r = tuple(_stratum([(eu[e], self.ux[b]) for e, b in row], low)
-                      if row else None for row in self.rows)
-            self.slot = m, tuple(eus), r
-        return self.slot[1:]
+            r = [_stratum([(eu[e], self.ux[b]) for e, b in row], low)
+                 if row else None for row in self.rows]
+            slot = self.slot = m, eus, r
+        return slot
 
     def extend(self, *vecs):
         """Add one order m per vec, the x-derivative d^m u/dx^m(0); returns
@@ -381,16 +382,16 @@ class _Transport:
 
         Stratum m of u is solved along the y-power q.  Its coefficients all
         divide the denominator lcm(R, c_{m,0}) * m!, by induction on q, so
-        on numerators over it every division by q+1 is exact.  The strata
-        of order m are added only once all of them are formed, so a vec
-        that fails leaves the state at order m - 1.
+        on numerators over it every division by q+1 is exact.  Nothing is
+        added before vec is read, so a vec that fails leaves the state at
+        order m - 1.
         """
         for vec in vecs:
             if self.order == self.cap:
                 raise ValueError(f"the transport stops at its cap {self.cap}")
             if len(vec) != self.n2:
                 raise ValueError("x-axis derivative has wrong arity")
-            eus, r = self._next()
+            _, eus, r = self._next()
             m = self.order + 1
             den = lcm(*(v.denominator for v in vec),
                       *(ri[1] for ri in r if ri is not None))
@@ -400,9 +401,11 @@ class _Transport:
             zero = [0] * m
             rs = [zero if ri is None else [c * (den // ri[1]) for c in ri[0]]
                   for ri in r]
+            for eu, st in zip(self.eu, eus):
+                eu.append(st)
             # stratum m along the y-power q, one pair (x_i, y_i) at a time:
             # (q+1) c_{m-1-q,q+1} = (m-q) J_std c_{m-q,q} + R_{m-1-q,q}
-            us, dxs = [], []
+            strata = self.strata
             for i in range(0, self.n2, 2):
                 a, b = cur[i], cur[i + 1]
                 ra, rb = rs[i], rs[i + 1]
@@ -412,19 +415,15 @@ class _Transport:
                     a, b = (ra[q] - k * b) // (q + 1), (k * a + rb[q]) // (q + 1)
                     col_a.append(a)
                     col_b.append(b)
-                for col in (col_a, col_b):
+                for c, col in ((i, col_a), (i + 1, col_b)):
                     st = dx = None
                     if any(col):
                         g = gcd(den, *col)
                         st = ([v // g for v in col], den // g)
                         dx = ([(m - q) * v for q, v in enumerate(st[0][:m])],
                               st[1])
-                    us.append(st)
-                    dxs.append(dx)
-            for lists, new in ((self.strata, us), (self.ux, dxs),
-                               (self.eu, eus)):
-                for st, s in zip(lists, new):
-                    st.append(s)
+                    strata[c].append(st)
+                    self.ux[c].append(dx)
             self.order = m
         return self
 
