@@ -352,13 +352,13 @@ class _Transport:
         return new
 
     def _next(self):
-        """The strata of e(u) and the rows of R that order + 1 reads.
+        """(order + 1, e(u)'s strata, the rows of R) that order + 1 reads.
 
         R of order m reads only strata of u below m, so it is the same
         whatever x-derivative order m then takes: a zero pad, a probe's or
-        the real one.  So it is formed once per order, held in slot (with
-        its order) until the state passes that order, and shared by
-        copy(); a failure while forming it leaves slot as it was.
+        the real one.  So it is formed once per order and held in slot,
+        tagged with its order, until the next order's replaces it; copy()
+        shares it, and a failure while forming it leaves slot as it was.
         """
         m = self.order + 1
         slot = self.slot
