@@ -529,20 +529,28 @@ def _held_copy(j: ACStructure, jet):
     cap reaches len(jet), or None.
 
     The held states are those that _read_held keeps, one in the plan of
-    each surface J holds a plan for.  The first that qualifies is copied
-    under its plan's lock; its order, jet and stratum stay as they were,
-    and the copy only fills, in the held state, product strata that its cap
-    reads and that never change once formed.  The disk of a jet does not
-    depend on the surface, so any plan's state serves.
+    each surface J holds a plan for.  A plan whose state fails the test
+    read without its lock is passed over without waiting for it; the first
+    that passes it, and passes it again under the lock, is copied there.
+    Its order, jet and stratum stay as they were, and the copy only fills,
+    in the held state, product strata that its cap reads and that never
+    change once formed.  The disk of a jet does not depend on the surface,
+    so any plan's state serves.
     """
+    def holds(plan):
+        # without the lock, state may be newer than held, or held None
+        state, held = plan.state, plan.jet
+        return (state is not None and held is not None
+                and len(jet) <= state.cap and jet[:len(held)] == held)
+
     plans = vars(j).get("_plans")
-    # a snapshot: another thread may add a plan meanwhile
+    # a snapshot taken in one C call: the generators of WeakKeyDictionary
+    # would fail if another thread stored a plan while they ran
     for plan in list(plans.data.values()) if plans is not None else ():
-        with plan.lock:
-            state, held = plan.state, plan.jet
-            if (state is not None and len(jet) <= state.cap
-                    and jet[:len(held)] == held):
-                return state.copy()
+        if holds(plan):
+            with plan.lock:
+                if holds(plan):
+                    return plan.state.copy()
     return None
 
 

@@ -19,10 +19,11 @@ from levitype import (
     perturbed_structure,
     project_to_complex_tangent,
 )
+from levitype.disks import _Transport
 from levitype.geometry import constant_matrix, standard_matrix
 from levitype.jets import mat_mul
 from levitype.linalg import AffineSolution
-from levitype.rational import ZERO
+from levitype.rational import ZERO, rat
 
 SEED = int(os.environ.get("LEVITYPE_SEED", "0"))
 
@@ -63,6 +64,15 @@ def random_structure(rng, n: int, cap: int) -> ACStructure:
 
 def random_vector(rng, nv: int, span=3):
     return tuple(random_rational(rng, span) for _ in range(nv))
+
+
+def fresh_disk(j: ACStructure, jet, order: int):
+    """The disk of jet, padded with zeros to order, by a transport of its
+    own: an oracle that shares no state with the transport states that J
+    holds, from which propagate_cr_jet may start."""
+    vecs = [tuple(rat(c) for c in v) for v in jet[:order]]
+    vecs += [(ZERO,) * (2 * j.n)] * (order - len(vecs))
+    return _Transport(j, order).extend(*vecs).disk()
 
 
 def random_field(rng, n: int, cap: int, degree: int = 2) -> VectorField:

@@ -31,6 +31,7 @@ from levitype import (
 from levitype import engine
 
 from conftest import (
+    fresh_disk,
     make_rng,
     random_field,
     random_phi,
@@ -284,7 +285,8 @@ def test_criterion_8_nonintegrable_transport():
 def test_criterion_9_padding_independence():
     """higher_levi depends only on the first p+q+1 x-derivatives: traces of
     disks extended by two different (p+q+2)-th derivatives agree with it,
-    on 50 randomized instances."""
+    on 50 randomized instances.  Each padded disk is a transport of its own,
+    so it shares no state with the one that higher_levi holds for J."""
     rng = make_rng("acceptance-9")
     for i in range(50):
         n = rng.choice((2, 3))
@@ -296,5 +298,5 @@ def test_criterion_9_padding_independence():
         base = higher_levi(m, j, jets, p, q)
         for _ in range(2):
             padded = jets + [random_vector(rng, 2 * n, 2)]
-            u = propagate_cr_jet(padded, j, p + q + 2)
+            u = fresh_disk(j, padded, p + q + 2)
             assert compose_phi_u(m, u).levi_entry(p, q) == base, (i, p, q)

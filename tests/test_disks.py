@@ -32,6 +32,7 @@ from levitype.geometry import apply_jstd
 from levitype.rational import ZERO
 
 from conftest import (
+    fresh_disk,
     make_rng,
     nonlinear_structure,
     random_positive_unit,
@@ -587,14 +588,6 @@ class TestOneRPerOrder:
                 state.read(k + 1)
                 assert state.slot[0] == k + 1
                 assert state.extend(derivs[k]).disk() == fresh.disk()
-
-
-def fresh_disk(j, jet, order):
-    """The disk of jet, padded with zeros to order, by a transport of its
-    own."""
-    vecs = [tuple(Q(c) for c in v) for v in jet[:order]]
-    vecs += [(ZERO,) * (2 * j.n)] * (order - len(vecs))
-    return _Transport(j, order).extend(*vecs).disk()
 
 
 class TestHeldDisk:

@@ -36,9 +36,10 @@ from levitype import (
     propagate_cr_jet,
 )
 from levitype.geometry import apply_jstd
-from levitype.rational import QC, ZERO, rat
+from levitype.rational import QC
 
 from conftest import (
+    fresh_disk,
     make_rng,
     nonlinear_structure,
     random_phi,
@@ -329,8 +330,9 @@ class TestHigherLevi:
                             if rng.random() < 0.8 else (0,) * (2 * n)
                             for _ in range(s + 1 + rng.choice((0, 0, 1, 2)))]
                     jets = [tuple(Q(c) for c in v) for v in jets]
-                    tr = compose_phi_u(
-                        m, propagate_cr_jet(jets[:s + 1], j, s + 2))
+                    # a disk of its own: the held state of an earlier s may
+                    # be a prefix of jets, and levi_trace reads it
+                    tr = compose_phi_u(m, fresh_disk(j, jets[:s + 1], s + 2))
                     assert levi.levi_trace(m, j, jets, s) == [
                         tr.levi_entry(p, s - p) for p in range(s + 1)]
 
@@ -340,9 +342,7 @@ def fresh_trace(m, j, jet, s):
     disk transported afresh to order s + 2 and composed with phi whole.
     The disk is a transport of its own: propagate_cr_jet may start from the
     held state that these tests check."""
-    vecs = [tuple(rat(c) for c in v) for v in jet[:s + 1]]
-    vecs += [(ZERO,) * (2 * j.n)] * (s + 2 - len(vecs))
-    tr = compose_phi_u(m, disks._Transport(j, s + 2).extend(*vecs).disk())
+    tr = compose_phi_u(m, fresh_disk(j, jet[:s + 1], s + 2))
     return [tr.levi_entry(p, s - p) for p in range(s + 1)]
 
 
