@@ -26,15 +26,14 @@ What a transport reads of J and phi, its plan (_Plan: the products u^alpha
 that their monomials need, the entries of J - J_std and the rows of R as
 combinations of them, and phi . u as one), depends on neither the cap nor
 the disk, so it is built once per (J, phi) pair and held by J (see _plan).
-The plan of a surface also holds one transport state, grown by _read_held:
-the x-jet it was extended by and the stratum last read from it, so that the
-higher Levi forms of one disk, asked one (p, q) at a time, transport each
-order once.  propagate_cr_jet starts from a copy of that state when its
-x-jet begins with the held one, and leaves the held state as it was (see
-_held_copy).  A read one order past a state pads that order in place and
-pops it again from the lists of u, u_x and e(u); the e(u) and R strata of
-that order read only strata below it, so the state keeps them aside, and
-the order's next extension, padded, probed or real, forms them no more
+J also holds one transport state, grown by _read_held for the surface last
+read, so that the higher Levi forms of one disk, asked one (p, q) at a
+time, transport each order once.  propagate_cr_jet starts from a copy of
+that state when its x-jet begins with the held one, and leaves the held
+state as it was.  A read one order past a state pads that order in place
+and pops it again from the lists of u, u_x and e(u); the e(u) and R strata
+of that order read only strata below it, so the state keeps them aside,
+and the order's next extension, padded, probed or real, forms them no more
 (see _Transport._next).
 Strata are formed by kernels shaped to their operands: _product for one
 product of u's components and _stratum for the rows of R, both on one
@@ -215,20 +214,11 @@ class _Plan:
     (entry, b) pairs of row a of R; phi holds phi . u as such terms.  Every
     term of positive degree is planned, whatever the cap of a transport: a
     product above what a cap reads is never filled, and reads as None.
-
-    state, jet and stratum are the held transport state that _read_held
-    grows: one _Transport of the pair, the tuple of x-derivatives it was
-    extended by, and the stratum of phi . u last read from it (None until
-    one is read, and state None again while the state is being grown); lock
-    serializes the calls that use them, the copies of _held_copy among them.
     """
 
-    __slots__ = ("table", "entries", "rows", "phi", "state", "jet", "stratum",
-                 "lock")
+    __slots__ = ("table", "entries", "rows", "phi")
 
     def __init__(self, j: ACStructure, phi: TruncatedSeries | None):
-        self.state = self.jet = self.stratum = None
-        self.lock = Lock()
         n2 = 2 * j.n
         table = self.table = [(1, None, None)] * n2
         index = {tuple(int(i == k) for i in range(n2)): k for k in range(n2)}
@@ -485,73 +475,49 @@ class _Transport:
         return DiskJet(self.n2 // 2, comps)
 
 
+def _lock(j: ACStructure) -> Lock:
+    """J's one lock, over the transport state that it holds."""
+    return vars(j).get("_lock") or vars(j).setdefault("_lock", Lock())
+
+
 def _read_held(j: ACStructure, m: Hypersurface, jet):
     """Stratum len(jet) + 1 of phi . u, as _Transport.read gives it, on the
-    disk of the x-derivatives jet, read from the one transport state that
-    the plan of (J, m) holds; len(jet) + 1 is at most m.cap.
+    disk of the x-derivatives jet, read from the one transport state that J
+    holds; len(jet) + 1 is at most m.cap.
 
-    A jet equal to the held one returns the held stratum, and one that
-    starts with it extends the state by the rest; any other jet replaces the
-    state by a fresh one, at the largest cap that m and J allow, so that any
-    later jet can extend it.  So a caller that reads one stratum many times,
-    and the strata of the prefixes of one x-jet in turn, transports each
-    order once.  The jet is held as tuples, so a caller that mutates its
-    lists cannot change it; the state is dropped while it grows, so a failed
-    extension leaves none behind; and the plan's lock serializes the calls
-    on one pair.  propagate_cr_jet copies the state under that lock when
-    its x-jet starts with the held one (see _held_copy), and changes neither
-    the state, the jet nor the stratum.  The state is bounded per pair, by
-    m.cap orders and the product strata they read, and dies with the plan,
-    so with J or with m: the memory held grows with the number of live
-    (J, m) pairs read.
+    J holds (plan, state, jet, stratum): the plan of the surface read, the
+    _Transport, the x-derivatives it was extended by and the stratum last
+    read from it.  A call on that plan whose jet equals the held one returns
+    the held stratum, and one whose jet starts with it extends the state by
+    the rest; any other call replaces the state by a fresh one, at the
+    largest cap that m and J allow, so that any later jet can extend it.
+    So a caller that reads one stratum many times, and the strata of the
+    prefixes of one x-jet in turn, transports each order once.  The held
+    plan stays alive, so no other surface's plan is the same object.  The
+    jet is held as tuples, so a caller that mutates its lists cannot change
+    it; the record is dropped while the state grows, so a failed extension
+    leaves none behind; and J's lock serializes the calls, the copies of
+    propagate_cr_jet among them.  The state is bounded by one surface's cap,
+    m.cap orders and the product strata they read, and dies with J.
     """
     d = len(jet) + 1
     plan = _transport_plan(j, d, m)
     jet = tuple(map(tuple, jet))
-    with plan.lock:
-        state, held = plan.state, plan.jet
-        if state is not None and jet[:len(held)] == held:
-            if len(jet) == len(held):
-                return plan.stratum
-            new = jet[len(held):]
+    held = vars(j)
+    with _lock(j):
+        record = held.get("_held")
+        if record and record[0] is plan and jet[:len(record[2])] == record[2]:
+            if len(jet) == len(record[2]):
+                return record[3]
+            state, new = record[1], jet[len(record[2]):]
         else:
             cap = m.cap if j.is_standard else min(m.cap, j.cap + 1)
             state, new = _Transport(j, cap, m), jet
-        plan.state = None  # a failed extension leaves no state behind
+        held.pop("_held", None)  # a failed extension leaves no state behind
         state.extend(*new)
         stratum = tuple(state.read(d))
-        plan.state, plan.jet, plan.stratum = state, jet, stratum
+        held["_held"] = plan, state, jet, stratum
     return stratum
-
-
-def _held_copy(j: ACStructure, jet):
-    """A copy of a held state of J whose x-jet is a prefix of jet and whose
-    cap reaches len(jet), or None.
-
-    The held states are those that _read_held keeps, one in the plan of
-    each surface J holds a plan for.  A plan whose state fails the test
-    read without its lock is passed over without waiting for it; the first
-    that passes it, and passes it again under the lock, is copied there.
-    Its order, jet and stratum stay as they were, and the copy only fills,
-    in the held state, product strata that its cap reads and that never
-    change once formed.  The disk of a jet does not depend on the surface,
-    so any plan's state serves.
-    """
-    def holds(plan):
-        # without the lock, state may be newer than held, or held None
-        state, held = plan.state, plan.jet
-        return (state is not None and held is not None
-                and len(jet) <= state.cap and jet[:len(held)] == held)
-
-    plans = vars(j).get("_plans")
-    # a snapshot taken in one C call: the generators of WeakKeyDictionary
-    # would fail if another thread stored a plan while they ran
-    for plan in list(plans.data.values()) if plans is not None else ():
-        if holds(plan):
-            with plan.lock:
-                if holds(plan):
-                    return plan.state.copy()
-    return None
 
 
 def propagate_cr_jet(x_derivs, j: ACStructure, order: int | None = None) -> DiskJet:
@@ -560,11 +526,11 @@ def propagate_cr_jet(x_derivs, j: ACStructure, order: int | None = None) -> Disk
     x_derivs[m-1] is d^m u/dx^m(0) for m = 1..len(x_derivs); missing orders up
     to the requested cap are padded with zero.  The returned jet satisfies the
     transport equation through cap-1 and is the unique such jet.  It is a
-    _Transport extended to order, one stratum per order.  When a state that
-    _read_held holds for J has transported a prefix of the padded x-jet and
-    reaches order, a copy of it is extended by the rest (see _held_copy);
-    the held state itself is read, never extended or replaced.  The disk is
-    unique given the jet, so both routes return the same DiskJet.
+    _Transport extended to order, one stratum per order.  When the state
+    that J holds (see _read_held) has transported a prefix of the padded
+    x-jet and reaches order, a copy of it, taken under J's lock, is extended
+    by the rest; the held state itself is read, never extended or replaced.
+    The disk is unique given the jet, so both routes return the same DiskJet.
     """
     n2 = 2 * j.n
     derivs = [tuple(rat(v) for v in vec) for vec in x_derivs]
@@ -573,8 +539,14 @@ def propagate_cr_jet(x_derivs, j: ACStructure, order: int | None = None) -> Disk
             raise ValueError("x-axis derivative has wrong arity")
     if order is None:
         order = len(derivs)
+    if order < 0:
+        raise ValueError(f"a disk needs order >= 0, got {order}")
     jet = (*derivs[:order], *[(ZERO,) * n2] * (order - len(derivs)))
-    state = _held_copy(j, jet) or _Transport(j, order)
+    with _lock(j):
+        record = vars(j).get("_held")
+        state = (record[1].copy() if record and order <= record[1].cap
+                 and jet[:len(record[2])] == record[2] else None)
+    state = state or _Transport(j, order)
     state.extend(*jet[state.order:])
     return state.disk()
 

@@ -425,7 +425,8 @@ class _Stager:
     def attempt_level(self, state, normals_next):
         """Solve the level-ell constraints for the tangential unknown.
 
-        state holds the ell jets found; each probe pads a copy of it.  The
+        state holds the ell jets found; each probe extends a copy of it and
+        reads one order past it, which pads that order (_Transport.read).  The
         constraints are affine in the tangential coordinates of the
         newest derivative; a mixed probe cross-checks that.  Returns (u_next,
         nullspace) or None when the system is inconsistent.
@@ -435,8 +436,7 @@ class _Stager:
 
         def probe(tcoords):
             vec = _vec_add(normals_next, self.tangential(tcoords))
-            pad = state.copy().extend(vec, (ZERO,) * state.n2)
-            return _levi_values(pad.read(ell + 2))[::-1]
+            return _levi_values(state.copy().extend(vec).read(ell + 2))[::-1]
 
         base = probe(zero_t)
         cols = []

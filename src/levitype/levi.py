@@ -291,13 +291,12 @@ def levi_trace(m: Hypersurface, j: ACStructure, x_jet, s: int):
     depend on the padding.
 
     Stratum s + 2 of phi . u is read by disks._read_held from the one
-    transport state that the plan of (J, m), held by J, keeps.  A call whose
+    transport state that J holds.  A call on the surface last read whose
     x_jet[:s + 1] equals the jet of that state reuses its stratum, and one
     whose x_jet[:s + 1] starts with it extends the state; any other call
     replaces it.  So a caller that asks every p of one s, and s = 0, 1, ...
     on prefixes of one x-jet, transports each order once.  The state is
-    bounded, one per pair of at most m.cap orders, and dies with J or with
-    m; the memory held grows with the number of live (J, m) pairs traced.
+    bounded by one surface's cap, at most m.cap orders, and dies with J.
     """
     return _levi_values(_trace_stratum(m, j, x_jet, s))
 
@@ -321,10 +320,10 @@ def higher_levi(m: Hypersurface, j: ACStructure, x_jet, p: int, q: int):
     (p+q+2)-th derivative set to zero, composes with phi, and reads the
     (p,q)-derivative of the disk Laplacian at 0, a(p+2,q) + a(p,q+2).  The
     value does not depend on the padding.  Its stratum is read as
-    levi_trace reads it, so the calls on one (J, m) pair share its one
-    transport state: every p of one p + q reads one stratum, and a longer
-    prefix of the same x-jet extends the disk of a shorter one.  That state
-    is bounded and dies with J or m (see levi_trace).
+    levi_trace reads it, so the calls on one surface share the one
+    transport state that J holds: every p of one p + q reads one stratum,
+    and a longer prefix of the same x-jet extends the disk of a shorter
+    one.  That state is bounded and dies with J (see levi_trace).
     """
     if p < 0 or q < 0:
         raise ValueError(f"L^(p,q) needs p, q >= 0, got ({p},{q})")

@@ -1,8 +1,11 @@
 """Disk-jet transport, traces along disks, and holomorphic reparametrization."""
 
+import gc
 import sys
 import threading
+import weakref
 from fractions import Fraction
+from itertools import product as iproduct
 from math import gcd
 
 import pytest
@@ -590,14 +593,29 @@ class TestOneRPerOrder:
                 assert state.extend(derivs[k]).disk() == fresh.disk()
 
 
+class TestNegativeOrder:
+    def test_refused_before_any_transport(self, monkeypatch):
+        # a negative order is refused, not read as a slice of the jet
+        rng = make_rng("disks-negative-order")
+        jet = [random_vector(rng, 4, 2) for _ in range(3)]
+        for j in (ACStructure.standard(2, 6), random_structure(rng, 2, 6)):
+            built = count_transports(monkeypatch)
+            for order in (-1, -3):
+                with pytest.raises(ValueError, match="order >= 0"):
+                    propagate_cr_jet(jet, j, order)
+            monkeypatch.undo()
+            assert built == []
+            assert propagate_cr_jet(jet, j, 0).cap == 0
+
+
 class TestHeldDisk:
-    """propagate_cr_jet starts from a copy of the state that _read_held
-    holds for a surface of J when that state transported a prefix of the
-    padded jet and reaches the order; the disk is the fresh transport's,
-    and the held state is left as it was."""
+    """propagate_cr_jet starts from a copy of the one state that _read_held
+    holds for J when that state transported a prefix of the padded jet and
+    reaches the order; the disk is the fresh transport's, and the held
+    state is left as it was."""
 
     def held(self, rng, standard=False, m_cap=6, length=3):
-        """(m, J, jet) with the plan of (J, m) holding jet[:length]."""
+        """(m, J, jet) with J holding the state of m at jet[:length]."""
         j = ACStructure.standard(2, 6) if standard \
             else random_structure(rng, 2, 6)
         m = random_phi(rng, 2, m_cap)
@@ -608,12 +626,11 @@ class TestHeldDisk:
 
     def assert_disk(self, monkeypatch, j, jet, order, builds):
         """propagate_cr_jet(jet, j, order) is the fresh disk, term for
-        term, and builds that many transports; every held state of J is
-        left as it was."""
+        term, and builds that many transports; J's one record of its held
+        state, (plan, state, jet, stratum), is left as it was."""
         want = fresh_disk(j, jet, order)
-        plans = list(vars(j).get("_plans", {}).values())
-        held = [(p.state, p.jet, p.stratum) for p in plans]
-        shapes = [p.state and shape(p.state) for p in plans]
+        held = vars(j).get("_held")
+        before = held and shape(held[1])
         built = count_transports(monkeypatch)
         got = propagate_cr_jet(jet, j, order)
         monkeypatch.undo()
@@ -621,9 +638,8 @@ class TestHeldDisk:
         assert got == want
         for c, d in zip(got.components, want.components):
             assert (c._terms, c._den) == (d._terms, d._den)
-        for p, (state, jet_, stratum), sh in zip(plans, held, shapes):
-            assert p.state is state and p.jet is jet_ and p.stratum is stratum
-            assert (p.state and shape(p.state)) == sh
+        assert vars(j).get("_held") is held
+        assert (held and shape(held[1])) == before
 
     def test_prefix_equal_longer_and_diverging_jets(self, monkeypatch):
         rng = make_rng("disks-held-cases")
@@ -649,7 +665,7 @@ class TestHeldDisk:
         rng = make_rng("disks-held-cap")
         for standard in (True, False):
             m, j, jet = self.held(rng, standard, m_cap=4)
-            assert vars(j)["_plans"][m].state.cap == 4
+            assert vars(j)["_held"][1].cap == 4
             self.assert_disk(monkeypatch, j, jet, 5, 1)
             self.assert_disk(monkeypatch, j, jet, 4, 0)
 
@@ -663,6 +679,33 @@ class TestHeldDisk:
             self.assert_disk(monkeypatch, j, jet, 5, 1)
             _Transport(j, 4, random_phi(rng, 2, 6))  # a plan, no state
             self.assert_disk(monkeypatch, j, jet, 5, 1)
+            assert "_held" not in vars(j)
+
+    def test_one_state_per_structure(self):
+        # a read on a second surface replaces the first one's state, which
+        # nothing else holds: with the cyclic collector off it is freed at
+        # once.  The two surfaces then alternate, each replacing the
+        # other's state, and every value and disk is the fresh route's
+        rng = make_rng("disks-held-one")
+        gc.disable()
+        try:
+            for standard in (True, False):
+                m1, j, jet = self.held(rng, standard)
+                m2 = random_phi(rng, 2, 6)
+                first = weakref.ref(vars(j)["_held"][1])
+                disks._read_held(j, m2, jet[:3])
+                assert first() is None
+                assert vars(j)["_held"][0] is disks._plan(j, m2)
+                for s in range(5):
+                    want = fresh_disk(j, jet[:s + 1], s + 2)
+                    for m in (m1, m2, m1, m2):
+                        tr = compose_phi_u(m, want)
+                        assert [higher_levi(m, j, jet, p, s - p)
+                                for p in range(s + 1)] == \
+                            [tr.levi_entry(p, s - p) for p in range(s + 1)]
+                        assert propagate_cr_jet(jet[:s + 1], j, s + 2) == want
+        finally:
+            gc.enable()
 
     def test_higher_levi_after_the_disk_builds_nothing(self, monkeypatch):
         rng = make_rng("disks-held-after")
@@ -681,36 +724,38 @@ class TestHeldDisk:
             assert built == []
 
     def test_two_threads_alternating_levi_forms_and_disks(self):
-        # two threads on one (J, surface) pair, switching as often as the
-        # interpreter allows, each alternating the L^(p, q) of a prefix of
-        # its jet with the whole jet's disk.  The jets share a prefix and
-        # are given as strings, so every call compares new rationals
+        # two threads under one J, on one surface or on one each, switching
+        # as often as the interpreter allows, each alternating the L^(p, q)
+        # of a prefix of its jet with the whole jet's disk.  The jets share
+        # a prefix and are given as strings, so every call compares new
+        # rationals
         rng = make_rng("disks-held-threads")
-        for standard in (True, False):
+        for standard, shared in iproduct((True, False), (True, False)):
             j = ACStructure.standard(2, 6) if standard \
                 else random_structure(rng, 2, 6)
             m = random_phi(rng, 2, 6)
+            ms = [m, m if shared else random_phi(rng, 2, 6)]
             common = [random_vector(rng, 4, 2) for _ in range(2)]
             jets = [[tuple(map(str, v)) for v in
                      common + [random_vector(rng, 4, 2) for _ in range(3)]]
                     for _ in range(2)]
 
-            def sweep(jet):
-                out = []
+            def sweep(k):
+                out, jet = [], jets[k]
                 for s in range(4):
-                    out.append([higher_levi(m, j, jet[:s + 1], p, s - p)
+                    out.append([higher_levi(ms[k], j, jet[:s + 1], p, s - p)
                                 for p in range(s + 1)])
                     out.append(propagate_cr_jet(jet, j, 5))
                 return out
 
-            want = [sweep(jet) for jet in jets]
+            want = [sweep(k) for k in range(len(jets))]
             for jet, w in zip(jets, want):
                 assert w[1::2] == [fresh_disk(j, jet, 5)] * 4
             got = [[] for _ in jets]
 
             def worker(k):
                 for _ in range(10):
-                    got[k].append(sweep(jets[k]))
+                    got[k].append(sweep(k))
 
             old = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)

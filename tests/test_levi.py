@@ -353,8 +353,9 @@ def pair(rng, n=2, cap=6, standard=False):
 
 
 class TestHeldTransport:
-    """levi_trace grows one transport state per (J, surface) pair; every
-    value must be the fresh route's, whatever sequence of calls it serves."""
+    """levi_trace grows the one transport state that J holds, for the
+    surface last read; every value must be the fresh route's, whatever
+    sequence of calls it serves."""
 
     def assert_fresh(self, m, j, jet, s):
         want = fresh_trace(m, j, jet, s)
@@ -468,8 +469,9 @@ class TestHeldTransport:
             self.assert_fresh(m, j, jet, j.cap - 1)
 
     def test_state_dies_with_structure_and_surface(self):
-        # the held state makes no reference cycle: with the cyclic
-        # collector off, dropping J or the surface frees it at once
+        # the held state makes no reference cycle and holds no surface:
+        # with the cyclic collector off, dropping J or the surface frees it
+        # at once
         rng = make_rng("levi-held-weak")
         gc.disable()
         try:
