@@ -10,7 +10,7 @@ overflow.
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import engine, levi
 from .disks import DiskJet
@@ -238,10 +238,11 @@ def _cmd_scan(spec, m, j, points):
     return {"reports": [_type_doc(r) for r in reps]}
 
 
-def _cmd_validate(spec, m, j):
+def _cmd_validate(spec, m, j, point):
     rep = engine.type_search(m, j, spec.k_max, strategy=spec.strategy)
     rec = engine.cross_validate(m, j, rep)
-    return {"report": _type_doc(rep), "validation": _validation_doc(rec)}
+    return {"report": _type_doc(replace(rep, point=tuple(point))),
+            "validation": _validation_doc(rec)}
 
 
 CATALOG = (
@@ -281,9 +282,11 @@ def run_command(spec: ProblemSpec) -> dict:
         return _document(spec, _cmd_catalog(spec))
     m, j = build_problem(spec)
     # type and scan recenter each point inside engine.scan_type
+    point = spec.point
     if spec.command in ("levi", "classify", "validate") \
-            and any(c != 0 for c in spec.point):
-        m, j, _ = recenter(m, j, project_point_to_surface(m, spec.point))
+            and any(c != 0 for c in point):
+        point = project_point_to_surface(m, point)
+        m, j, _ = recenter(m, j, point)
     if spec.command == "levi":
         result = _cmd_levi(spec, m, j)
     elif spec.command == "classify":
@@ -293,7 +296,7 @@ def run_command(spec: ProblemSpec) -> dict:
     elif spec.command == "scan":
         result = _cmd_scan(spec, m, j, spec.points)
     elif spec.command == "validate":
-        result = _cmd_validate(spec, m, j)
+        result = _cmd_validate(spec, m, j, point)
     else:
         raise ValueError(f"unknown command {spec.command!r}")
     return _document(spec, result)

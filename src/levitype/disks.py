@@ -35,10 +35,10 @@ and pops it again from the lists of u, u_x and e(u); the e(u) and R strata
 of that order read only strata below it, so the state keeps them aside,
 and the order's next extension, padded, probed or real, forms them no more
 (see _Transport._next).
-Strata are formed by kernels shaped to their operands: _product for one
-product of u's components and _stratum for the rows of R, both on one
-convolution loop (_convolve), and _combine for a combination of strata with
-constant coefficients (e(u) and phi . u).
+Every stratum is formed by one convolution loop, _convolve: a product of
+u's components convolves two strata, and e(u) and phi . u convolve each
+term's constant, a degree-0 stratum, with its product's stratum; _stratum
+sums over the rows of R.
 """
 
 from __future__ import annotations
@@ -165,55 +165,17 @@ def _stratum(pairs, d: int):
                      d)
 
 
-def _product(a, b, d: int):
-    """Stratum d of a * b for two lists of strata."""
-    return _convolve(_aligned(a, b, d), d)
-
-
-def _combine(terms, d: int):
-    """Stratum d of sum(c / dc * s for c, dc, s in terms), as (nums, den) or
-    None.
-
-    A term is a constant c / dc and a stratum s of degree d (or None); the
-    result is reduced, as _convolve's.
-    """
-    out = None
-    for c, dc, st in terms:
-        if st is None:
-            continue
-        ns, ds = st
-        f = dc * ds
-        if out is None:
-            out, den = [c * v for v in ns], f
-            continue
-        if f != den:
-            m = lcm(den, f)
-            if m != den:
-                g = m // den
-                out = [v * g for v in out]
-                den = m
-            c *= m // f
-        out = [v + c * w for v, w in zip(out, ns)]
-    if out is None or not any(out):
-        return None
-    if den != 1:
-        g = gcd(den, *out)
-        if g != 1:
-            den //= g
-            out = [v // g for v in out]
-    return out, den
-
-
 class _Plan:
     """What every transport of J, and of phi . u, reads of their terms.
 
     table holds (|alpha|, parent, k) of each product u^alpha that a monomial
     of J - J_std or of phi needs, u^alpha = u^(alpha - e_k) * u_k, the
     first 2n being the u_k.  entries holds e(u) for each entry e of J - J_std
-    with a term, as (numerator, den, product) terms, and rows[a] the
-    (entry, b) pairs of row a of R; phi holds phi . u as such terms.  Every
-    term of positive degree is planned, whatever the cap of a transport: a
-    product above what a cap reads is never filled, and reads as None.
+    with a term, as (constant, product) terms, the constant a degree-0
+    stratum ([c], den) (see _convolve), and rows[a] the (entry, b) pairs of
+    row a of R; phi holds phi . u as such terms.  Every term of positive
+    degree is planned, whatever the cap of a transport: a product above what
+    a cap reads is never filled, and reads as None.
     """
 
     __slots__ = ("table", "entries", "rows", "phi")
@@ -234,7 +196,7 @@ class _Plan:
 
         def combination(e):
             width = _width(e.cap)
-            return [(c, e._den, product(_unpack(key, n2, width)))
+            return [(([c], e._den), product(_unpack(key, n2, width)))
                     for key, c in e._terms.items() if key >> n2 * width]
 
         # row a of R pairs (e(u), du_b/dx) over the entries e = (J - J_std)_ab;
@@ -314,9 +276,9 @@ class _Transport:
         table = self.table = plan.table
         self.entries, self.rows, self.phi = plan.entries, plan.rows, plan.phi
         # the stratum through which the cap reads each product, for copy()
-        self.tops = {i: cap - 1 for comb in self.entries for _, _, i in comb
+        self.tops = {i: cap - 1 for comb in self.entries for _, i in comb
                      if table[i][0] < cap}
-        self.tops.update((i, cap) for _, _, i in self.phi if table[i][0] <= cap)
+        self.tops.update((i, cap) for _, i in self.phi if table[i][0] <= cap)
         self.strata = [[None] * deg for deg, _, _ in table]
         self.ux = [[] for _ in range(self.n2)]
         self.eu = [[] for _ in self.entries]
@@ -329,7 +291,8 @@ class _Transport:
             _, parent, k = self.table[i]
             self._fill(parent, d - 1)
             a, b = self.strata[parent], self.strata[k]
-            s.extend(_product(a, b, t) for t in range(len(s), d + 1))
+            s.extend(_convolve(_aligned(a, b, t), t)
+                     for t in range(len(s), d + 1))
 
     def copy(self) -> "_Transport":
         for i, top in self.tops.items():
@@ -356,10 +319,10 @@ class _Transport:
             low, strata = m - 1, self.strata
             eus = []
             for comb in self.entries:
-                for _, _, i in comb:
+                for _, i in comb:
                     self._fill(i, low)
-                eus.append(_combine([(c, dc, strata[i][low])
-                                     for c, dc, i in comb], low))
+                eus.append(_convolve([(c, strata[i][low]) for c, i in comb],
+                                     low))
             eu = [s + [t] for s, t in zip(self.eu, eus)]
             r = [_stratum([(eu[e], self.ux[b]) for e, b in row], low)
                  if row else None for row in self.rows]
@@ -447,10 +410,9 @@ class _Transport:
                     del st[d:]
                 for st in chain(self.ux, self.eu):
                     del st[low:]
-        for _, _, i in self.phi:
+        for _, i in self.phi:
             self._fill(i, d)
-        st = _combine([(c, dc, self.strata[i][d]) for c, dc, i in self.phi],
-                      d)
+        st = _convolve([(c, self.strata[i][d]) for c, i in self.phi], d)
         if st is None:
             return [ZERO] * (d + 1)
         return [Q(c * factorial(d - q) * factorial(q), st[1])

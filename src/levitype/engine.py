@@ -68,11 +68,6 @@ def _dual_pair_forms(v, w):
     raise GeometryError("field value and its rotation are not independent")
 
 
-def _tangent_columns(taus):
-    """Matrix with columns tau_1, ..., tau_d, J_std tau_1, ..., J_std tau_d."""
-    return [list(row) for row in zip(*taus, *(apply_jstd(t) for t in taus))]
-
-
 def _disk_triangle(u: DiskJet, k: int) -> FieldJet:
     """The derivatives d^(p+q+1)u/dx^(p+1)dy^q (0), p+q <= k, as a field jet,
     read from the terms of each component of the (k+1)-jet in one pass."""
@@ -365,8 +360,10 @@ class _Stager:
         self.p0 = m.dphi_at_zero(self.n0)
         self.levi = hermitian_levi_matrix(m, j)
         self.taus = [b.at_zero() for b in self.levi.basis]
-        self.colmat = _tangent_columns(self.taus)
-        self.d = 2 * len(self.taus)
+        # tau_1, ..., tau_d, J_std tau_1, ..., J_std tau_d, as colmat's columns
+        self.columns = [*self.taus, *(apply_jstd(t) for t in self.taus)]
+        self.colmat = [list(row) for row in zip(*self.columns)]
+        self.d = len(self.columns)
 
     # -- tangential coordinates
 
@@ -428,26 +425,21 @@ class _Stager:
         state holds the ell jets found; each probe extends a copy of it and
         reads one order past it, which pads that order (_Transport.read).  The
         constraints are affine in the tangential coordinates of the
-        newest derivative; a mixed probe cross-checks that.  Returns (u_next,
-        nullspace) or None when the system is inconsistent.
+        newest derivative: a base probe reads normals_next, one probe per
+        column of colmat reads normals_next plus that column, and a mixed
+        probe, plus the first two columns, cross-checks that.  Returns
+        (u_next, nullspace) or None when the system is inconsistent.
         """
         ell = state.order
-        zero_t = [ZERO] * self.d
 
-        def probe(tcoords):
-            vec = _vec_add(normals_next, self.tangential(tcoords))
+        def probe(vec):
             return _levi_values(state.copy().extend(vec).read(ell + 2))[::-1]
 
-        base = probe(zero_t)
-        cols = []
-        for r in range(self.d):
-            t = list(zero_t)
-            t[r] = Q(1)
-            cols.append([v - b for v, b in zip(probe(t), base)])
-        t = list(zero_t)
-        t[0] = Q(1)
-        t[1] = Q(1)
-        mixed = probe(t)
+        base = probe(normals_next)
+        cols = [[v - b for v, b in zip(probe(_vec_add(normals_next, c)), base)]
+                for c in self.columns]
+        mixed = probe(_vec_add(_vec_add(normals_next, self.columns[0]),
+                               self.columns[1]))
         predicted = [b + cols[0][i] + cols[1][i] for i, b in enumerate(base)]
         if mixed != predicted:
             raise TheoremViolation(

@@ -453,14 +453,15 @@ def recenter(m: Hypersurface, j: ACStructure, point):
 
     Returns (hypersurface, structure, basis_matrix); the basis matrix B is the
     linear change of coordinates used after translation (identity when J(0)
-    was already standard at the point).
+    was already standard at the point).  At the origin, where every J is
+    J_std (see ACStructure), m and j are returned as they are.
     """
     point = [Q(p) for p in point]
     if len(point) != 2 * m.n:
         raise GeometryError("point arity mismatch")
     if m.phi.evaluate(point) != 0:
         raise GeometryError("point does not lie on the surface")
-    if all(p == 0 for p in point) and j.is_standard:
+    if all(p == 0 for p in point):
         return m, j, linalg.identity(2 * m.n)
     phi_p = m.phi.shift(point)
     entries_p = [[e.shift(point) for e in row] for row in j.entries]

@@ -53,32 +53,23 @@ def levi_form_bracket(m: Hypersurface, j: ACStructure, x: VectorField) -> LeviRe
     return LeviReport(value, "bracket", ZERO)
 
 
-def _hessian_at_zero(m: Hypersurface):
-    n2 = 2 * m.n
-    h = [[ZERO] * n2 for _ in range(n2)]
-    for i in range(n2):
-        for k in range(i, n2):
-            exps = tuple(
-                (2 if t == i else 0) if i == k else (1 if t in (i, k) else 0)
-                for t in range(n2)
-            )
-            c = m.phi.coefficient(exps)
-            v = 2 * c if i == k else c
-            h[i][k] = v
-            h[k][i] = v
-    return h
+def _dir_derivative(series: TruncatedSeries, vec):
+    out = TruncatedSeries.zero(series.num_vars, series.cap - 1)
+    for i, v in enumerate(vec):
+        if v != 0:
+            out = out + series.partial(i).scale(v)
+    return out
 
 
-def _bilinear(h, v, w):
-    total = ZERO
-    for i, vi in enumerate(v):
-        if vi == 0:
-            continue
-        row = h[i]
-        for k, wk in enumerate(w):
-            if wk != 0 and row[k] != 0:
-                total += vi * row[k] * wk
-    return total
+def _derivative_at_zero(series: TruncatedSeries, vectors):
+    """D^k f(v_1, ..., v_k) at 0 for constant directions, k = len(vectors)
+    <= f's cap: only the degree-k part of f is differentiated."""
+    if len(vectors) > series.cap:
+        raise CapError("derivative order exceeds the series' cap")
+    s = series.truncate(len(vectors))
+    for vec in vectors:
+        s = _dir_derivative(s, vec)
+    return s.constant_term()
 
 
 def levi_form_hessian(m: Hypersurface, j: ACStructure, x: VectorField) -> LeviReport:
@@ -92,34 +83,19 @@ def levi_form_hessian(m: Hypersurface, j: ACStructure, x: VectorField) -> LeviRe
     independent.
     """
     _require_tangent(m, j, x, "levi_form_hessian")
-    h = _hessian_at_zero(m)
     x0 = x.at_zero()
     jx0 = apply_jstd(x0)
-    n2 = 2 * m.n
 
-    # (D_V J)(0) has entries sum_k V_k(0) * dJ_ab/dx_k (0); zero for J_std
-    def dj_at_zero(v0):
-        out = [[ZERO] * n2 for _ in range(n2)]
-        for a in range(n2):
-            for b in range(n2):
-                e = j.entries[a][b]
-                acc = ZERO
-                for k in range(n2):
-                    if v0[k] == 0:
-                        continue
-                    exps = tuple(1 if t == k else 0 for t in range(n2))
-                    acc += v0[k] * e.coefficient(exps)
-                out[a][b] = acc
-        return out
+    def dj(v, w):
+        """(D_v J)(0) w, read over the entries of w that are not zero."""
+        return [sum((_derivative_at_zero(e, [v]) * wb
+                     for e, wb in zip(row, w) if wb != 0), ZERO)
+                for row in j.entries]
 
-    djx = dj_at_zero(jx0)   # D_{JX} J at 0
-    dx = dj_at_zero(x0)     # D_X J at 0
-    vec = [
-        sum((djx[a][b] * x0[b] - dx[a][b] * jx0[b] for b in range(n2)), ZERO)
-        for a in range(n2)
-    ]
+    vec = [a - b for a, b in zip(dj(jx0, x0), dj(x0, jx0))]
     correction = m.dphi_at_zero(vec)
-    value = _bilinear(h, x0, x0) + _bilinear(h, jx0, jx0) + correction
+    value = (_derivative_at_zero(m.phi, [x0, x0])
+             + _derivative_at_zero(m.phi, [jx0, jx0]) + correction)
     return LeviReport(value, "hessian", correction)
 
 
@@ -332,24 +308,6 @@ def higher_levi(m: Hypersurface, j: ACStructure, x_jet, p: int, q: int):
     return a[q] + a[q + 2]
 
 
-def _dir_derivative(series: TruncatedSeries, vec):
-    out = TruncatedSeries.zero(series.num_vars, series.cap - 1)
-    for i, v in enumerate(vec):
-        if v != 0:
-            out = out + series.partial(i).scale(v)
-    return out
-
-
-def _dkphi_at_zero(m: Hypersurface, vectors):
-    """D^k phi(v_1, ..., v_k) at 0 for constant directions, k <= cap."""
-    if len(vectors) > m.cap:
-        raise CapError("derivative order exceeds phi's cap")
-    s = m.phi
-    for vec in vectors:
-        s = _dir_derivative(s, vec)
-    return s.constant_term()
-
-
 def higher_levi_closed_form(p: int, q: int, m: Hypersurface, *vectors):
     """The printed closed forms for L^{0,0}, L^{1,0}, L^{0,1}, standard J only.
 
@@ -370,10 +328,10 @@ def higher_levi_closed_form(p: int, q: int, m: Hypersurface, *vectors):
         return tuple(apply_jstd(list(v)))
 
     def d2(a, b):
-        return _dkphi_at_zero(m, [a, b])
+        return _derivative_at_zero(m.phi, [a, b])
 
     def d3(a, b, c):
-        return _dkphi_at_zero(m, [a, b, c])
+        return _derivative_at_zero(m.phi, [a, b, c])
 
     if (p, q) == (0, 0):
         x1 = vecs[0]

@@ -154,6 +154,14 @@ class TestRunCommand:
             "derivative_matches": 7,
         }
 
+    def test_validate_at_point_reports_the_projected_point(self):
+        # validate recenters as type does, and reports the same point
+        point = (Q(1, 2), Q(0), Q(-1, 32), Q(0))
+        val = run_command(spec_for("validate", point=point))["result"]
+        typ = run_command(spec_for("type", point=point))["result"]
+        assert val["report"]["point"] == ["1/2", "0", "-1/32", "0"]
+        assert val["report"] == typ
+
     def test_catalog(self):
         doc = run_command(ProblemSpec(0, "", "standard", (), 0, 0,
                                       "exact_staged", "catalog"))

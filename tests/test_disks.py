@@ -29,7 +29,7 @@ from levitype import (
 )
 import levitype.disks as disks
 import levitype.engine as engine
-from levitype.disks import (_Transport, _combine, _product, _stratum,
+from levitype.disks import (_Transport, _convolve, _stratum,
                             holomorphic_reparam_series, is_cr_jet)
 from levitype.geometry import apply_jstd
 from levitype.rational import ZERO
@@ -371,39 +371,29 @@ class TestStratumKernels:
                          for _ in range(rng.randint(0, 4))]
                 assert_reduced(_stratum(pairs, d), fraction_stratum(pairs, d))
 
-    def test_product_is_the_one_pair_stratum(self):
-        # lists may stop short of d; a zero list and a cancelling pair
-        # read as None
-        rng = make_rng("disks-kernel-product")
+    def test_convolve_of_constants_and_strata(self):
+        # e(u) and phi . u: each plan term pairs a constant, the degree-0
+        # stratum ([c], den), with a stratum of degree d (or None); a sum
+        # that cancels reads as None
+        rng = make_rng("disks-kernel-constants")
+        cancelled = 0
         for dens in self.DENS:
             for _ in range(300):
                 d = rng.randint(0, 8)
-                a = random_strata(rng, rng.randint(0, d + 2), dens)
-                b = random_strata(rng, rng.randint(0, d + 2), dens)
-                want = _stratum([(a, b)], d)
-                assert _product(a, b, d) == want
-                assert_reduced(want, fraction_stratum([(a, b)], d))
-                neg = [None if st is None else ([-c for c in st[0]], st[1])
-                       for st in b]
-                assert _stratum([(a, b), (a, neg)], d) is None
-        assert _product([None] * 3, random_strata(rng, 4, (2,)), 3) is None
-
-    def test_combine_is_the_stratum_of_constant_series(self):
-        # a constant c / den is the one-stratum series [((c,), den)], and a
-        # stratum s of degree d the series with s at d
-        rng = make_rng("disks-kernel-combine")
-        for dens in self.DENS:
-            for _ in range(300):
-                d = rng.randint(0, 8)
-                terms = [(rng.choice((-3, -2, -1, 1, 2, 5)), rng.choice(dens),
+                terms = [(([rng.choice((-3, -2, -1, 1, 2, 5))],
+                           rng.choice(dens)),
                           random_strata(rng, d + 1, dens)[d])
                          for _ in range(rng.randint(0, 5))]
                 if terms and rng.random() < 0.3:
-                    c, dc, st = terms[0]
-                    terms.append((-c, dc, st))  # may cancel to None
-                want = _stratum([([((c,), dc)], [None] * d + [st])
-                                 for c, dc, st in terms], d)
-                assert _combine(terms, d) == want
+                    (c, dc), st = terms[0]
+                    terms.append((([-c[0]], dc), st))
+                want = fraction_stratum([([c], [None] * d + [st])
+                                         for c, st in terms], d)
+                cancelled += not any(want)
+                assert_reduced(_convolve(terms, d), want)
+            st = random_strata(rng, 4, (max(dens),))[3] or ([1, 0, 0, 1], 1)
+            assert _convolve([(([2], 3), st), (([-4], 6), st)], 3) is None
+        assert cancelled
 
     def test_transport_below_the_plans_top_degree(self):
         # the plan of (J, phi) holds every term; a transport of lower cap
@@ -449,36 +439,31 @@ class TestStratumKernels:
                 assert state.read(k + 2) == fresh.read(k + 2)
 
     def test_failed_in_place_read_leaves_the_state(self, monkeypatch):
-        # _combine raising at any one of the calls a read makes (e(u) in
-        # the pad, or phi . u) leaves the state intact
+        # _convolve raising at any one of the calls a read makes (e(u) and
+        # R in the pad, or phi . u) leaves the state intact
         rng = make_rng("disks-kernel-inplace-fail")
-        combine = disks._combine
+        convolve = disks._convolve
         for j, m, derivs, state in padded_states(rng):
             k = state.order
             before = shape(state)
             want = state.copy().extend((ZERO,) * state.n2).read(k + 1)
-            calls = [0]
+            fork = state.copy()
+            calls = counting(monkeypatch, disks, "_convolve")
+            fork.read(k + 1)
+            for fail_at in range(1, len(calls) + 1):
+                count = [0]
 
-            def counted(terms, d):
-                calls[0] += 1
-                return combine(terms, d)
-
-            monkeypatch.setattr(disks, "_combine", counted)
-            state.copy().read(k + 1)
-            for fail_at in range(1, calls[0] + 1):
-                calls[0] = 0
-
-                def failing(terms, d):
-                    calls[0] += 1
-                    if calls[0] == fail_at:
+                def failing(pairs, d):
+                    count[0] += 1
+                    if count[0] == fail_at:
                         raise ArithmeticError("injected")
-                    return combine(terms, d)
+                    return convolve(pairs, d)
 
-                monkeypatch.setattr(disks, "_combine", failing)
+                monkeypatch.setattr(disks, "_convolve", failing)
                 with pytest.raises(ArithmeticError, match="injected"):
                     state.read(k + 1)
                 assert shape(state) == before
-            monkeypatch.setattr(disks, "_combine", combine)
+            monkeypatch.setattr(disks, "_convolve", convolve)
             assert state.read(k + 1) == want
             if k < state.cap - 1:
                 fresh = _Transport(j, state.cap, m).extend(*derivs[:k + 1])
@@ -558,17 +543,20 @@ class TestOneRPerOrder:
             assert degrees == [ell + 1] * ((d + 2) * rows)
 
     def test_failed_slot_leaves_the_state_and_the_slot(self, monkeypatch):
-        # _combine (e(u)) or _stratum (R) raising at any one of the calls
-        # that form the slot, in a pad or in an extension, leaves the
-        # state's shape and its slot as they were
+        # _convolve (e(u) and R) or _stratum (R) raising at any one of the
+        # calls that form the slot, in a pad or in an extension, leaves the
+        # state's shape and its slot as they were; copy() fills products
+        # through _convolve too, so only the calls of _next are counted
         rng = make_rng("disks-one-r-fail")
-        for name in ("_combine", "_stratum"):
+        for name in ("_convolve", "_stratum"):
             kernel = getattr(disks, name)
             for j, m, derivs, state in padded_states(rng):
                 k = state.order
                 before, slot = shape(state), state.slot
                 calls = counting(monkeypatch, disks, name)
-                state.copy()._next()
+                c = state.copy()
+                calls.clear()
+                c._next()
                 formed = len(calls)
                 for fail_at in range(1, formed + 1):
                     for op in (lambda: state.read(k + 1),

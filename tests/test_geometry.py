@@ -38,7 +38,7 @@ from levitype.geometry import (
     standard_matrix,
 )
 from levitype.jets import mat_vec
-from levitype.linalg import mat_mul
+from levitype.linalg import identity, mat_mul
 
 
 def surface(text, n, cap=6):
@@ -364,6 +364,15 @@ class TestRecenter:
         m2, j2, basis = recenter(SPHERE, JSTD, (0, 0, 0, 0))
         assert m2.phi == SPHERE.phi
         assert j2.is_standard or j2.cap >= 0
+
+    def test_origin_returns_the_problem_for_every_structure(self):
+        # J(0) = J_std holds for every ACStructure, so the origin needs no
+        # translation and no change of frame
+        origin = (0, 0, 0, 0)
+        for j in (JSTD, perturbed_structure(2, 6, 2)):
+            m2, j2, basis = recenter(SPHERE, j, origin)
+            assert m2 is SPHERE and j2 is j
+            assert basis == identity(4)
 
     def test_recentered_surface_vanishes_at_origin(self):
         pt = (Q(1, 2), 0, Q(-1, 8), 0)

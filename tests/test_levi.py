@@ -139,6 +139,51 @@ class TestTwoRoutes:
             levi_form_hessian(SPHERE, JSTD, normalish)
 
 
+def multilinear_reference(f, vectors):
+    """D^k f(0)(v_1, ..., v_k) as the coefficient of t_1 ... t_k in
+    f(t_1 v_1 + ... + t_k v_k), by composition."""
+    k = len(vectors)
+    ts = TruncatedSeries.variables(k, k)
+    zero = TruncatedSeries.zero(k, k)
+    line = [sum((t.scale(Q(v[c])) for t, v in zip(ts, vectors)), zero)
+            for c in range(f.num_vars)]
+    return f.truncate(k).compose(line).coefficient((1,) * k)
+
+
+class TestDerivativeAtZero:
+    def test_reads_the_degree_k_part_of_phi_and_of_j(self):
+        # terms above degree k change nothing; D^k f(0) is the mixed
+        # coefficient of f along the line the vectors span
+        rng = make_rng("levi-derivative-at-zero")
+        for n in (1, 2, 3):
+            m = random_phi(rng, n, 6, max_degree=5)
+            j = nonlinear_structure(rng, n, 5)
+            entries = [e for row in j.entries for e in row
+                       if not e.truncate(1).is_zero()]
+            assert entries
+            for f in (m.phi, rng.choice(entries)):
+                high = TruncatedSeries(2 * n, f.cap, {
+                    exps: Q(1, 3) for exps in [(f.cap,) + (0,) * (2 * n - 1)]})
+                for k in range(1, f.cap):
+                    vecs = [random_vector(rng, 2 * n) for _ in range(k)]
+                    want = levi._derivative_at_zero(f, vecs)
+                    assert want == multilinear_reference(f, vecs)
+                    assert levi._derivative_at_zero(f + high, vecs) == want
+                    assert levi._derivative_at_zero(f.truncate(k), vecs) \
+                        == want
+
+    def test_order_past_the_cap_is_refused(self):
+        rng = make_rng("levi-derivative-at-zero-cap")
+        m = random_phi(rng, 2, 3, max_degree=3)
+        j = random_structure(rng, 2, 2)
+        for f in (m.phi, j.entries[0][1]):
+            vecs = [random_vector(rng, 4) for _ in range(f.cap + 1)]
+            assert levi._derivative_at_zero(f, vecs[:-1]) == \
+                multilinear_reference(f, vecs[:-1])
+            with pytest.raises(CapError, match="exceeds"):
+                levi._derivative_at_zero(f, vecs)
+
+
 class TestTensorialityAndGauge:
     def test_value_at_zero_is_all_that_matters(self):
         rng = make_rng("levi-tensor")
