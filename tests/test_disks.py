@@ -29,7 +29,7 @@ from levitype import (
 )
 import levitype.disks as disks
 import levitype.engine as engine
-from levitype.disks import (_Transport, _convolve, _stratum,
+from levitype.disks import (_Transport, _aligned, _convolve, _stratum,
                             holomorphic_reparam_series, is_cr_jet)
 from levitype.geometry import apply_jstd
 from levitype.rational import ZERO
@@ -371,7 +371,26 @@ class TestStratumKernels:
                          for _ in range(rng.randint(0, 4))]
                 assert_reduced(_stratum(pairs, d), fraction_stratum(pairs, d))
 
-    def test_convolve_of_constants_and_strata(self):
+    def test_product_is_the_one_pair_stratum(self):
+        # a product of two lists of strata is _convolve over their _aligned
+        # pairs; lists may stop short of d, and a zero list and a
+        # cancelling pair read as None
+        rng = make_rng("disks-kernel-product")
+        for dens in self.DENS:
+            for _ in range(300):
+                d = rng.randint(0, 8)
+                a = random_strata(rng, rng.randint(0, d + 2), dens)
+                b = random_strata(rng, rng.randint(0, d + 2), dens)
+                want = _stratum([(a, b)], d)
+                assert _convolve(_aligned(a, b, d), d) == want
+                assert_reduced(want, fraction_stratum([(a, b)], d))
+                neg = [None if st is None else ([-c for c in st[0]], st[1])
+                       for st in b]
+                assert _stratum([(a, b), (a, neg)], d) is None
+        b = random_strata(rng, 4, (2,))
+        assert _convolve(_aligned([None] * 3, b, 3), 3) is None
+
+    def test_combine_is_the_stratum_of_constant_series(self):
         # e(u) and phi . u: each plan term pairs a constant, the degree-0
         # stratum ([c], den), with a stratum of degree d (or None); a sum
         # that cancels reads as None
