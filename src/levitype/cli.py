@@ -47,33 +47,26 @@ class ProblemSpec:
                 f"cap {self.cap} too small: need k_max + 2 = {self.k_max + 2}")
 
 
+def _rational(text: str, what: str):
+    """An integer p or a fraction p/q, or a ParseError naming what."""
+    try:
+        return Q(*map(int, text.split("/", 1)))
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"bad {what} {text!r}") from None
+
+
 def _parse_point(text: str, n: int):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 2 * n:
         raise ParseError(f"point needs {2 * n} coordinates, got {len(parts)}")
-    out = []
-    for p in parts:
-        try:
-            if "/" in p:
-                a, b = p.split("/")
-                out.append(Q(int(a), int(b)))
-            else:
-                out.append(Q(int(p)))
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"bad rational coordinate {p!r}") from None
-    return tuple(out)
+    return tuple(_rational(p, "rational coordinate") for p in parts)
 
 
 def _parse_strategy(text: str, n: int):
     if text == "exact":
         return "exact_staged"
     if text.startswith("grid:"):
-        step = text[len("grid:"):]
-        try:
-            s = Q(int(step.split("/")[0]), int(step.split("/")[1])) \
-                if "/" in step else Q(int(step))
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"bad grid step {step!r}") from None
+        s = _rational(text[len("grid:"):], "grid step")
         try:
             engine.grid_candidate_count(2 * (n - 1), s)
         except ValueError as exc:

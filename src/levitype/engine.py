@@ -21,7 +21,6 @@ from .geometry import (
     VectorField,
     _word_jet,
     apply_jstd,
-    field_jet,
     is_complex_tangent,
     lie_bracket,
     project_point_to_surface,
@@ -91,10 +90,13 @@ def realize_field_from_disk(m: Hypersurface, j: ACStructure, u: DiskJet,
     sigma inverts psi = (l1 o u, l2 o u) = id + O(2), so V o u = u_x.
     Contact k+2 makes dphi(u_x) o u = d(phi o u)/dx and dphi(J u_x) o u =
     d(phi o u)/dy vanish to order k+1, so X o u = u_x + O(k+1) and
-    JX o u = u_y + O(k+1): every word in X and JX of length <= k+1 pulls
-    back to a disk derivative.  Those words read only the k-jet of X, so X
+    JX o u = u_y + O(k+1).  Those identities read only the k-jet of X, so X
     is built in one pass on phi and J truncated at max(k+1, 2) and has cap
-    k; a triangle that misses the disk is a TheoremViolation.
+    k.  They are checked as written, on the k-jets of X, JX and u, and they
+    give the triangle by the chain rule: (D_Z F) o u = dF(u)(Z o u), so a
+    word in X and JX of length m pulls back to its derivative of u up to
+    O(k+2-m), exact at 0 for m <= k+1.  A field that misses them is a
+    TheoremViolation.
     """
     co = contact_order(m, u)
     max_k = co.order - 2
@@ -111,26 +113,30 @@ def realize_field_from_disk(m: Hypersurface, j: ACStructure, u: DiskJet,
     # contact k+2 needs phi.cap >= k+1
     cap = max(k + 1, 2)
     m, j = m.truncate(cap), j.truncate(min(j.cap, cap))
+    disk = u.truncate(k + 1).components
+    base = [c.truncate(k) for c in disk]
+    ux = [c.partial(0) for c in disk]
     v = VectorField.constant(m.n, u1, k)
     if k > 0:
         (i1, i2), dual = _dual_pair_forms(u1, apply_jstd(u1))
-        pair = [u.components[i].truncate(k) for i in (i1, i2)]
         ident = TruncatedSeries.variables(2, k)
         # psi - id = O(2); each round of sigma = id - (psi - id) o sigma
         # fixes one more degree, from degree 1 up to k
-        bend = [pair[0].scale(a) + pair[1].scale(b) - t
+        bend = [base[i1].scale(a) + base[i2].scale(b) - t
                 for (a, b), t in zip(dual, ident)]
         sigma = ident
         for _ in range(k - 1):
             sigma = [t - h.compose(sigma) for t, h in zip(ident, bend)]
         var = [TruncatedSeries.variable(i, 2 * m.n, k) for i in (i1, i2)]
         forms = [var[0].scale(a) + var[1].scale(b) for a, b in dual]
-        v = VectorField(m.n, [c.partial(0).truncate(k).compose(sigma)
-                              .compose(forms) for c in u.components])
+        v = VectorField(m.n, [c.compose(sigma).compose(forms) for c in ux])
     x = project_to_complex_tangent(m, j, v)
-    if field_jet(x, j, k) != _disk_triangle(u, k):
-        raise TheoremViolation(
-            f"field realized from a contact-{co.order} disk misses its jet")
+    if x.cap < k:
+        raise CapError(f"order {k} exceeds the field's cap {x.cap}")
+    for f, axis in ((x, ux), (j.apply(x), [c.partial(1) for c in disk])):
+        if [c.compose(base) for c in f.components] != axis:
+            raise TheoremViolation(
+                f"field realized from a contact-{co.order} disk misses its jet")
     return x
 
 
@@ -604,7 +610,8 @@ def type_search(m: Hypersurface, j: ACStructure, k_max: int,
                 raise ValueError("empty direction list")
             candidates = []
             for v in arg:
-                vf = VectorField.constant(m.n, [rat(c) for c in v], m.cap - 1)
+                # the value at 0 of a projection reads only values at 0
+                vf = VectorField.constant(m.n, [rat(c) for c in v], 0)
                 proj = project_to_complex_tangent(m, j, vf).at_zero()
                 if not _is_zero_vec(proj):
                     candidates.append(proj)
@@ -623,7 +630,7 @@ def type_search(m: Hypersurface, j: ACStructure, k_max: int,
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     # the one realization of the witness field; cross_validate checks it.
-    # The realization asserts that the field's triangle is the disk's.
+    # It asserts X o u = u_x and JX o u = u_y, so its triangle is the disk's
     k = rep.lower_bound - 2
     x = realize_field_from_disk(m, j, rep.witness_disk, k)
     return replace(rep, witness_field=x,

@@ -28,18 +28,16 @@ Q = _Q
 ZERO = Q(0)
 
 
-def rat(value, den=None):
+def rat(value):
     """Coerce ints, strings like '3/2', Fractions or backend rationals to Q.
 
     Floats are rejected: the engine is exact and a float almost always means
     an upstream mistake.
     """
-    if type(value) is Q and den is None:
+    if type(value) is Q:
         return value
     if isinstance(value, float):
         raise TypeError("floats are not exact; pass ints, strings or rationals")
-    if den is not None:
-        return Q(value) / Q(den)
     return Q(value)
 
 

@@ -259,6 +259,16 @@ class TestMain:
         assert doc["result"]["certified_exact"] is False
         assert doc["parameters"]["strategy"] == "grid:1/2"
 
+    def test_grid_step_takes_one_slash(self, capsys):
+        # a step is read as a point's coordinate: p or p/q, nothing after q
+        for step in ("1/2/3", "1/2/"):
+            assert main(["type", "--phi", QUARTIC_PHI, "--n", "2",
+                         "--strategy", f"grid:{step}"]) == 2
+            assert f"bad grid step {step!r}" in capsys.readouterr().err
+        assert main(["type", "--phi", QUARTIC_PHI, "--n", "2",
+                     "--point", "1/2/3,0,0,0"]) == 2
+        assert "bad rational coordinate '1/2/3'" in capsys.readouterr().err
+
     def test_usage_errors_exit_2(self, capsys):
         bad = (
             ["classify", "--phi", "x1 $", "--n", "2"],
@@ -270,6 +280,15 @@ class TestMain:
              "--strategy", "anneal"],
             ["type", "--phi", QUARTIC_PHI, "--n", "2",
              "--strategy", "grid:0"],
+            # a step is a rational read as a point's coordinate is
+            ["type", "--phi", QUARTIC_PHI, "--n", "2",
+             "--strategy", "grid:1/2/3"],
+            ["type", "--phi", QUARTIC_PHI, "--n", "2",
+             "--strategy", "grid:1/2/"],
+            ["type", "--phi", QUARTIC_PHI, "--n", "2",
+             "--strategy", "grid:1/0"],
+            ["type", "--phi", QUARTIC_PHI, "--n", "2",
+             "--point", "1/2/3,0,0,0"],
             ["type", "--phi", QUARTIC_PHI, "--n", "2",
              "--strategy", "dirs:/no/such/file"],
             ["type", "--phi", QUARTIC_PHI, "--n", "2", "--kmax", "1"],

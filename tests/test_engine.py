@@ -226,7 +226,7 @@ def one_word_table(monkeypatch):
 
     def no_field_jet(*args):
         raise AssertionError("field jet built apart from the word table")
-    monkeypatch.setattr(engine, "field_jet", no_field_jet)
+    monkeypatch.setattr(geometry, "field_jet", no_field_jet)
     for module in (engine, geometry):
         def counting(fields, _build=getattr(module, "word_table")):
             tables.append(len(fields))
@@ -298,6 +298,38 @@ class TestRealizeFieldFromDisk:
         x = realize_field_from_disk(INDEF3, j, rep.witness_disk, k)
         assert x.cap == k
         assert caps == [k]
+
+    def test_field_off_the_disk_at_degree_k(self, monkeypatch):
+        # a degree-k term added to X changes X o u at degree k only
+        project = engine.project_to_complex_tangent
+        cases = [(QUARTIC, JSTD, 6), (HARMONIC, JSTD, 8),
+                 (INDEF3, perturbed_structure(3, 8, 1), 6)]
+        for m, j, k_max in cases:
+            rep = type_search(m, j, k_max)
+            k = rep.lower_bound - 2
+            assert k >= 1
+            u1 = rep.witness_disk.derivative(1, 0)
+            i = next(i for i, v in enumerate(u1) if v != 0)
+            exps = tuple(k if v == i else 0 for v in range(2 * m.n))
+            bump = TruncatedSeries(2 * m.n, k, {exps: Q(1)})
+
+            def bumped(*args):
+                x = project(*args)
+                return VectorField(x.n, [x.components[0] + bump,
+                                         *x.components[1:]])
+            monkeypatch.setattr(engine, "project_to_complex_tangent", bumped)
+            with pytest.raises(TheoremViolation):
+                realize_field_from_disk(m, j, rep.witness_disk, k)
+            monkeypatch.setattr(engine, "project_to_complex_tangent", project)
+            x = realize_field_from_disk(m, j, rep.witness_disk, k)
+            assert x == rep.witness_field
+
+    def test_structure_below_the_order(self):
+        # the field's cap is the truncated structure's, below k
+        rep = type_search(FLAT, perturbed_structure(2, 10, 0), 8)
+        with pytest.raises(CapError, match="order 6 exceeds the field's cap 5"):
+            realize_field_from_disk(FLAT, perturbed_structure(2, 5, 0),
+                                    rep.witness_disk, 6)
 
 
 def disks_under_test(rng, n, cap):
@@ -689,6 +721,22 @@ class TestSearchStrategies:
                           ("directions", [(1, 0, 0, 0), (0, 1, 0, 0)]))
         assert rep.lower_bound == 4
 
+    def test_directions_project_at_cap_0(self, monkeypatch):
+        # a candidate is the projection's value at 0, which reads only
+        # values at 0; the realization projects once more, at cap k
+        project = engine.project_to_complex_tangent
+        caps = []
+
+        def recording(m, j, v):
+            caps.append(v.cap)
+            return project(m, j, v)
+        monkeypatch.setattr(engine, "project_to_complex_tangent", recording)
+        for j in (JSTD, perturbed_structure(2, CAP, 1)):
+            caps.clear()
+            rep = type_search(QUARTIC, j, 6,
+                              ("directions", [(1, 0, 0, 0), (0, 1, 1, 0)]))
+            assert caps == [0, 0, rep.lower_bound - 2]
+
     def test_strategy_guards(self):
         with pytest.raises(ValueError):
             type_search(SPHERE, JSTD, 4, "annealing")
@@ -922,16 +970,21 @@ class TestCrossValidation:
 
     def test_reads_the_field_jet_from_the_commutation_table(self,
                                                             monkeypatch):
-        # check (a) reads the triangle from the commutation check's table
-        reports = [(m, j, type_search(m, j, k_max)) for m, j, k_max in (
-            (QUARTIC, JSTD, 6), (HARMONIC, JSTD, 8), (SEXTIC, JSTD, 8),
-            (INDEF3, perturbed_structure(3, 8, 1), 6))]
+        # check (a) reads the triangle from the commutation check's table,
+        # the one table of a validation: the search builds none, since the
+        # realization pulls X and JX back to the disk
+        assert not hasattr(engine, "field_jet")
         tables = one_word_table(monkeypatch)
-        for m, j, rep in reports:
-            tables.clear()
-            rec = cross_validate(m, j, rep)
-            assert rec.k == rep.lower_bound - 2
-            assert tables == [3]
+        for m, j, k_max in ((QUARTIC, JSTD, 6), (HARMONIC, JSTD, 8),
+                            (SEXTIC, JSTD, 8),
+                            (INDEF3, perturbed_structure(3, 8, 1), 6)):
+            for strategy in ("exact_staged", ("grid", Q(1, 2))):
+                tables.clear()
+                rep = type_search(m, j, k_max, strategy)
+                assert tables == []
+                rec = cross_validate(m, j, rep)
+                assert rec.k == rep.lower_bound - 2
+                assert tables == [3]
 
     def test_needs_a_witness(self):
         bare = TypeReport((0, 0, 0, 0), 2, False, False, None, None, None)

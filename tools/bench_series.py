@@ -45,7 +45,12 @@ coordinate systems of a staged search at n = num_vars // 2 >= 2 (see
 x-jet of cap derivatives, on a surface drawn as the ``compose_phi_u``
 row's, and then ``propagate_cr_jet`` of the whole jet to order cap, which
 may start from the state those calls left, and, outside the grid, ``levi_std`` at n in LARGE_LEVI_N
-(cap LARGE_LEVI_CAP), on a surface drawn as the grid's.  It writes
+(cap LARGE_LEVI_CAP), on a surface drawn as the grid's, and
+``witness_realize``: ``realize_field_from_disk`` of the ``type_search``
+witness disk of WITNESS_PHI (n = 3, J_std, k_max in WITNESS_K, cap
+k_max + 4), whose field grows dense with k_max, and ``witness_validate``:
+``type_search`` and ``cross_validate`` of that surface, as ``validate``
+runs them.  It writes
 ``BENCH_<label>.json`` (into ``--out``, default the checkout root).  The
 inputs are fixed by a seeded generator, so two kernels see the same
 operands; each row carries a digest of the result (of every component, for
@@ -55,7 +60,10 @@ disk term, for ``held_disk``, of every solution's
 consistency and values, for ``solve_affine``, of the orders of criteria
 2-4, for
 ``commutation``, of the witness disk's components and the bound, its flags
-and its obstruction, for ``type_search``), and rows with equal digests
+and its obstruction, for ``type_search``, of the field's components, for
+``witness_realize``, of the report's disk, field, triangle, point, bound,
+flags and obstruction and of the ``ValidationRecord``, for
+``witness_validate``), and rows with equal digests
 computed the same result.  ``--src`` imports levitype from another source
 tree, which times an earlier kernel with this script; the git sha recorded
 is that of the tree imported.
@@ -96,6 +104,8 @@ VECTOR_TERMS = 6    # terms of each component of the mat_vec and
                     # covariant_derivative rows' operands
 LARGE_LEVI_N = (8, 16, 32)
 LARGE_LEVI_CAP = 4
+WITNESS_PHI = "2*x3+Re(z1^2)+Re(z2^3)+abs2(z1*z2)"  # type reaches the cap
+WITNESS_K = (12, 16)
 
 
 def git(src: Path, *args) -> str | None:
@@ -293,6 +303,36 @@ def large_levi_operands(lev, n, seed):
                          (surface.phi,))}
 
 
+def witness_operands(lev, k_max):
+    """The witness rows at k_max, off the grid: fixed inputs, no draws."""
+    n, cap = 3, k_max + 4
+    m = lev.Hypersurface(n, lev.parse_expression(WITNESS_PHI, n, cap=cap))
+    j_std = lev.ACStructure.standard(n, cap)
+    rep = lev.type_search(m, j_std, k_max)
+    u, k = rep.witness_disk, rep.lower_bound - 2
+    return {
+        "witness_realize": (
+            lambda: lev.realize_field_from_disk(m, j_std, u, k).components,
+            u.components),
+        "witness_validate": (
+            lambda: validation_values(lev, m, j_std, k_max), (m.phi,)),
+    }
+
+
+def validation_values(lev, m, j, k_max) -> list:
+    """type_search and cross_validate: the terms of the report's disk and
+    field, its triangle, point, bound, flags and obstruction, and the
+    fields of the ValidationRecord."""
+    rep = lev.type_search(m, j, k_max)
+    rec = lev.cross_validate(m, j, rep)
+    return [[c.as_list() for c in rep.witness_disk.components],
+            [c.as_list() for c in rep.witness_field.components],
+            sorted(rep.witness_field_jet.entries.items()),
+            [rep.point, rep.lower_bound, rep.certified_exact,
+             rep.cap_reached, rep.obstruction],
+            list(vars(rec).values())]
+
+
 def trace_values(lev, surface, j, derivs, cap) -> list:
     """[L^(p, s - p) for p = 0..s] for s = 0..cap-2."""
     out = []
@@ -389,7 +429,8 @@ def main(argv=None) -> int:
     grid = chain(((num_vars, cap, operands(lev, num_vars, cap, SEED))
                   for num_vars in GRID_VARS for cap in GRID_CAPS),
                  ((2 * n, LARGE_LEVI_CAP, large_levi_operands(lev, n, SEED))
-                  for n in LARGE_LEVI_N))
+                  for n in LARGE_LEVI_N),
+                 ((6, k + 4, witness_operands(lev, k)) for k in WITNESS_K))
     for num_vars, cap, ops in grid:
         for op, (fn, inputs) in ops.items():
             result = fn()
