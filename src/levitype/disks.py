@@ -30,11 +30,12 @@ J also holds one transport state, grown by _read_held for the surface last
 read, so that the higher Levi forms of one disk, asked one (p, q) at a
 time, transport each order once.  propagate_cr_jet starts from a copy of
 that state when its x-jet begins with the held one, and leaves the held
-state as it was.  A read one order past a state pads that order in place
-and pops it again from the lists of u, u_x and e(u); the e(u) and R strata
+state as it was.  A read one order past a state solves u's stratum of
+that order for a zero x-derivative by the same step as an extension
+(_Transport._solve) and adds nothing to the state; the e(u) and R strata
 of that order read only strata below it, so the state keeps them aside,
-and the order's next extension, padded, probed or real, forms them no more
-(see _Transport._next).
+and the order's next read or extension, probed or real, forms them no
+more (see _Transport._next).
 Every stratum is formed by one convolution loop, _convolve: a product of
 u's components convolves two strata, and e(u) and phi . u convolve each
 term's constant, a degree-0 stratum, with its product's stratum; _stratum
@@ -266,7 +267,7 @@ class _Transport:
     copy() shares them all, after filling those that the order makes final
     and the cap will read, so that the copies do not each form them.  The
     e(u) strata and the rows of R of order + 1 are formed once, whether a
-    pad, a probe or the real x-derivative comes first, and shared the same
+    read, a probe or the real x-derivative comes first, and shared the same
     way (see _next).
     """
 
@@ -308,10 +309,11 @@ class _Transport:
         """(order + 1, e(u)'s strata, the rows of R) that order + 1 reads.
 
         R of order m reads only strata of u below m, so it is the same
-        whatever x-derivative order m then takes: a zero pad, a probe's or
-        the real one.  So it is formed once per order and held in slot,
-        tagged with its order, until the next order's replaces it; copy()
-        shares it, and a failure while forming it leaves slot as it was.
+        whatever x-derivative order m then takes: a read's zero one, a
+        probe's or the real one.  So it is formed once per order and held
+        in slot, tagged with its order, until the next order's replaces it;
+        copy() shares it, and a failure while forming it leaves slot as it
+        was.
         """
         m = self.order + 1
         slot = self.slot
@@ -329,90 +331,92 @@ class _Transport:
             slot = self.slot = m, eus, r
         return slot
 
+    def _solve(self, vec):
+        """(e(u)'s strata, u's strata) of order m = order + 1 for the
+        x-derivative vec, d^m u/dx^m(0); the state is left as it is.
+
+        Stratum m of u is solved along the y-power q.  Its coefficients all
+        divide the denominator lcm(R, c_{m,0}) * m!, by induction on q, so
+        on numerators over it every division by q+1 is exact.  A state at
+        its cap solves no further order, so neither extend nor read goes
+        past the cap.
+        """
+        if self.order == self.cap:
+            raise ValueError(f"the transport stops at its cap {self.cap}")
+        if len(vec) != self.n2:
+            raise ValueError("x-axis derivative has wrong arity")
+        m, eus, r = self._next()
+        den = lcm(*(v.denominator for v in vec),
+                  *(ri[1] for ri in r if ri is not None))
+        # numerators over den * m!: c_{m,0} = v / m!
+        cur = [int(v.numerator) * (den // v.denominator) for v in vec]
+        den *= factorial(m)
+        zero = [0] * m
+        rs = [zero if ri is None else [c * (den // ri[1]) for c in ri[0]]
+              for ri in r]
+        # stratum m along the y-power q, one pair (x_i, y_i) at a time:
+        # (q+1) c_{m-1-q,q+1} = (m-q) J_std c_{m-q,q} + R_{m-1-q,q}
+        strata = []
+        for i in range(0, self.n2, 2):
+            a, b = cur[i], cur[i + 1]
+            ra, rb = rs[i], rs[i + 1]
+            col_a, col_b = [a], [b]
+            for q in range(m):
+                k = m - q
+                a, b = (ra[q] - k * b) // (q + 1), (k * a + rb[q]) // (q + 1)
+                col_a.append(a)
+                col_b.append(b)
+            for col in (col_a, col_b):
+                g = gcd(den, *col) if any(col) else 0
+                strata.append(([v // g for v in col], den // g) if g else None)
+        return eus, strata
+
     def extend(self, *vecs):
         """Add one order m per vec, the x-derivative d^m u/dx^m(0); returns
         the state.
 
-        Stratum m of u is solved along the y-power q.  Its coefficients all
-        divide the denominator lcm(R, c_{m,0}) * m!, by induction on q, so
-        on numerators over it every division by q+1 is exact.  Nothing is
-        added before vec is read, so a vec that fails leaves the state at
-        order m - 1.
+        Nothing is added before vec's stratum is solved (see _solve), so a
+        vec that fails leaves the state at order m - 1.
         """
         for vec in vecs:
-            if self.order == self.cap:
-                raise ValueError(f"the transport stops at its cap {self.cap}")
-            if len(vec) != self.n2:
-                raise ValueError("x-axis derivative has wrong arity")
-            _, eus, r = self._next()
+            eus, strata = self._solve(vec)
             m = self.order + 1
-            den = lcm(*(v.denominator for v in vec),
-                      *(ri[1] for ri in r if ri is not None))
-            # numerators over den * m!: c_{m,0} = v / m!
-            cur = [int(v.numerator) * (den // v.denominator) for v in vec]
-            den *= factorial(m)
-            zero = [0] * m
-            rs = [zero if ri is None else [c * (den // ri[1]) for c in ri[0]]
-                  for ri in r]
             for eu, st in zip(self.eu, eus):
                 eu.append(st)
-            # stratum m along the y-power q, one pair (x_i, y_i) at a time:
-            # (q+1) c_{m-1-q,q+1} = (m-q) J_std c_{m-q,q} + R_{m-1-q,q}
-            strata = self.strata
-            for i in range(0, self.n2, 2):
-                a, b = cur[i], cur[i + 1]
-                ra, rb = rs[i], rs[i + 1]
-                col_a, col_b = [a], [b]
-                for q in range(m):
-                    k = m - q
-                    a, b = (ra[q] - k * b) // (q + 1), (k * a + rb[q]) // (q + 1)
-                    col_a.append(a)
-                    col_b.append(b)
-                for c, col in ((i, col_a), (i + 1, col_b)):
-                    st = dx = None
-                    if any(col):
-                        g = gcd(den, *col)
-                        st = ([v // g for v in col], den // g)
-                        dx = ([(m - q) * v for q, v in enumerate(st[0][:m])],
-                              st[1])
-                    strata[c].append(st)
-                    self.ux[c].append(dx)
+            for c, st in enumerate(strata):
+                self.strata[c].append(st)
+                self.ux[c].append(
+                    None if st is None else
+                    ([(m - q) * v for q, v in enumerate(st[0][:m])], st[1]))
             self.order = m
         return self
 
     def read(self, d: int):
         """d^d(phi . u)/dx^(d-q) dy^q at 0 for q = 0..d.
 
-        d is at most order + 1.  A missing order d takes a zero x-derivative:
-        it is padded in place and popped after the read, failed or not,
-        which is exact: of what the pad adds, stratum d of phi . u reads only
-        u's own stratum d.  A product of two or more factors has its stratum
-        d from strata below d of u (see the class docstring), so the product
-        strata formed on the way are those of every later disk and stay; so
-        do order d's e(u) strata and rows of R, which read strata below d
-        too, in slot (see _next), where the next extend or probe finds them.
-        u's stratum d and u_x's and e(u)'s strata d - 1 are popped, so that
-        each list again holds one stratum per order.  Two or more missing
-        orders are refused: products would then read padded strata, and
-        could not stay.
+        d is at most order + 1.  A missing order d reads as the disk whose
+        x-derivative there is zero: of that order, stratum d of phi . u
+        reads only u's own stratum d, which _solve forms without adding it,
+        in phi's terms of degree 1.  A product of two or more factors has
+        its stratum d from strata below d of u (see the class docstring),
+        so the product strata formed on the way are those of every later
+        disk and stay; so do order d's e(u) strata and rows of R, which
+        read strata below d too, in slot (see _next), where the next extend
+        or probe finds them.  The order and the lists of u, u_x and e(u)
+        stay as they are.  Two or more missing orders are refused: products
+        would then read strata of u that no x-derivative has fixed.
         """
         if d > self.order + 1:
             raise ValueError(
                 f"read({d}) is more than one order past order {self.order}")
-        if d > self.order:
-            low = self.order
-            try:
-                self.extend((ZERO,) * self.n2)
-                return self.read(d)
-            finally:
-                self.order = low
-                for st in self.strata[:self.n2]:
-                    del st[d:]
-                for st in chain(self.ux, self.eu):
-                    del st[low:]
+        n2, strata = self.n2, self.strata
+        u = (self._solve((ZERO,) * n2)[1] if d > self.order
+             else [st[d] for st in strata[:n2]])
         for _, i in self.phi:
-            self._fill(i, d)
-        st = _convolve([(c, self.strata[i][d]) for c, i in self.phi], d)
+            if i >= n2:
+                self._fill(i, d)
+        st = _convolve([(c, u[i] if i < n2 else strata[i][d])
+                        for c, i in self.phi], d)
         if st is None:
             return [ZERO] * (d + 1)
         return [Q(c * factorial(d - q) * factorial(q), st[1])

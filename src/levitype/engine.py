@@ -429,8 +429,8 @@ class _Stager:
         """Solve the level-ell constraints for the tangential unknown.
 
         state holds the ell jets found; each probe extends a copy of it and
-        reads one order past it, which pads that order (_Transport.read).  The
-        constraints are affine in the tangential coordinates of the
+        reads one order past it, as a zero x-derivative (_Transport.read).
+        The constraints are affine in the tangential coordinates of the
         newest derivative: a base probe reads normals_next, one probe per
         column of colmat reads normals_next plus that column, and a mixed
         probe, plus the first two columns, cross-checks that.  Returns

@@ -227,36 +227,18 @@ class ACStructure:
     def apply(self, x: VectorField) -> VectorField:
         """J applied to a field; standard structures keep the field's cap."""
         if self.is_standard:
-            comps = []
-            for i in range(0, 2 * self.n, 2):
-                comps.append(-x.components[i + 1])
-                comps.append(x.components[i])
-            return VectorField(self.n, comps)
+            return VectorField(self.n, apply_jstd(x.components))
         return VectorField(self.n, mat_vec(self.entries, x.components,
                                            min(self.cap, x.cap)))
 
 
-@dataclass
-class Frame:
-    """The gradient frame: N = grad phi and JN = J(N), both with cap K-1."""
-
-    normal: VectorField
-    j_normal: VectorField
-
-
-def gradient_frame(m: Hypersurface, j: ACStructure) -> Frame:
-    n_field = VectorField(m.n, m.gradient)
-    jn = j.apply(n_field)
-    cap = min(n_field.cap, jn.cap)
-    return Frame(n_field.truncate(cap), jn.truncate(cap))
-
-
 def _projector(m: Hypersurface, j: ACStructure, cap: int):
-    """project_to_complex_tangent for fields of cap >= cap, frame built once."""
-    frame = gradient_frame(m, j)
-    cap = min(cap, frame.normal.cap)
-    nf = frame.normal.truncate(cap)
-    jn = frame.j_normal.truncate(cap)
+    """project_to_complex_tangent for fields of cap >= cap, frame built once:
+    N = grad phi and JN, whose cap is at most N's."""
+    nf = VectorField(m.n, m.gradient)
+    jn = j.apply(nf)
+    cap = min(cap, jn.cap)
+    nf, jn = nf.truncate(cap), jn.truncate(cap)
     p = m.dphi(nf)
     q = m.dphi(jn)
     denom = (p * p + q * q).inverse()
@@ -334,12 +316,6 @@ class FieldJet:
 
     def entry(self, p: int, q: int):
         return self.entries[(p, q)]
-
-    def __eq__(self, other):
-        if not isinstance(other, FieldJet):
-            return NotImplemented
-        return (self.order == other.order and self.n == other.n
-                and self.entries == other.entries)
 
     def to_dict(self):
         keys = sorted(self.entries, key=lambda pq: (pq[0] + pq[1], pq[1]))

@@ -493,31 +493,6 @@ class TruncatedSeries:
             f"terms={self.as_list()!r})"
         )
 
-    def __str__(self):
-        if not self._terms:
-            return "0"
-        parts = []
-        for exps, c in self.terms():
-            factors = []
-            for i, e in enumerate(exps):
-                if e == 1:
-                    factors.append(f"v{i}")
-                elif e > 1:
-                    factors.append(f"v{i}^{e}")
-            if factors:
-                if c == 1:
-                    parts.append("*".join(factors))
-                elif c == -1:
-                    parts.append("-" + "*".join(factors))
-                else:
-                    parts.append(f"{c}*" + "*".join(factors))
-            else:
-                parts.append(str(c))
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
-
     def as_list(self):
         """Graded-lex list of [exponents, coefficient-string] pairs."""
         return [[list(e), str(c)] for e, c in self.terms()]

@@ -26,20 +26,9 @@ def identity(m: int):
 
 
 def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = []
-    for i in range(rows):
-        row = []
-        ai = a[i]
-        for j in range(cols):
-            s = ZERO
-            for k in range(inner):
-                aik = ai[k]
-                if aik != 0:
-                    s = s + aik * b[k][j]
-            row.append(s)
-        out.append(row)
-    return out
+    """The matrix product a . b, one mat_vec per column of b."""
+    cols = [mat_vec(a, [row[k] for row in b]) for k in range(len(b[0]))]
+    return [list(row) for row in zip(*cols)]
 
 
 def mat_vec(a, v):

@@ -4,6 +4,7 @@ import gc
 import sys
 import threading
 import weakref
+from copy import deepcopy
 from fractions import Fraction
 from itertools import product as iproduct
 from math import gcd
@@ -339,7 +340,7 @@ def assert_reduced(st, want):
 
 def padded_states(rng):
     """(J, m, derivs, state at order k) over n, structures and orders k,
-    the states read at k + 1 as read pads in place."""
+    the states read at k + 1, one order past them."""
     for n in (1, 2, 3):
         cap = 6 if n <= 2 else 5
         for j in (ACStructure.standard(n, cap), random_structure(rng, n, cap),
@@ -352,8 +353,8 @@ def padded_states(rng):
 
 
 def shape(state):
-    """What an in-place pad must leave as it found: the order and the
-    strata of u, u_x and e(u)."""
+    """What a read one order past a state must leave as it found: the
+    order and the strata of u, u_x and e(u)."""
     return (state.order, [len(st) for st in state.strata[:state.n2]],
             [len(st) for st in state.ux], [len(st) for st in state.eu])
 
@@ -435,10 +436,10 @@ class TestStratumKernels:
             assert state.read(cap) == [compose_phi_u(m, u).a(cap - q, q)
                                        for q in range(cap + 1)]
 
-    def test_read_one_order_past_pads_in_place(self):
-        # read(order + 1) is the read of a zero-padded copy, and leaves the
-        # state as an unpadded one that goes on like a fresh transport;
-        # a read two orders past is refused
+    def test_read_one_order_past_is_the_zero_extension(self):
+        # read(order + 1) is the read of a copy extended by a zero
+        # x-derivative, and leaves the state to go on like a fresh
+        # transport; a read two orders past is refused
         rng = make_rng("disks-kernel-inplace")
         for j, m, derivs, state in padded_states(rng):
             k = state.order
@@ -457,9 +458,50 @@ class TestStratumKernels:
             if k + 2 <= state.cap:
                 assert state.read(k + 2) == fresh.read(k + 2)
 
+    def test_read_one_order_past_extends_nothing(self, monkeypatch):
+        # the read solves u's stratum without _Transport.extend, and the
+        # lists of u, u_x and e(u) stay the same objects, unchanged
+        rng = make_rng("disks-kernel-read-fixed")
+        extend = _Transport.extend
+        for j, m, derivs, state in padded_states(rng):
+            k = state.order
+            want = state.copy().extend((ZERO,) * state.n2).read(k + 1)
+            lists = [*state.strata[:state.n2], *state.ux, *state.eu]
+            before = deepcopy(lists)
+
+            def refused(self, *vecs):
+                raise AssertionError("read extended the state")
+            monkeypatch.setattr(_Transport, "extend", refused)
+            assert state.read(k + 1) == want
+            monkeypatch.setattr(_Transport, "extend", extend)
+            assert state.order == k
+            now = [*state.strata[:state.n2], *state.ux, *state.eu]
+            assert all(a is b for a, b in zip(now, lists))
+            assert now == before
+
+    def test_read_past_the_cap_is_refused(self):
+        # a state at its cap reads no further order, under any J: at cap
+        # + 1 the stratum of u would read J past the cap it was built for
+        rng = make_rng("disks-kernel-read-cap")
+        m = random_phi(rng, 2, 6)
+        derivs = [tuple(Q(c) for c in random_vector(rng, 4, 2))
+                  for _ in range(6)]
+        for j in (ACStructure.standard(2, 6), random_structure(rng, 2, 6),
+                  nonlinear_structure(rng, 2, 6)):
+            for cap in range(6):
+                state = _Transport(j, cap, m).extend(*derivs[:cap])
+                before = shape(state)
+                for op in (lambda: state.read(cap + 1),
+                           lambda: state.extend((ZERO,) * 4)):
+                    with pytest.raises(ValueError, match="stops at its cap"):
+                        op()
+                    assert shape(state) == before
+                with pytest.raises(ValueError, match="more than one order"):
+                    state.read(cap + 2)
+
     def test_failed_in_place_read_leaves_the_state(self, monkeypatch):
         # _convolve raising at any one of the calls a read makes (e(u) and
-        # R in the pad, or phi . u) leaves the state intact
+        # R of the order read, or phi . u) leaves the state intact
         rng = make_rng("disks-kernel-inplace-fail")
         convolve = disks._convolve
         for j, m, derivs, state in padded_states(rng):
@@ -513,7 +555,7 @@ def count_transports(monkeypatch):
 
 
 class TestOneRPerOrder:
-    """Each order's e(u) and R strata are formed once: a pad, a probe and
+    """Each order's e(u) and R strata are formed once: a read, a probe and
     the real x-derivative of that order all read the slot that formed
     them first, and a copy shares it."""
 
@@ -563,7 +605,7 @@ class TestOneRPerOrder:
 
     def test_failed_slot_leaves_the_state_and_the_slot(self, monkeypatch):
         # _convolve (e(u) and R) or _stratum (R) raising at any one of the
-        # calls that form the slot, in a pad or in an extension, leaves the
+        # calls that form the slot, in a read or in an extension, leaves the
         # state's shape and its slot as they were; copy() fills products
         # through _convolve too, so only the calls of _next are counted
         rng = make_rng("disks-one-r-fail")

@@ -31,9 +31,9 @@ from levitype import (
     recenter,
 )
 from levitype.geometry import (
+    FieldJet,
     _rational_roots,
     apply_jstd,
-    gradient_frame,
     project_point_to_surface,
     standard_matrix,
 )
@@ -95,25 +95,6 @@ class TestInvariants:
                   for b in range(4)] for a in range(4)]
         with pytest.raises(GeometryError):
             ACStructure(2, ident)
-
-
-class TestGradientFrame:
-    def test_flat_constant_gradient(self):
-        fr = gradient_frame(FLAT, JSTD)
-        assert fr.normal.at_zero() == (0, 0, 2, 0)
-        assert fr.j_normal.at_zero() == (0, 0, 0, 2)
-
-    def test_sphere_polynomial_gradient(self):
-        fr = gradient_frame(SPHERE, JSTD)
-        assert fr.normal.at_zero() == (0, 0, 2, 0)
-        assert fr.normal.components[0].coefficient((1, 0, 0, 0)) == 2
-        assert fr.normal.components[1].coefficient((0, 1, 0, 0)) == 2
-
-    def test_perturbed_jn_at_origin(self):
-        j = perturbed_structure(2, 6, 1)
-        fr = gradient_frame(SPHERE, j)
-        assert fr.j_normal.at_zero() \
-            == tuple(apply_jstd(list(fr.normal.at_zero())))
 
 
 class TestProjection:
@@ -281,6 +262,19 @@ class TestFieldJet:
                 assert sum((gi * di for gi, di in zip(g0, d)), Q(0)) == 0
                 jd = j.apply(VectorField.constant(n, d, 2)).at_zero()
                 assert sum((gi * di for gi, di in zip(g0, jd)), Q(0)) == 0
+
+
+    def test_equality_reads_every_field(self):
+        entries = {(0, 0): (Q(1), Q(0)), (1, 0): (Q(0), Q(2))}
+        fj = FieldJet(1, 1, dict(entries))
+        assert fj == FieldJet(1, 1, dict(entries))
+        assert fj != FieldJet(2, 1, dict(entries))
+        assert fj != FieldJet(1, 2, dict(entries))
+        assert fj != FieldJet(1, 1, {**entries, (1, 0): (Q(0), Q(3))})
+        assert fj != fj.entries
+        assert fj != (1, 1, entries)
+        with pytest.raises(TypeError):
+            hash(fj)
 
 
 class TestTangentBasis:

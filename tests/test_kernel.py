@@ -159,6 +159,20 @@ class TestGeometryOnTheKernel:
             want = reference_mat_vec(jl.entries, y.components, jl.cap)
             assert jl.apply(y) == VectorField(n, want)
 
+    def test_standard_apply_is_the_product_by_its_entries(self):
+        # J_std moves components, term for term what mat_vec of its
+        # constant entries gives, at the field's cap
+        rng = make_rng("kernel-apply-std")
+        for cap in (*range(7), 256):
+            for n in (1, 2):
+                j = ACStructure.standard(n, cap)
+                x = random_vector_field(rng, n, cap)
+                out = j.apply(x)
+                want = mat_vec(j.entries, x.components)
+                assert out.cap == cap
+                assert [(c._terms, c._den) for c in out.components] == \
+                    [(c._terms, c._den) for c in want]
+
     def test_apply_of_a_zero_field(self):
         j = perturbed_structure(2, 4, SEED)
         zero = VectorField.constant(2, (0, 0, 0, 0), 4)

@@ -6,6 +6,7 @@ Usage (from the root of a source checkout):
 
     python3 tools/bench_series.py --label packed
     python3 tools/bench_series.py --label baseline --src ../other/src
+    python3 tools/bench_series.py --label change_ab --ab ../parent/src
 
 Times ``*``, ``compose``, ``partial``, ``inverse`` and ``truncate`` of
 ``TruncatedSeries`` at (num_vars, cap) in {2, 4, 6, 8} x {6, 8, 10, 12}, and
@@ -68,6 +69,19 @@ computed the same result.  ``--src`` imports levitype from another source
 tree, which times an earlier kernel with this script; the git sha recorded
 is that of the tree imported.
 
+``--ab <other src>`` compares two trees in one process instead, since row
+times from two processes drift apart on rows whose code did not change.
+It imports the ``--src`` tree and the other one under two package names
+(levitype imports itself only relatively), builds each row's operands on
+both from the same seed, and exits 1, naming the row, if their digests
+differ.  Otherwise it times the row on the two trees in alternation,
+AB_ROUNDS times each with the calibrated loop below, and records the
+ratio src/other of each round: its median and its spread (the least and
+the greatest ratio), next to each tree's median time.  An A/B of a tree
+against itself read every row's median ratio within 0.87-1.13, and 95 %
+of them within 0.95-1.05, on an x86_64 machine with Python 3.11 and the
+``fractions`` backend; a row outside that band has moved.
+
 Each time is the minimum over REPEATS runs of a loop whose call count is
 calibrated to last at least MIN_LOOP_S, divided by that count: seconds per
 call on an otherwise idle machine.  The file records the Python version,
@@ -80,9 +94,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib
+import importlib.util
 import json
 import platform
 import random
+import statistics
 import subprocess
 import sys
 import time
@@ -94,6 +110,7 @@ GRID_VARS = (2, 4, 6, 8)
 GRID_CAPS = (6, 8, 10, 12)
 REPEATS = 5
 MIN_LOOP_S = 0.02
+AB_ROUNDS = 5       # timings of each row on each tree, --ab
 SEED = 1            # seeds the operands; digests compare only at one seed
 TERMS = 40          # terms of each operand of *, partial and truncate
 COMPOSE_TERMS = 12  # terms of the outer series of compose
@@ -415,36 +432,106 @@ def digest(result) -> str:
     return h.hexdigest()[:16]
 
 
+def grid(lev):
+    """(num_vars, cap, operations) of every row, in the order timed."""
+    return chain(((num_vars, cap, operands(lev, num_vars, cap, SEED))
+                  for num_vars in GRID_VARS for cap in GRID_CAPS),
+                 ((2 * n, LARGE_LEVI_CAP, large_levi_operands(lev, n, SEED))
+                  for n in LARGE_LEVI_N),
+                 ((6, k + 4, witness_operands(lev, k)) for k in WITNESS_K))
+
+
+def load_tree(src: Path, name: str):
+    """levitype of the source tree src, imported as the package name."""
+    init = src / "levitype" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def ab_rows(lev, other, other_src) -> list | None:
+    """The --ab rows of lev against other, or None if a digest differs."""
+    rows = []
+    for (num_vars, cap, ops), (_, _, other_ops) in zip(grid(lev),
+                                                       grid(other)):
+        for op, (fn, _) in ops.items():
+            fns = fn, other_ops[op][0]
+            here, there = (digest(f()) for f in fns)
+            if here != there:
+                print(f"{op} vars={num_vars} cap={cap}: digest {here}, "
+                      f"{there} under {other_src}", file=sys.stderr)
+                return None
+            times = [[], []]
+            for r in range(AB_ROUNDS):
+                for side in ((0, 1) if r % 2 == 0 else (1, 0)):
+                    times[side].append(seconds_per_call(fns[side]))
+            ratios = sorted(a / b for a, b in zip(*times))
+            rows.append({
+                "op": op, "num_vars": num_vars, "cap": cap, "digest": here,
+                "seconds": statistics.median(times[0]),
+                "seconds_other": statistics.median(times[1]),
+                "ratio": statistics.median(ratios),
+                "ratio_spread": [ratios[0], ratios[-1]],
+            })
+            print(f"{op:14s} vars={num_vars} cap={cap:2d} "
+                  f"{rows[-1]['ratio']:7.3f}", file=sys.stderr)
+    return rows
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True)
     ap.add_argument("--src", type=Path, default=ROOT / "src",
                     help="source tree to import levitype from")
+    ap.add_argument("--ab", type=Path, metavar="OTHER_SRC",
+                    help="time --src against this source tree in one process")
     ap.add_argument("--out", type=Path, default=ROOT)
     args = ap.parse_args(argv)
-    sys.path.insert(0, str(args.src.resolve()))
-    lev = importlib.import_module("levitype")
-    rational = importlib.import_module("levitype.rational")
-    rows = []
-    grid = chain(((num_vars, cap, operands(lev, num_vars, cap, SEED))
-                  for num_vars in GRID_VARS for cap in GRID_CAPS),
-                 ((2 * n, LARGE_LEVI_CAP, large_levi_operands(lev, n, SEED))
-                  for n in LARGE_LEVI_N),
-                 ((6, k + 4, witness_operands(lev, k)) for k in WITNESS_K))
-    for num_vars, cap, ops in grid:
-        for op, (fn, inputs) in ops.items():
-            result = fn()
-            rows.append({
-                "op": op, "num_vars": num_vars, "cap": cap,
-                "terms_in": [len(s.as_list()) for s in inputs],
-                "terms_out": (sum(map(len, result))
-                              if isinstance(result, list) else
-                              sum(len(s.as_list()) for s in parts(result))),
-                "digest": digest(result),
-                "seconds": seconds_per_call(fn),
-            })
-            print(f"{op:14s} vars={num_vars} cap={cap:2d} "
-                  f"{rows[-1]['seconds'] * 1e6:12.1f} us", file=sys.stderr)
+    if args.ab is not None:
+        lev = load_tree(args.src.resolve(), "levitype_src")
+        other = load_tree(args.ab.resolve(), "levitype_other")
+        rows = ab_rows(lev, other, args.ab)
+        if rows is None:
+            return 1
+        ratios = [row["ratio"] for row in rows]
+        timer = (f"median over {AB_ROUNDS} alternating rounds of the min "
+                 f"of {REPEATS} loops of at least {MIN_LOOP_S} s; ratio is "
+                 "src/other seconds per call")
+        extra = {
+            "other_git_sha": git(args.ab, "rev-parse", "HEAD") or "unknown",
+            "other_dirty": bool(git(args.ab, "status", "--porcelain",
+                                    "--", ".")),
+            "other_backend": other.rational.BACKEND,
+            "ratio_band": [min(ratios), max(ratios)],
+        }
+        rational = lev.rational
+    else:
+        sys.path.insert(0, str(args.src.resolve()))
+        lev = importlib.import_module("levitype")
+        rational = importlib.import_module("levitype.rational")
+        rows = []
+        for num_vars, cap, ops in grid(lev):
+            for op, (fn, inputs) in ops.items():
+                result = fn()
+                rows.append({
+                    "op": op, "num_vars": num_vars, "cap": cap,
+                    "terms_in": [len(s.as_list()) for s in inputs],
+                    "terms_out": (sum(map(len, result))
+                                  if isinstance(result, list) else
+                                  sum(len(s.as_list())
+                                      for s in parts(result))),
+                    "digest": digest(result),
+                    "seconds": seconds_per_call(fn),
+                })
+                print(f"{op:14s} vars={num_vars} cap={cap:2d} "
+                      f"{rows[-1]['seconds'] * 1e6:12.1f} us",
+                      file=sys.stderr)
+        timer = f"min of {REPEATS} loops of at least {MIN_LOOP_S} s; " \
+                "seconds per call"
+        extra = {}
     doc = {
         "label": args.label,
         "git_sha": git(args.src, "rev-parse", "HEAD") or "unknown",
@@ -453,9 +540,9 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "backend": rational.BACKEND,
         "machine": f"{platform.machine()} {platform.processor()}".strip(),
-        "timer": f"min of {REPEATS} loops of at least {MIN_LOOP_S} s; "
-                 "seconds per call",
+        "timer": timer,
         "seed": SEED,
+        **extra,
         "rows": rows,
     }
     path = args.out / f"BENCH_{args.label}.json"
