@@ -74,13 +74,15 @@ times from two processes drift apart on rows whose code did not change.
 It imports the ``--src`` tree and the other one under two package names
 (levitype imports itself only relatively), builds each row's operands on
 both from the same seed, and exits 1, naming the row, if their digests
-differ.  Otherwise it times the row on the two trees in alternation,
-AB_ROUNDS times each with the calibrated loop below, and records the
-ratio src/other of each round: its median and its spread (the least and
-the greatest ratio), next to each tree's median time.  An A/B of a tree
-against itself read every row's median ratio within 0.87-1.13, and 95 %
-of them within 0.95-1.05, on an x86_64 machine with Python 3.11 and the
-``fractions`` backend; a row outside that band has moved.
+differ.  Otherwise it times the row in AB_ROUNDS rounds, each the min of
+REPEATS calibrated loops (below) per tree, the two trees' loops taken in
+alternation, and records the ratio src/other of each round: its median
+and its spread (the least and the greatest ratio), next to each tree's
+median time.  An A/B of a tree against itself
+(``BENCH_self_ab.json``: x86_64, 2 cores, Python 3.11.7, the ``fractions``
+backend) read every row's median ratio within 0.84-1.19, 291 of the 315
+rows within 0.95-1.05 and 309 within 0.90-1.10.  A row outside that band
+has moved or was disturbed: time it again before calling it either.
 
 Each time is the minimum over REPEATS runs of a loop whose call count is
 calibrated to last at least MIN_LOOP_S, divided by that count: seconds per
@@ -375,22 +377,24 @@ def held_disk(lev, surface, structures, derivs, cap) -> list:
     return out
 
 
-def seconds_per_call(fn) -> float:
+def loop_seconds(fn, number: int) -> float:
+    t0 = time.perf_counter()
+    for _ in range(number):
+        fn()
+    return time.perf_counter() - t0
+
+
+def calibrated(fn) -> int:
+    """Calls per loop: doubled until a loop lasts at least MIN_LOOP_S."""
     number = 1
-    while True:
-        t0 = time.perf_counter()
-        for _ in range(number):
-            fn()
-        if time.perf_counter() - t0 >= MIN_LOOP_S:
-            break
+    while loop_seconds(fn, number) < MIN_LOOP_S:
         number *= 2
-    best = float("inf")
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        for _ in range(number):
-            fn()
-        best = min(best, time.perf_counter() - t0)
-    return best / number
+    return number
+
+
+def seconds_per_call(fn) -> float:
+    number = calibrated(fn)
+    return min(loop_seconds(fn, number) for _ in range(REPEATS)) / number
 
 
 def parts(result) -> tuple:
@@ -464,10 +468,18 @@ def ab_rows(lev, other, other_src) -> list | None:
                 print(f"{op} vars={num_vars} cap={cap}: digest {here}, "
                       f"{there} under {other_src}", file=sys.stderr)
                 return None
+            # loop by loop, so that both trees share every phase of the
+            # machine's drift
+            numbers = [calibrated(f) for f in fns]
             times = [[], []]
             for r in range(AB_ROUNDS):
-                for side in ((0, 1) if r % 2 == 0 else (1, 0)):
-                    times[side].append(seconds_per_call(fns[side]))
+                best = [float("inf")] * 2
+                for i in range(REPEATS):
+                    for side in ((0, 1) if (r + i) % 2 == 0 else (1, 0)):
+                        best[side] = min(best[side], loop_seconds(
+                            fns[side], numbers[side]))
+                for side in (0, 1):
+                    times[side].append(best[side] / numbers[side])
             ratios = sorted(a / b for a, b in zip(*times))
             rows.append({
                 "op": op, "num_vars": num_vars, "cap": cap, "digest": here,
@@ -497,9 +509,9 @@ def main(argv=None) -> int:
         if rows is None:
             return 1
         ratios = [row["ratio"] for row in rows]
-        timer = (f"median over {AB_ROUNDS} alternating rounds of the min "
-                 f"of {REPEATS} loops of at least {MIN_LOOP_S} s; ratio is "
-                 "src/other seconds per call")
+        timer = (f"median over {AB_ROUNDS} rounds of the min of {REPEATS} "
+                 f"loops of at least {MIN_LOOP_S} s, the trees' loops "
+                 "alternating; ratio is src/other seconds per call")
         extra = {
             "other_git_sha": git(args.ab, "rev-parse", "HEAD") or "unknown",
             "other_dirty": bool(git(args.ab, "status", "--porcelain",
