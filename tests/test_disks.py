@@ -463,14 +463,14 @@ class TestStratumKernels:
         # lists of u, u_x and e(u) stay the same objects, unchanged
         rng = make_rng("disks-kernel-read-fixed")
         extend = _Transport.extend
+
+        def refused(self, *vecs):
+            raise AssertionError("read extended the state")
         for j, m, derivs, state in padded_states(rng):
             k = state.order
             want = state.copy().extend((ZERO,) * state.n2).read(k + 1)
             lists = [*state.strata[:state.n2], *state.ux, *state.eu]
             before = deepcopy(lists)
-
-            def refused(self, *vecs):
-                raise AssertionError("read extended the state")
             monkeypatch.setattr(_Transport, "extend", refused)
             assert state.read(k + 1) == want
             monkeypatch.setattr(_Transport, "extend", extend)

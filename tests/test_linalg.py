@@ -167,12 +167,12 @@ class TestMatMul:
     def test_matches_the_schoolbook_product(self):
         # rectangular, mostly zero: mat_mul is one mat_vec per column
         rng = make_rng("linalg-mat-mul")
+
+        def sparse(r, c):
+            return [[random_rational(rng) if rng.random() < 0.3 else Q(0)
+                     for _ in range(c)] for _ in range(r)]
         for _ in range(40):
             rows, inner, cols = (rng.randint(1, 5) for _ in range(3))
-
-            def sparse(r, c):
-                return [[random_rational(rng) if rng.random() < 0.3 else Q(0)
-                         for _ in range(c)] for _ in range(r)]
             a, b = sparse(rows, inner), sparse(inner, cols)
             want = [[sum((a[i][k] * b[k][j] for k in range(inner)), Q(0))
                      for j in range(cols)] for i in range(rows)]
