@@ -572,7 +572,9 @@ def compose_phi_u(m: Hypersurface, u: DiskJet) -> DiskTrace:
     """phi . u, reliable through min(phi.cap, u.cap).
 
     Dropped strata of phi start at degree phi.cap + 1 and u has no constant
-    term, so they cannot pollute the kept degrees.
+    term, so they cannot pollute the kept degrees.  For the same reason
+    ``compose`` forms each part of phi that a power u_i^e multiplies only
+    through cap - e: nothing above that degree reaches the kept degrees.
     """
     cap = min(m.cap, u.cap)
     phi = m.phi.truncate(cap)

@@ -34,12 +34,17 @@ at the boundary: the constructor from exponent-tuple dicts, ``scale``,
 ``coefficient``, ``constant_term``, ``terms``, ``shift`` and ``evaluate``.
 
 Products.  One kernel, ``_dot``, forms every sum of products sum_i a_i b_i:
-``*`` is its one-pair case, and ``mat_vec`` is one ``_dot`` per row.  It reads its operands at the product's cap (the cap-aware read rule):
+``*`` is its one-pair case, ``mat_vec`` is one ``_dot`` per row, and
+``compose`` calls it for each step of its Horner scheme.  It reads its
+operands at the product's cap (the cap-aware read rule):
 an operand may have a higher cap, and its terms above the product's cap are
 never read, so it is used as it is, with no truncated copy.  Only an
 operand whose key width differs from the product's (one cap below 256, the
 other not) is truncated first.  The products are summed over the lcm of
-their denominators and reduced once.
+their denominators and reduced once.  ``compose`` forms each product only
+through the degree its answer reads (the budget rule): every substituted
+series g has zero constant term, so g^e has valuation at least e, and a
+prefix that g^e multiplies is read through cap - e only.
 
 Term iteration and printing use graded lexicographic order so outputs are
 deterministic.
@@ -383,6 +388,15 @@ class TruncatedSeries:
         Every substituted series must share one num_vars and this series' cap,
         and must have zero constant term (composition with a unit constant
         term is not a jet operation at the origin).
+
+        Horner's scheme runs on one variable at a time, under a budget: the
+        sum of the terms whose exponent of that variable is e gets multiplied
+        by g^e, whose valuation is at least e, so it is formed and read
+        through cap - e only.  Its terms have degree at most cap - e, so no
+        term is lost to its budget.  Budgets stay at or above the least cap
+        of cap's key width, so every product is laid out as the arguments
+        are.  The answer is the same series through the cap as the one
+        formed at the full cap.
         """
         args = list(args)
         if len(args) != self.num_vars:
@@ -402,24 +416,33 @@ class TruncatedSeries:
                     "composition requires zero constant term in substituted series"
                 )
         cap = self.cap
-        zero = _new(d, cap, {}, 1)
+        # the least budget: the least cap of cap's key width
+        floor = 0 if cap < _WIDE else 1 << (cap.bit_length() - 1)
+        ops = [None] * len(args)  # each argument as a _dot operand
 
-        def horner(sub_terms: dict, k: int) -> TruncatedSeries:
-            # sub_terms maps length-k exponent prefixes to numerators
+        def horner(sub_terms: dict, k: int, c: int) -> TruncatedSeries:
+            # sub_terms maps length-k exponent prefixes, of degree <= c,
+            # to numerators; their sum comes back at cap c, exact through c
             if not sub_terms:
-                return zero
+                return _new(d, c, {}, 1)
             if k == 0:
-                return _new(d, cap, {0: sub_terms[()]}, 1)
-            g = args[k - 1]
+                return _new(d, c, {0: sub_terms[()]}, 1)
             buckets: dict = {}
-            for exps, c in sub_terms.items():
-                buckets.setdefault(exps[k - 1], {})[exps[:-1]] = c
+            for exps, coef in sub_terms.items():
+                buckets.setdefault(exps[k - 1], {})[exps[:-1]] = coef
+            g = ops[k - 1]
+            if g is None:
+                g = ops[k - 1] = (sorted(args[k - 1]._terms.items()),
+                                  args[k - 1]._den)
             emax = max(buckets)
-            acc = horner(buckets[emax], k - 1)
+            acc = horner(buckets[emax], k - 1, max(c - emax, floor))
             for e in range(emax - 1, -1, -1):
-                acc = acc * g
+                # the prefix that g^e multiplies is read through c - e only
+                ce = max(c - e, floor)
+                acc = _dot((((sorted(acc._terms.items()), acc._den), g),),
+                           d, ce)
                 if e in buckets:
-                    acc = acc + horner(buckets[e], k - 1)
+                    acc = acc + horner(buckets[e], k - 1, ce)
             return acc
 
         # Horner's scheme runs on the numerators; the denominator is put
@@ -427,7 +450,7 @@ class TruncatedSeries:
         width = _width(cap)
         numerators = {_unpack(k, self.num_vars, width): c
                       for k, c in self._terms.items()}
-        acc = horner(numerators, self.num_vars)
+        acc = horner(numerators, self.num_vars, cap)
         del horner  # it calls itself: free it without the cyclic collector
         return _reduced(d, cap, acc._terms, acc._den * self._den)
 

@@ -86,11 +86,18 @@ class TestPinnedExamples:
         with pytest.raises(ValueError):
             X(0, 1, 3) + X(0, 2, 3)
 
-    def test_compose_nonzero_constant_rejected(self):
-        f = S(1, 3, {(1,): 1})
-        g = TruncatedSeries.constant(1, 2, 3)
-        with pytest.raises(ValueError):
-            f.compose([g])
+    def test_compose_nonzero_constant_rejected(self, monkeypatch):
+        def refused(*_):
+            raise AssertionError("a product was formed")
+
+        # refused before any product, in whichever place the unit stands
+        monkeypatch.setattr("levitype.jets._dot", refused)
+        f = S(2, 3, {(2, 1): 1, (0, 2): Q(1, 2)})
+        good = S(2, 3, {(1, 0): 1})
+        unit = TruncatedSeries.constant(1, 2, 3) + X(1, 2, 3)
+        for args in ([unit, good], [good, unit]):
+            with pytest.raises(ValueError, match="zero constant term"):
+                f.compose(args)
 
 
 def rational_st():
@@ -383,6 +390,66 @@ class TestOracle:
         a[(0,) * nv] = data.draw(mixed_rational_st.filter(bool))
         assert_matches(S(nv, cap, a).inverse(), ref_inverse(a, nv, cap),
                        nv, cap)
+
+
+def expanded_compose(f, args):
+    """sum c * prod g_i^e_i over the terms of f, every product by * at f's cap."""
+    d, cap = args[0].num_vars, f.cap
+    one = TruncatedSeries.constant(1, d, cap)
+    powers = [[one] for _ in args]
+    out = TruncatedSeries.zero(d, cap)
+    for exps, c in f.terms():
+        term = one.scale(c)
+        for g, pw, e in zip(args, powers, exps):
+            while len(pw) <= e:
+                pw.append(pw[-1] * g)
+            term = term * pw[e]
+        out = out + term
+    return out
+
+
+@st.composite
+def compose_case_st(draw, caps, max_vars=4, max_subs=3, max_terms=5):
+    """(f, args): f in 1..max_vars variables at a cap drawn from caps, one
+    zero-constant argument per variable in 1..max_subs variables.
+
+    f draws some terms of top degree and single-variable powers; each
+    argument has a valuation of 1, 2 or 3 (with a linear term when 1), so
+    some images lie above the cap and some reach it exactly."""
+    nv, d = draw(st.integers(1, max_vars)), draw(st.integers(1, max_subs))
+    cap = draw(st.sampled_from(caps))
+    top = [tuple(cap if j == i else 0 for j in range(nv)) for i in range(nv)]
+    a = dict(draw(ref_terms_st(nv, cap, max_size=max_terms)))
+    for e in draw(st.lists(st.sampled_from(top), max_size=2)):
+        a[e] = draw(mixed_rational_st.filter(bool))
+    args = []
+    for _ in range(nv):
+        v = draw(st.integers(1, 3))
+        g = dict(draw(ref_terms_st(d, cap, max_size=3, min_degree=v)))
+        if v == 1 and cap:
+            i = draw(st.integers(0, d - 1))
+            g[tuple(int(j == i) for j in range(d))] = draw(
+                mixed_rational_st.filter(bool))
+        args.append(S(d, cap, g))
+    return S(nv, cap, a), args
+
+
+class TestComposeBudget:
+    """compose forms each Horner prefix only through the degree it is read;
+    the answer must be the expansion formed at the full cap."""
+
+    @ORACLE
+    @given(compose_case_st(caps=range(11)))
+    def test_equals_full_cap_expansion(self, case):
+        f, args = case
+        assert f.compose(args) == expanded_compose(f, args)
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(compose_case_st(caps=(256, 300), max_vars=2, max_subs=2,
+                           max_terms=3))
+    def test_equals_full_cap_expansion_wide(self, case):
+        f, args = case
+        assert f.compose(args) == expanded_compose(f, args)
 
 
 class TestPackedEdges:
