@@ -393,7 +393,7 @@ class TestOracle:
 
 
 def expanded_compose(f, args):
-    """sum c * prod g_i^e_i over the terms of f, every product by * at f's cap."""
+    """sum c * prod g_i^e_i over the terms of f, each product by * at cap."""
     d, cap = args[0].num_vars, f.cap
     one = TruncatedSeries.constant(1, d, cap)
     powers = [[one] for _ in args]
