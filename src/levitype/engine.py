@@ -345,7 +345,15 @@ def _rational_isotropic(r0):
 
 
 class _Stager:
-    """Exact staged solver shared by all type_search strategies."""
+    """Exact staged solver shared by all type_search strategies.
+
+    A search fixes u1 and then solves one level per order: the level-ell
+    system is affine in the tangential coordinates of u_{ell+1}, and its
+    coefficient matrix is the Levi row of u1 in a fixed rotation (see
+    attempt_level), formed from R0 = levi.realified() without a probe.  A
+    level transports only its right-hand side and one check of the formed
+    matrix: 2 probes, whatever d is.
+    """
 
     def __init__(self, m: Hypersurface, j: ACStructure, k_max: int):
         if k_max < 2:
@@ -365,11 +373,16 @@ class _Stager:
         self.jn0 = tuple(apply_jstd(self.n0))
         self.p0 = m.dphi_at_zero(self.n0)
         self.levi = hermitian_levi_matrix(m, j)
+        self.r0 = self.levi.realified()
         self.taus = [b.at_zero() for b in self.levi.basis]
         # tau_1, ..., tau_d, J_std tau_1, ..., J_std tau_d, as colmat's columns
         self.columns = [*self.taus, *(apply_jstd(t) for t in self.taus)]
         self.colmat = [list(row) for row in zip(*self.columns)]
         self.d = len(self.columns)
+        # the check probe's tangential part, sum (c + 1) columns[c]: every
+        # column weighed differently, so a wrong entry in any one shows
+        self.weights = [Q(c + 1) for c in range(self.d)]
+        self.check = self.tangential(self.weights)
 
     # -- tangential coordinates
 
@@ -425,16 +438,62 @@ class _Stager:
 
     # -- stages
 
-    def attempt_level(self, state, normals_next):
+    def levi_row(self, u1):
+        """The four rows 2 rho, -2 rho', -2 rho, 2 rho' that every level
+        system of u1 cycles through (see attempt_level): rho = R0 c(u1) and
+        rho' = R0 c(J_std u1), with c = coords_of and R0 = levi.realified().
+        If c(u1) = (a, b), then c(J_std u1) = (-b, a), so one solve serves
+        both."""
+        a = self.coords_of(u1)
+        h = self.d // 2
+        rho = mat_vec(self.r0, a)
+        rho_j = mat_vec(self.r0, [*(-x for x in a[h:]), *a[:h]])
+        return ([2 * x for x in rho], [-2 * x for x in rho_j],
+                [-2 * x for x in rho], [2 * x for x in rho_j])
+
+    def attempt_level(self, state, normals_next, cycle):
         """Solve the level-ell constraints for the tangential unknown.
 
-        state holds the ell jets found; each probe extends a copy of it and
-        reads one order past it, as a zero x-derivative (_Transport.read).
-        The constraints are affine in the tangential coordinates of the
-        newest derivative: a base probe reads normals_next, one probe per
-        column of colmat reads normals_next plus that column, and a mixed
-        probe, plus the first two columns, cross-checks that.  Returns
-        (u_next, nullspace) or None when the system is inconsistent.
+        state holds the ell jets found, and u_{ell+1} = normals_next +
+        tangential(t).  Row i is L^(ell-i, i) = 0, read from stratum ell + 2
+        of phi . u, and is affine in t with coefficient row cycle[i % 4],
+        cycle = levi_row(u1).  Two probes, each a copy of state extended by
+        u_{ell+1} and read one order past it (_Transport.read), give the
+        right-hand side at t = 0 and check the formed matrix at
+        t = weights.  Returns (u_next, nullspace) or None when the system is
+        inconsistent.
+
+        Why the rows are the Levi row of u1.  Let m = ell + 1 >= 2, [f]_k the
+        degree-k part of f in (x, y), z.w = x w + y J_std w, A(w) = DJ(0) w,
+        H = D^2 phi(0), c = dphi(0) J_std, and dbar, d the operators
+        (d_x +- J_std d_y) / 2 on vector functions, so that the Laplacian is
+        4 d dbar.  Adding w to the m-th x-derivative adds z^m.w / m! to [u]_m
+        and changes no lower stratum.  [u]_{m+1} solves dbar u = J_std R / 2
+        up to a holomorphic part, which the Laplacian does not see, with
+        [R]_m = sum_{t=1..m} [(J - J_std)(u)]_t [u_x]_{m-t}, whose only
+        terms that read [u]_m are A([u]_m) u1 and A([u]_1) d_x [u]_m.  In
+        [phi . u]_{m+1}, [u]_m meets only H([u]_1, [u]_m), as three strata
+        of degree >= 1 summing to m + 1 hold none of degree m, and [u]_{m+1}
+        only dphi(0).  So the stratum is affine in w.  Let B = z^ell.w / ell!
+        = d_x of the added stratum.  J^2 = -I gives A(v) J_std = -J_std A(v),
+        so d(A([u]_1) B) = (A(u1) B - J_std A(J_std u1) B) / 2: its term in
+        d_x B cancels.  With d_y = J_std d_x on z-polynomials, the
+        Laplacian of the stratum changes by S(u1, B), where
+            S(X, Y) = 2 H(X, Y) + 2 H(J_std X, J_std Y)
+                      + c (A(X) Y + A(Y) X - J_std A(J_std X) Y
+                           - J_std A(J_std Y) X)
+        is symmetric and J_std-invariant.  The same computation at m = 1
+        gives L^(0,0)(X) = S(X, X) / 2 for the disk of u1 = X, and
+        L^(0,0)(X) = Theta(X, X) = c(X)' R0 c(X) on complex tangent X (the
+        Laplacian identity of the Levi form), so by polarization
+        S(X, Y) = 2 c(X)' R0 c(Y), and S(u1, w) = 2 rho.c(w),
+        S(u1, J_std w) = -S(J_std u1, w) = -2 rho'.c(w).  As
+        B = (Re z^ell w + Im z^ell J_std w) / ell! and d_x^(ell-i) d_y^i
+        z^ell = ell! i^i, row i changes by alpha rho.c(w) + beta rho'.c(w)
+        with alpha + i beta = 2 (-i)^i: 2 rho, -2 rho', -2 rho, 2 rho' mod 4.
+        Nothing but J(0) = J_std and J^2 = -I entered, which ACStructure
+        enforces; the check probe still tests the formed matrix against the
+        transport, on every column at once.
         """
         ell = state.order
 
@@ -442,16 +501,11 @@ class _Stager:
             return _levi_values(state.copy().extend(vec).read(ell + 2))[::-1]
 
         base = probe(normals_next)
-        cols = [[v - b for v, b in zip(probe(_vec_add(normals_next, c)), base)]
-                for c in self.columns]
-        mixed = probe(_vec_add(_vec_add(normals_next, self.columns[0]),
-                               self.columns[1]))
-        predicted = [b + cols[0][i] + cols[1][i] for i, b in enumerate(base)]
-        if mixed != predicted:
+        a_mat = [cycle[i % 4] for i in range(ell + 1)]
+        predicted = [b + s for b, s in zip(base, mat_vec(a_mat, self.weights))]
+        if probe(_vec_add(normals_next, self.check)) != predicted:
             raise TheoremViolation(
-                f"level-{ell} system is not affine in the tangential unknown")
-        a_mat = [[cols[c][row] for c in range(self.d)]
-                 for row in range(ell + 1)]
+                f"level-{ell} system is not the Levi row of u1")
         sol = solve_affine(a_mat, [-b for b in base])
         if not sol.consistent:
             return None
@@ -510,9 +564,10 @@ class _Stager:
             return self.levi_witness(
                 state, False, "chosen direction has nonzero Levi value")
         normals_next = self.force_normals(state)
+        cycle = self.levi_row(u1)
         while 2 + state.order < self.k_max:
             ell = state.order
-            res = self.attempt_level(state, normals_next)
+            res = self.attempt_level(state, normals_next, cycle)
             if res is None:
                 return self.witness_report(
                     state.extend(normals_next), ell + 2, certify and unique,
@@ -526,7 +581,7 @@ class _Stager:
                                    False, None)
 
     def run_exact(self):
-        r0 = self.levi.realified()
+        r0 = self.r0
         pos, neg, zero = real_symmetric_signature(r0)
         if pos == 0 and neg == 0:
             u1 = self.taus[0]

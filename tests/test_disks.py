@@ -580,8 +580,8 @@ class TestOneRPerOrder:
 
     def test_probes_of_a_level_form_no_r_of_its_order(self, monkeypatch):
         # force_normals reads order l + 1 of the state before attempt_level
-        # probes it, so the d + 2 probes, each a copy extended by order
-        # l + 1 and a zero order l + 2, form only R of order l + 2
+        # probes it, so the 2 probes, each a copy extended by order l + 1
+        # and a zero order l + 2, form only R of order l + 2, at every d
         calls = counting(monkeypatch, disks, "_stratum")
         levels = []
         attempt = engine._Stager.attempt_level
@@ -594,14 +594,17 @@ class TestOneRPerOrder:
                            [d for _, d in calls]))
             return out
         monkeypatch.setattr(engine._Stager, "attempt_level", watched)
-        harmonic3 = surface(3, 10, {(0, 0, 0, 0, 1, 0): 2,
-                                    (2, 0, 0, 0, 0, 0): 1,
-                                    (0, 2, 0, 0, 0, 0): -1})
-        type_search(harmonic3, perturbed_structure(3, 10, 1), 6)
-        assert levels
+        for n in (2, 3, 4):
+            # 2 x_n + Re(z1^2)
+            terms = {(0,) * (2 * n - 2) + (1, 0): 2,
+                     (2,) + (0,) * (2 * n - 1): 1,
+                     (0, 2) + (0,) * (2 * n - 2): -1}
+            type_search(surface(n, 10, terms), perturbed_structure(n, 10, 1),
+                        6)
+        assert {d for _, d, _, _ in levels} == {2, 4, 6}
         for ell, d, rows, degrees in levels:
             assert rows
-            assert degrees == [ell + 1] * ((d + 2) * rows)
+            assert degrees == [ell + 1] * (2 * rows)
 
     def test_failed_slot_leaves_the_state_and_the_slot(self, monkeypatch):
         # _convolve (e(u) and R) or _stratum (R) raising at any one of the

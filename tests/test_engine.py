@@ -42,9 +42,9 @@ from levitype import classify_point
 from levitype.cli import CATALOG
 from levitype.geometry import apply_jstd
 
-from conftest import (make_rng, monomials, random_field, random_phi,
-                      random_rational, random_structure, random_vector,
-                      reference_solve_affine, scale_field)
+from conftest import (make_rng, monomials, nonlinear_structure, random_field,
+                      random_phi, random_rational, random_structure,
+                      random_vector, reference_solve_affine, scale_field)
 
 CAP = 10
 JSTD = ACStructure.standard(2, CAP)
@@ -876,6 +876,117 @@ class TestGaugeSpan:
         outside = m.n > 2
         assert seen == {(0, True), (2, True), (1, not outside),
                         (3, not outside)}
+
+
+def probed_level_matrix(stager, state, normals_next):
+    """The level matrix by transport, the reference: one probe reads
+    normals_next, one per column of colmat reads normals_next plus that
+    column, and column c is their difference."""
+    ell = state.order
+
+    def probe(vec):
+        return levi._levi_values(
+            state.copy().extend(vec).read(ell + 2))[::-1]
+    base = probe(normals_next)
+    cols = [[v - b for v, b in zip(probe(engine._vec_add(normals_next, c)),
+                                   base)]
+            for c in stager.columns]
+    return [[col[i] for col in cols] for i in range(ell + 1)]
+
+
+def formed_against_probed(monkeypatch):
+    """Patch attempt_level to compare the matrix it hands solve_affine with
+    the probed one, entry by entry; returns the list of (n, ell, whether
+    the matrix is nonzero) it fills."""
+    seen, solved = [], []
+    solve, attempt = engine.solve_affine, engine._Stager.attempt_level
+
+    def recorded(a, b):
+        solved.append(a)
+        return solve(a, b)
+
+    def compared(self, state, normals_next, cycle):
+        want = probed_level_matrix(self, state, normals_next)
+        solved.clear()
+        out = attempt(self, state, normals_next, cycle)
+        assert solved == [want]
+        seen.append((self.m.n, state.order, any(any(r) for r in want)))
+        return out
+    monkeypatch.setattr(engine, "solve_affine", recorded)
+    monkeypatch.setattr(engine._Stager, "attempt_level", compared)
+    return seen
+
+
+def level_surface(rng, n, cap, quadratic):
+    """A random nonzero gradient at 0, a named quadratic part, random cubic
+    terms."""
+    grad = [0] * (2 * n)
+    while not any(grad):
+        grad = [rng.choice((0, 0, -3, -1, 1, Q(1, 2), 5))
+                for _ in range(2 * n)]
+    text = {"harmonic": "Re(z1^2)", "definite": "abs2(z1)",
+            "indefinite": "abs2(z1) - abs2(z2)"}[quadratic]
+    linear = {tuple(int(i == k) for i in range(2 * n)): Q(g)
+              for k, g in enumerate(grad)}
+    cubic = {e: random_rational(rng)
+             for e in rng.sample(monomials(2 * n, 3, 3), 3)}
+    return Hypersurface(n, parse_expression(text, n, cap=cap)
+                        + TruncatedSeries(2 * n, cap, {**linear, **cubic}))
+
+
+class TestLevelSystemIsTheLeviRow:
+    """attempt_level forms its matrix from the Levi row of u1; the matrix
+    probed by one transport per column is the reference."""
+
+    def test_formed_matrix_is_the_probed_one(self, monkeypatch):
+        rng = make_rng("engine-levi-row")
+        seen = formed_against_probed(monkeypatch)
+        k_max, cap = 7, 9
+        for n in (2, 3, 4):
+            structures = [ACStructure.standard(n, cap),
+                          perturbed_structure(n, cap, 1),
+                          nonlinear_structure(rng, n, k_max - 1)]
+            for j, quadratic in product(structures, (
+                    "harmonic", "definite", "indefinite")[:n]):
+                m = level_surface(rng, n, cap, quadratic)
+                stager = engine._Stager(m, j, k_max)
+                kernel = reference_solve_affine(
+                    stager.r0, [Q(0)] * stager.d).nullspace
+                coords = [[random_rational(rng) for _ in range(stager.d)],
+                          *kernel[:1]]
+                for c in coords:
+                    u1 = tuple(stager.tangential(c))
+                    state = stager.start(u1)
+                    cycle = stager.levi_row(u1)
+                    for _ in range(4):
+                        stager.attempt_level(state,
+                                             random_vector(rng, 2 * n),
+                                             cycle)
+                        state.extend(random_vector(rng, 2 * n))
+        # searches, whose levels run on solved jets
+        for m, j, k_max in ((HARMONIC, JSTD, 8), (QUARTIC, JSTD, 6),
+                            (INDEF3, perturbed_structure(3, 8, 1), 6)):
+            type_search(m, j, k_max)
+        assert {(n, ell, nonzero) for n, ell, nonzero in seen
+                if ell <= 4} == set(product((2, 3, 4), range(1, 5),
+                                            (False, True)))
+        assert max(ell for _, ell, _ in seen) == 5
+
+    def test_check_probe_weighs_every_column(self):
+        # a wrong entry in any column, the last included, fails the check
+        stager = engine._Stager(INDEF3, JSTD3, 6)
+        assert stager.d == 4
+        u1 = tuple(stager.tangential([Q(1), Q(2), Q(-1), Q(3)]))
+        cycle = stager.levi_row(u1)
+        assert any(cycle[0])
+        state = stager.start(u1).extend((Q(1),) * 6)
+        normals = (Q(0),) * 6
+        stager.attempt_level(state, normals, cycle)
+        for row, col in product((0, 1), range(stager.d)):
+            faulty = [list(r) for r in cycle]
+            faulty[row][col] += 1
+            with pytest.raises(TheoremViolation, match="level-2 system"):
+                stager.attempt_level(state, normals, faulty)
 
 
 class TestCrossValidation:
