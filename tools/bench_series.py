@@ -51,7 +51,11 @@ may start from the state those calls left, and, outside the grid, ``levi_std`` a
 witness disk of WITNESS_PHI (n = 3, J_std, k_max in WITNESS_K, cap
 k_max + 4), whose field grows dense with k_max, and ``witness_validate``:
 ``type_search`` and ``cross_validate`` of that surface, as ``validate``
-runs them.  It writes
+runs them, and ``perturbed_validate``: the same of 2 x_n + Re(z1^2) + ... +
+Re(z_{n-1}^2) under ``perturbed_structure(n, k_max + 4, 1)``, n in
+PERTURBED_N, k_max = PERTURBED_K, as ``validate --J-perturb 1`` runs them;
+its search stops at bound 4 after two levels of d = 2n - 2 columns.  It
+writes
 ``BENCH_<label>.json`` (into ``--out``, default the checkout root).  The
 inputs are fixed by a seeded generator, so two kernels see the same
 operands; each row carries a digest of the result (of every component, for
@@ -125,6 +129,8 @@ LARGE_LEVI_N = (8, 16, 32)
 LARGE_LEVI_CAP = 4
 WITNESS_PHI = "2*x3+Re(z1^2)+Re(z2^3)+abs2(z1*z2)"  # type reaches the cap
 WITNESS_K = (12, 16)
+PERTURBED_N = (6, 8, 10)
+PERTURBED_K = 8
 
 
 def git(src: Path, *args) -> str | None:
@@ -338,6 +344,17 @@ def witness_operands(lev, k_max):
     }
 
 
+def perturbed_operands(lev, n):
+    """The perturbed_validate row at n, off the grid: fixed inputs, no
+    draws."""
+    cap = PERTURBED_K + 4
+    text = f"2*x{n}+" + "+".join(f"Re(z{i}^2)" for i in range(1, n))
+    m = lev.Hypersurface(n, lev.parse_expression(text, n, cap=cap))
+    j = lev.perturbed_structure(n, cap, 1)
+    return {"perturbed_validate": (
+        lambda: validation_values(lev, m, j, PERTURBED_K), (m.phi,))}
+
+
 def validation_values(lev, m, j, k_max) -> list:
     """type_search and cross_validate: the terms of the report's disk and
     field, its triangle, point, bound, flags and obstruction, and the
@@ -442,7 +459,9 @@ def grid(lev):
                   for num_vars in GRID_VARS for cap in GRID_CAPS),
                  ((2 * n, LARGE_LEVI_CAP, large_levi_operands(lev, n, SEED))
                   for n in LARGE_LEVI_N),
-                 ((6, k + 4, witness_operands(lev, k)) for k in WITNESS_K))
+                 ((6, k + 4, witness_operands(lev, k)) for k in WITNESS_K),
+                 ((2 * n, PERTURBED_K + 4, perturbed_operands(lev, n))
+                  for n in PERTURBED_N))
 
 
 def load_tree(src: Path, name: str):
