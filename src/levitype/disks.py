@@ -52,7 +52,8 @@ from weakref import WeakKeyDictionary
 
 from .errors import CapError, GeometryError, TheoremViolation
 from .geometry import ACStructure, Hypersurface
-from .jets import TruncatedSeries, _new, _unpack, _width, mat_vec
+from .jets import (TruncatedSeries, _new, _parent, _relayout, _width, compose,
+                   mat_vec)
 from .rational import Q, ZERO, rat
 
 
@@ -170,11 +171,11 @@ class _Plan:
     """What every transport of J, and of phi . u, reads of their terms.
 
     table holds (|alpha|, parent, k) of each product u^alpha that a monomial
-    of J - J_std or of phi needs, u^alpha = u^(alpha - e_k) * u_k, the
-    first 2n being the u_k.  entries holds e(u) for each entry e of J - J_std
-    with a term, as (constant, product) terms, the constant a degree-0
-    stratum ([c], den) (see _convolve), and rows[a] the (entry, b) pairs of
-    row a of R; phi holds phi . u as such terms.  Every term of positive
+    of J - J_std or of phi needs, u^alpha = u^(alpha - e_k) * u_k by the
+    rule of jets._parent, the first 2n being the u_k.  entries holds e(u)
+    for each entry e of J - J_std with a term, as (constant, product)
+    terms, the constant a degree-0 stratum ([c], den) (see _convolve), and
+    rows[a] the (entry, b) pairs of row a of R; phi holds phi . u as such terms.  Every term of positive
     degree is planned, whatever the cap of a transport: a product above what
     a cap reads is never filled, and reads as None.
     """
@@ -183,22 +184,26 @@ class _Plan:
 
     def __init__(self, j: ACStructure, phi: TruncatedSeries | None):
         n2 = 2 * j.n
+        # one key layout for the terms of J and of phi
+        cap = max(j.cap, 0 if phi is None else phi.cap)
+        width = _width(cap)
+        top = width * n2
         table = self.table = [(1, None, None)] * n2
-        index = {tuple(int(i == k) for i in range(n2)): k for k in range(n2)}
+        index = {(1 << top) | (1 << width * (n2 - 1 - k)): k
+                 for k in range(n2)}
 
-        def product(alpha):
-            i = index.get(alpha)
+        def product(key):
+            i = index.get(key)
             if i is None:
-                k = max(i for i, e in enumerate(alpha) if e)
-                parent = product(alpha[:k] + (alpha[k] - 1,) + alpha[k + 1:])
-                i = index[alpha] = len(table)
-                table.append((sum(alpha), parent, k))
+                beta, k = _parent(key, n2, width)
+                parent = product(beta)
+                i = index[key] = len(table)
+                table.append((key >> top, parent, k))
             return i
 
         def combination(e):
-            width = _width(e.cap)
-            return [(([c], e._den), product(_unpack(key, n2, width)))
-                    for key, c in e._terms.items() if key >> n2 * width]
+            return [(([c], e._den), product(key)) for key, c in
+                    _relayout(e._terms, n2, e.cap, cap).items() if key >> top]
 
         # row a of R pairs (e(u), du_b/dx) over the entries e = (J - J_std)_ab;
         # J(0) = J_std, so e is J_ab without its constant
@@ -527,11 +532,14 @@ def is_cr_jet(u: DiskJet, j: ACStructure) -> bool:
     ux = [c.partial(0) for c in u.components]
     uy = [c.partial(1) for c in u.components]
     comps = [c.truncate(low) for c in u.components]
-    zero = TruncatedSeries.zero(2, low)
-    ju = [[zero if e.is_zero() or ux[b].is_zero()
-           else e.truncate(low).compose(comps) for b, e in enumerate(row)]
-          for row in j.entries]
-    return all((a - b).is_zero() for a, b in zip(uy, mat_vec(ju, ux)))
+    n2 = len(j.entries)
+    zero = TruncatedSeries.zero(n2, low)
+    # every entry of J composed with u as one list; an entry of column b
+    # multiplies du_b/dx only, so that of a zero column is left zero
+    ju = compose([zero if ux[b].is_zero() else e.truncate(low)
+                  for row in j.entries for b, e in enumerate(row)], comps)
+    rows = [ju[a:a + n2] for a in range(0, n2 * n2, n2)]
+    return all((a - b).is_zero() for a, b in zip(uy, mat_vec(rows, ux)))
 
 
 class DiskTrace:
@@ -630,7 +638,7 @@ def reparametrize_disk_jet(u: DiskJet, coeffs,
     verified rather than trusted.
     """
     re_s, im_s = holomorphic_reparam_series(coeffs, u.cap)
-    out = DiskJet(u.n, [c.compose([re_s, im_s]) for c in u.components])
+    out = DiskJet(u.n, compose(u.components, [re_s, im_s]))
     if j is not None and not is_cr_jet(out, j):
         raise TheoremViolation(
             "holomorphic reparametrization broke the transport equation")

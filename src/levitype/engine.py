@@ -28,7 +28,7 @@ from .geometry import (
     recenter,
     word_table,
 )
-from .jets import TruncatedSeries
+from .jets import TruncatedSeries, compose
 from .levi import _levi_values, hermitian_levi_matrix, levi_trace
 from .linalg import Span, mat_vec, real_symmetric_signature, solve_affine
 from .rational import Q, ZERO, rat
@@ -96,7 +96,9 @@ def realize_field_from_disk(m: Hypersurface, j: ACStructure, u: DiskJet,
     give the triangle by the chain rule: (D_Z F) o u = dF(u)(Z o u), so a
     word in X and JX of length m pulls back to its derivative of u up to
     O(k+2-m), exact at 0 for m <= k+1.  A field that misses them is a
-    TheoremViolation.
+    TheoremViolation.  Each round of sigma, the components of V and the
+    pullback of X and JX together are one jets.compose of a list of series
+    with one argument list, so each product of the arguments is formed once.
     """
     co = contact_order(m, u)
     max_k = co.order - 2
@@ -126,17 +128,18 @@ def realize_field_from_disk(m: Hypersurface, j: ACStructure, u: DiskJet,
                 for (a, b), t in zip(dual, ident)]
         sigma = ident
         for _ in range(k - 1):
-            sigma = [t - h.compose(sigma) for t, h in zip(ident, bend)]
+            sigma = [t - h for t, h in zip(ident, compose(bend, sigma))]
         var = [TruncatedSeries.variable(i, 2 * m.n, k) for i in (i1, i2)]
         forms = [var[0].scale(a) + var[1].scale(b) for a, b in dual]
-        v = VectorField(m.n, [c.compose(sigma).compose(forms) for c in ux])
+        v = VectorField(m.n, compose(compose(ux, sigma), forms))
     x = project_to_complex_tangent(m, j, v)
     if x.cap < k:
         raise CapError(f"order {k} exceeds the field's cap {x.cap}")
-    for f, axis in ((x, ux), (j.apply(x), [c.partial(1) for c in disk])):
-        if [c.compose(base) for c in f.components] != axis:
-            raise TheoremViolation(
-                f"field realized from a contact-{co.order} disk misses its jet")
+    # X and JX pulled back as one list, through one table of u's products
+    axes = [*ux, *(c.partial(1) for c in disk)]
+    if compose([*x.components, *j.apply(x).components], base) != axes:
+        raise TheoremViolation(
+            f"field realized from a contact-{co.order} disk misses its jet")
     return x
 
 
@@ -396,11 +399,12 @@ class _Stager:
         return tuple(sol.particular)
 
     def normalize_u1(self, vec):
-        """Scale so the first nonzero tangential coordinate is 1."""
+        """(u1, c(u1)): vec scaled so that its first nonzero tangential
+        coordinate is 1, and its coordinates c = coords_of."""
         coords = self.coords_of(vec)
         for c in coords:
             if c != 0:
-                return _vec_scale(Q(1) / c, vec)
+                return _vec_scale(Q(1) / c, vec), _vec_scale(Q(1) / c, coords)
         raise GeometryError("candidate direction is zero")
 
     # -- trace probes
@@ -438,13 +442,13 @@ class _Stager:
 
     # -- stages
 
-    def levi_row(self, u1):
+    def levi_row(self, a):
         """The four rows 2 rho, -2 rho', -2 rho, 2 rho' that every level
-        system of u1 cycles through (see attempt_level): rho = R0 c(u1) and
-        rho' = R0 c(J_std u1), with c = coords_of and R0 = levi.realified().
-        If c(u1) = (a, b), then c(J_std u1) = (-b, a), so one solve serves
-        both."""
-        a = self.coords_of(u1)
+        system of u1 cycles through (see attempt_level), from the
+        coordinates a = c(u1) that the search started from: rho = R0 c(u1)
+        and rho' = R0 c(J_std u1), with c = coords_of and R0 =
+        levi.realified().  If c(u1) = (a, b), then c(J_std u1) = (-b, a), so
+        no solve is needed."""
         h = self.d // 2
         rho = mat_vec(self.r0, a)
         rho_j = mat_vec(self.r0, [*(-x for x in a[h:]), *a[:h]])
@@ -457,7 +461,7 @@ class _Stager:
         state holds the ell jets found, and u_{ell+1} = normals_next +
         tangential(t).  Row i is L^(ell-i, i) = 0, read from stratum ell + 2
         of phi . u, and is affine in t with coefficient row cycle[i % 4],
-        cycle = levi_row(u1).  Two probes, each a copy of state extended by
+        cycle = levi_row(c(u1)).  Two probes, each a copy of state extended by
         u_{ell+1} and read one order past it (_Transport.read), give the
         right-hand side at t = 0 and check the formed matrix at
         t = weights.  Returns (u_next, nullspace) or None when the system is
@@ -558,13 +562,14 @@ class _Stager:
         return self.witness_report(state.extend(u2), 2, certified,
                                    obstruction)
 
-    def run_from_u1(self, u1, unique, certify):
+    def run_from_u1(self, u1, coords, unique, certify):
+        """The search from u1, whose tangential coordinates are coords."""
         state = self.start(u1)
         if _levi_values(state.read(2))[0] != 0:
             return self.levi_witness(
                 state, False, "chosen direction has nonzero Levi value")
         normals_next = self.force_normals(state)
-        cycle = self.levi_row(u1)
+        cycle = self.levi_row(coords)
         while 2 + state.order < self.k_max:
             ell = state.order
             res = self.attempt_level(state, normals_next, cycle)
@@ -584,27 +589,28 @@ class _Stager:
         r0 = self.r0
         pos, neg, zero = real_symmetric_signature(r0)
         if pos == 0 and neg == 0:
-            u1 = self.taus[0]
-            return self.run_from_u1(u1, self.m.n == 2, True)
+            # taus[0] is columns[0], so its coordinates are e_0
+            e0 = (Q(1), *(ZERO,) * (self.d - 1))
+            return self.run_from_u1(self.taus[0], e0, self.m.n == 2, True)
         if zero == 0 and (pos == 0 or neg == 0):
             sign = "positive" if neg == 0 else "negative"
-            u1 = self.normalize_u1(self.taus[0])
+            u1, _ = self.normalize_u1(self.taus[0])
             return self.levi_witness(
                 self.start(u1), True,
                 f"Levi form {sign} definite: no isotropic direction exists")
         if pos == 0 or neg == 0:
             kernel = solve_affine(r0, [ZERO] * self.d).nullspace
-            u1 = self.normalize_u1(self.tangential(kernel[0]))
-            return self.run_from_u1(u1, zero == 2, True)
+            u1, coords = self.normalize_u1(self.tangential(kernel[0]))
+            return self.run_from_u1(u1, coords, zero == 2, True)
         t = _rational_isotropic(r0)
         if t is None:
-            u1 = self.normalize_u1(self.taus[0])
+            u1, _ = self.normalize_u1(self.taus[0])
             return self.levi_witness(
                 self.start(u1), False,
                 "indefinite Levi form with no rational isotropic direction "
                 "found; bound is not certified")
-        u1 = self.normalize_u1(self.tangential(t))
-        return self.run_from_u1(u1, False, True)
+        u1, coords = self.normalize_u1(self.tangential(t))
+        return self.run_from_u1(u1, coords, False, True)
 
 
 # each grid candidate costs a full staged search
@@ -677,7 +683,7 @@ def type_search(m: Hypersurface, j: ACStructure, k_max: int,
             raise ValueError(f"unknown strategy {kind!r}")
         rep = None
         for cand in candidates:
-            r = stager.run_from_u1(stager.normalize_u1(cand), False, False)
+            r = stager.run_from_u1(*stager.normalize_u1(cand), False, False)
             if rep is None or r.lower_bound > rep.lower_bound:
                 rep = r
             if rep.lower_bound >= k_max:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import CapError, GeometryError
 from .jets import (TruncatedSeries, _dot, _new, _operand, _partial_terms,
-                   mat_mul, mat_vec)
+                   compose, mat_mul, mat_vec)
 from .rational import Q, ZERO
 
 
@@ -463,7 +463,9 @@ def recenter(m: Hypersurface, j: ACStructure, point):
         new_phi = phi_p.compose(lin)
         jcap = j.cap
         lin_j = [ls.truncate(jcap) for ls in lin] if jcap != cap else lin
-        comp = [[e.compose(lin_j) for e in row] for row in entries_p]
+        n2 = 2 * m.n
+        flat = compose([e for row in entries_p for e in row], lin_j)
+        comp = [flat[a:a + n2] for a in range(0, n2 * n2, n2)]
         new_entries = mat_mul(mat_mul(constant_matrix(b_inv, 2 * m.n, jcap),
                                       comp), constant_matrix(b, 2 * m.n, jcap))
     return Hypersurface(m.n, new_phi), ACStructure(m.n, new_entries), b

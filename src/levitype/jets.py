@@ -35,16 +35,32 @@ at the boundary: the constructor from exponent-tuple dicts, ``scale``,
 
 Products.  One kernel, ``_dot``, forms every sum of products sum_i a_i b_i:
 ``*`` is its one-pair case, ``mat_vec`` is one ``_dot`` per row, and
-``compose`` calls it for each step of its Horner scheme.  It reads its
-operands at the product's cap (the cap-aware read rule):
+``compose`` calls it for each step of its Horner scheme or of its table.
+It reads its operands at the product's cap (the cap-aware read rule):
 an operand may have a higher cap, and its terms above the product's cap are
 never read, so it is used as it is, with no truncated copy.  Only an
 operand whose key width differs from the product's (one cap below 256, the
 other not) is truncated first.  The products are summed over the lcm of
-their denominators and reduced once.  ``compose`` forms each product only
-through the degree its answer reads (the budget rule): every substituted
-series g has zero constant term, so g^e has valuation at least e, and a
-prefix that g^e multiplies is read through cap - e only.
+their denominators and reduced once.
+
+Composition.  ``compose(series, args)`` substitutes one argument list into
+a list of series, and ``TruncatedSeries.compose`` is its one-series case.
+Every argument g has zero constant term, so g^e has valuation at least e,
+and each product is formed only through the degree its answer reads (the
+budget rule).  It chooses its scheme by the number of series:
+- one series runs Horner's scheme, whose prefix that g^e multiplies is
+  read through cap - e only; it multiplies prefix sums of the series and
+  forms no product of the arguments alone;
+- two or more share one table of the products u^alpha = u^(alpha - e_k)
+  * u_k of the arguments, k the last variable of alpha (``_parent``, the
+  rule ``disks._Plan`` follows too).  Each product is formed once, through
+  the cap for a monomial that some series holds and one less for each step
+  up to a product built from it, and each series is one ``_dot`` over its
+  (coefficient, u^alpha) pairs.  Every series that reads a product shares
+  it, where Horner would form it again in each.
+From cap 256 on, no budget or needed cap drops below the least cap of the
+cap's key width, 1 << (cap.bit_length() - 1), so every product is laid out
+as the arguments are.
 
 Term iteration and printing use graded lexicographic order so outputs are
 deterministic.
@@ -383,76 +399,18 @@ class TruncatedSeries:
         return _reduced(num_vars, cap - 1, out, self._den)
 
     def compose(self, args) -> "TruncatedSeries":
-        """Substitute args[i] for variable i.
+        """Substitute args[i] for variable i: the one-series case of
+        ``compose``, by its budgeted Horner scheme (see ``_horner``).
 
         Every substituted series must share one num_vars and this series' cap,
         and must have zero constant term (composition with a unit constant
-        term is not a jet operation at the origin).
-
-        Horner's scheme runs on one variable at a time, under a budget: the
-        sum of the terms whose exponent of that variable is e gets multiplied
-        by g^e, whose valuation is at least e, so it is formed and read
-        through cap - e only.  Its terms have degree at most cap - e, so no
-        term is lost to its budget.  Budgets stay at or above the least cap
-        of cap's key width, so every product is laid out as the arguments
-        are.  The answer is the same series through the cap as the one
-        formed at the full cap.
+        term is not a jet operation at the origin).  Each prefix that g^e
+        multiplies is formed through cap - e only, and from cap 256 on
+        through no less than the least cap of the cap's key width.  Several
+        series composed with one argument list go through ``compose``
+        instead, which shares one table of the arguments' products.
         """
-        args = list(args)
-        if len(args) != self.num_vars:
-            raise ValueError(
-                f"need {self.num_vars} substitution series, got {len(args)}"
-            )
-        d = args[0].num_vars
-        for g in args:
-            if g.num_vars != d:
-                raise ValueError("substitution series disagree on num_vars")
-            if g.cap != self.cap:
-                raise ValueError(
-                    f"cap mismatch in composition: {self.cap} vs {g.cap}"
-                )
-            if 0 in g._terms:
-                raise ValueError(
-                    "composition requires zero constant term in substituted series"
-                )
-        cap = self.cap
-        # the least budget: the least cap of cap's key width
-        floor = 0 if cap < _WIDE else 1 << (cap.bit_length() - 1)
-        ops = [None] * len(args)  # each argument as a _dot operand
-
-        def horner(sub_terms: dict, k: int, c: int) -> TruncatedSeries:
-            # sub_terms maps length-k exponent prefixes, of degree <= c,
-            # to numerators; their sum comes back at cap c, exact through c
-            if not sub_terms:
-                return _new(d, c, {}, 1)
-            if k == 0:
-                return _new(d, c, {0: sub_terms[()]}, 1)
-            buckets: dict = {}
-            for exps, coef in sub_terms.items():
-                buckets.setdefault(exps[k - 1], {})[exps[:-1]] = coef
-            g = ops[k - 1]
-            if g is None:
-                g = ops[k - 1] = (sorted(args[k - 1]._terms.items()),
-                                  args[k - 1]._den)
-            emax = max(buckets)
-            acc = horner(buckets[emax], k - 1, max(c - emax, floor))
-            for e in range(emax - 1, -1, -1):
-                # the prefix that g^e multiplies is read through c - e only
-                ce = max(c - e, floor)
-                acc = _dot((((sorted(acc._terms.items()), acc._den), g),),
-                           d, ce)
-                if e in buckets:
-                    acc = acc + horner(buckets[e], k - 1, ce)
-            return acc
-
-        # Horner's scheme runs on the numerators; the denominator is put
-        # back once, at the end
-        width = _width(cap)
-        numerators = {_unpack(k, self.num_vars, width): c
-                      for k, c in self._terms.items()}
-        acc = horner(numerators, self.num_vars, cap)
-        del horner  # it calls itself: free it without the cyclic collector
-        return _reduced(d, cap, acc._terms, acc._den * self._den)
+        return compose((self,), args)[0]
 
     def shift(self, point) -> "TruncatedSeries":
         """Exact translation: the series of x -> f(x + point).
@@ -590,6 +548,154 @@ def _dot(pairs, num_vars: int, cap: int) -> TruncatedSeries:
     if den == 1:
         return _new(num_vars, cap, out, 1)
     return _reduced(num_vars, cap, out, den)
+
+
+def _parent(key: int, num_vars: int, width: int):
+    """(the key of alpha - e_k, k) for the key of a nonzero multi-index
+    alpha laid out with field width width, k the last variable of alpha:
+    every table of products forms u^alpha as u^(alpha - e_k) * u_k
+    (compose, disks._Plan)."""
+    top = width * num_vars
+    low = key & ((1 << top) - 1)
+    field = ((low & -low).bit_length() - 1) // width  # from the right
+    return key - (1 << top) - (1 << width * field), num_vars - 1 - field
+
+
+def compose(series, args) -> list:
+    """[f.compose(args) for f in series]: each f with args[i] substituted
+    for its variable i, the products of the arguments shared.
+
+    Every series must share one num_vars and cap, there must be one
+    argument per variable, and every argument must share one num_vars,
+    have the series' cap and have zero constant term; all of this is
+    checked before any product is formed.
+
+    The scheme is chosen by the number of series.  One series runs the
+    budgeted Horner scheme (_horner): it multiplies prefix sums of the
+    series, each through cap - e where g^e multiplies it, and forms no
+    product of the arguments alone, so it does least for one sparse series
+    in a dense argument list.  Two or more share one table (_table): each
+    product u^alpha = u^(alpha - e_k) * u_k is formed once, through the cap
+    for a monomial some series holds and one less per step up to a product
+    built from it, and each series is one sum over its terms, so a product
+    that several series read is formed once instead of once in each.  From
+    cap 256 on, neither scheme forms a product below the least cap of the
+    cap's key width.
+    """
+    series, args = list(series), list(args)
+    if not series:
+        return []
+    f = series[0]
+    for s in series:
+        if s.num_vars != f.num_vars:
+            raise ValueError("composed series disagree on num_vars")
+        if s.cap != f.cap:
+            raise ValueError(
+                f"composed series disagree on cap: {f.cap} vs {s.cap}")
+    if len(args) != f.num_vars:
+        raise ValueError(
+            f"need {f.num_vars} substitution series, got {len(args)}")
+    for g in args:
+        if g.num_vars != args[0].num_vars:
+            raise ValueError("substitution series disagree on num_vars")
+        if g.cap != f.cap:
+            raise ValueError(
+                f"cap mismatch in composition: {f.cap} vs {g.cap}")
+        if 0 in g._terms:
+            raise ValueError(
+                "composition requires zero constant term in substituted series"
+            )
+    # every product is read through at least the least cap of the cap's
+    # key width, so it is laid out as the arguments are
+    floor = 0 if f.cap < _WIDE else 1 << (f.cap.bit_length() - 1)
+    if len(series) == 1:
+        return [_horner(f, args, floor)]
+    return _table(series, args, floor)
+
+
+def _horner(f: TruncatedSeries, args: list, floor: int) -> TruncatedSeries:
+    """f composed with args by Horner's scheme, under a budget.
+
+    It runs on one variable at a time: the sum of the terms whose exponent
+    of that variable is e gets multiplied by g^e, whose valuation is at
+    least e, so it is formed and read through cap - e only.  Its terms have
+    degree at most cap - e, so no term is lost to its budget.  Budgets stay
+    at or above floor, the least cap of cap's key width, so every product
+    is laid out as the arguments are.  The answer is the same series
+    through the cap as the one formed at the full cap.
+    """
+    d = args[0].num_vars
+    ops = [None] * len(args)  # each argument as a _dot operand
+
+    def horner(sub_terms: dict, k: int, c: int) -> TruncatedSeries:
+        # sub_terms maps length-k exponent prefixes, of degree <= c,
+        # to numerators; their sum comes back at cap c, exact through c
+        if not sub_terms:
+            return _new(d, c, {}, 1)
+        if k == 0:
+            return _new(d, c, {0: sub_terms[()]}, 1)
+        buckets: dict = {}
+        for exps, coef in sub_terms.items():
+            buckets.setdefault(exps[k - 1], {})[exps[:-1]] = coef
+        g = ops[k - 1]
+        if g is None:
+            g = ops[k - 1] = (sorted(args[k - 1]._terms.items()),
+                              args[k - 1]._den)
+        emax = max(buckets)
+        acc = horner(buckets[emax], k - 1, max(c - emax, floor))
+        for e in range(emax - 1, -1, -1):
+            # the prefix that g^e multiplies is read through c - e only
+            ce = max(c - e, floor)
+            acc = _dot((((sorted(acc._terms.items()), acc._den), g),), d, ce)
+            if e in buckets:
+                acc = acc + horner(buckets[e], k - 1, ce)
+        return acc
+
+    # Horner's scheme runs on the numerators; the denominator is put back
+    # once, at the end
+    cap, width = f.cap, _width(f.cap)
+    numerators = {_unpack(k, f.num_vars, width): c
+                  for k, c in f._terms.items()}
+    acc = horner(numerators, f.num_vars, cap)
+    del horner  # it calls itself: free it without the cyclic collector
+    return _reduced(d, cap, acc._terms, acc._den * f._den)
+
+
+def _table(series: list, args: list, floor: int) -> list:
+    """Every series of one num_vars and cap composed with args through one
+    table of the products u^alpha = u^(alpha - e_k) * u_k (_parent) of the
+    arguments u (Brent and Kung, J. ACM 1978).
+
+    A product is formed once, with _dot, and only through the degree its
+    readers need: the cap for a monomial that some series holds, and one
+    less for each step up to a product built from it, since u_k has zero
+    constant term.  Needed caps stay at or above floor (see compose).  Each
+    series is then one _dot over its (coefficient, u^alpha) pairs.
+    """
+    f = series[0]
+    num_vars, cap, width = f.num_vars, f.cap, _width(f.cap)
+    d, top = args[0].num_vars, width * num_vars
+    need: dict = {}  # the key of alpha -> the cap u^alpha is read at
+    for s in series:
+        for key in s._terms:
+            c = cap
+            # an ancestor of a product already read at c or more is too
+            while key >> top > 1 and need.get(key, -1) < c:
+                need[key] = c
+                key = _parent(key, num_vars, width)[0]
+                c = max(c - 1, floor)
+    unit = [(1 << top) | (1 << width * (num_vars - 1 - k))
+            for k in range(num_vars)]
+    ops = {0: ([(0, 1)], 1)}  # u^alpha as a _dot operand
+    for e, g in zip(unit, args):
+        ops[e] = (sorted(g._terms.items()), g._den)
+    for key in sorted(need):  # keys grow with degree: parents first
+        parent, k = _parent(key, num_vars, width)
+        p = _dot(((ops[parent], ops[unit[k]]),), d, need[key])
+        ops[key] = (sorted(p._terms.items()), p._den)
+    return [_dot([(([(0, c)], s._den), ops[key])
+                  for key, c in s._terms.items()], d, cap)
+            for s in series]
 
 
 def mat_vec(matrix, vector, cap=None):

@@ -800,7 +800,7 @@ class TestWitnessFromState:
 
     def test_self_check_fires(self):
         stager = engine._Stager(SPHERE, JSTD, 6)
-        u1 = stager.normalize_u1(stager.taus[0])
+        u1, _ = stager.normalize_u1(stager.taus[0])
         assert higher_levi(SPHERE, JSTD, [u1], 0, 0) != 0
         # stratum 2 of phi . u is nonzero whatever u2 is
         with pytest.raises(TheoremViolation, match="stratum at 2"):
@@ -957,7 +957,7 @@ class TestLevelSystemIsTheLeviRow:
                 for c in coords:
                     u1 = tuple(stager.tangential(c))
                     state = stager.start(u1)
-                    cycle = stager.levi_row(u1)
+                    cycle = stager.levi_row(c)
                     for _ in range(4):
                         stager.attempt_level(state,
                                              random_vector(rng, 2 * n),
@@ -972,12 +972,32 @@ class TestLevelSystemIsTheLeviRow:
                                             (False, True)))
         assert max(ell for _, ell, _ in seen) == 5
 
+    def test_levi_row_reuses_the_coordinates_of_u1(self, monkeypatch):
+        # a search solves colmat (2n rows) only where u1 is found, not
+        # again for its Levi row; every other solve is a level system of
+        # ell + 1 rows, or the kernel of R0 (2n - 2 rows)
+        rows = []
+        solve = engine.solve_affine
+
+        def counted(a, b):
+            rows.append(len(a))
+            return solve(a, b)
+        monkeypatch.setattr(engine, "solve_affine", counted)
+        type_search(HARMONIC, JSTD, 8)  # u1 = taus[0], coordinates e_0
+        assert rows == [2, 3, 4, 5, 6]
+        rows.clear()
+        semi = Hypersurface(3, parse_expression(
+            "2*x3+abs2(z1)+Re(z2^4)", 3, cap=8))
+        type_search(semi, JSTD3, 6)  # u1 from the kernel, then normalized
+        assert rows == [4, 6, 2, 3, 4]
+
     def test_check_probe_weighs_every_column(self):
         # a wrong entry in any column, the last included, fails the check
         stager = engine._Stager(INDEF3, JSTD3, 6)
         assert stager.d == 4
-        u1 = tuple(stager.tangential([Q(1), Q(2), Q(-1), Q(3)]))
-        cycle = stager.levi_row(u1)
+        coords = [Q(1), Q(2), Q(-1), Q(3)]
+        u1 = tuple(stager.tangential(coords))
+        cycle = stager.levi_row(coords)
         assert any(cycle[0])
         state = stager.start(u1).extend((Q(1),) * 6)
         normals = (Q(0),) * 6

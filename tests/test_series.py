@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import levitype.jets as jets
 from levitype import Q, TruncatedSeries
+from levitype.jets import compose
 
 X = TruncatedSeries.variable
 
@@ -98,6 +100,18 @@ class TestPinnedExamples:
         for args in ([unit, good], [good, unit]):
             with pytest.raises(ValueError, match="zero constant term"):
                 f.compose(args)
+            with pytest.raises(ValueError, match="zero constant term"):
+                compose([f, f], args)
+        # the list form refuses series that disagree, and arguments that
+        # miss a variable or the series' cap or disagree, before any product
+        bad = [([f, S(3, 3, {(1, 0, 0): 1})], [good, good], "num_vars"),
+               ([f, S(2, 4, {(1, 0): 1})], [good, good], "cap"),
+               ([f, f], [good], "need 2"),
+               ([f, f], [good, S(2, 4, {(1, 0): 1})], "cap mismatch"),
+               ([f, f], [good, X(0, 3, 3)], "num_vars")]
+        for series, args, message in bad:
+            with pytest.raises(ValueError, match=message):
+                compose(series, args)
 
 
 def rational_st():
@@ -434,9 +448,37 @@ def compose_case_st(draw, caps, max_vars=4, max_subs=3, max_terms=5):
     return S(nv, cap, a), args
 
 
+@st.composite
+def compose_list_case_st(draw, caps, **shape):
+    """(series, args): 2-5 series of one num_vars and cap and one argument
+    list, drawn as compose_case_st draws (f, args).
+
+    After f come series that share some of its monomials, fresh draws
+    (often disjoint from it), constants with or without other terms, and
+    zero series."""
+    f, args = draw(compose_case_st(caps, **shape))
+    nv, cap = f.num_vars, f.cap
+    own = sorted(e for e, _ in f.terms())
+    series = [f]
+    for kind in draw(st.lists(st.sampled_from(
+            ("overlap", "fresh", "constant", "zero")),
+            min_size=1, max_size=4)):
+        terms = {}
+        if kind == "overlap" and own:
+            for e in draw(st.lists(st.sampled_from(own), min_size=1)):
+                terms[e] = draw(mixed_rational_st)
+        if kind in ("overlap", "fresh", "constant"):
+            terms.update(draw(ref_terms_st(nv, cap, max_size=3)))
+        if kind == "constant":
+            terms[(0,) * nv] = draw(mixed_rational_st.filter(bool))
+        series.append(S(nv, cap, terms))
+    return series, args
+
+
 class TestComposeBudget:
-    """compose forms each Horner prefix only through the degree it is read;
-    the answer must be the expansion formed at the full cap."""
+    """compose forms each Horner prefix, or each product of its table,
+    only through the degree it is read; the answer must be the expansion
+    formed at the full cap."""
 
     @ORACLE
     @given(compose_case_st(caps=range(11)))
@@ -450,6 +492,55 @@ class TestComposeBudget:
     def test_equals_full_cap_expansion_wide(self, case):
         f, args = case
         assert f.compose(args) == expanded_compose(f, args)
+
+    @ORACLE
+    @given(compose_list_case_st(caps=range(11)))
+    def test_list_equals_full_cap_expansion(self, case):
+        series, args = case
+        assert compose(series, args) == [expanded_compose(f, args)
+                                         for f in series]
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(compose_list_case_st(caps=(256, 300), max_vars=2, max_subs=2,
+                                max_terms=3))
+    def test_list_equals_full_cap_expansion_wide(self, case):
+        series, args = case
+        assert compose(series, args) == [expanded_compose(f, args)
+                                         for f in series]
+
+    def test_list_forms_each_product_once(self, monkeypatch):
+        # the table: u^alpha = u^(alpha - e_k) u_k, k the last variable of
+        # alpha, read at the cap for a monomial some series holds and one
+        # less per step up to a product built from it
+        cap = 7
+        series = [S(3, cap, {(2, 1, 0): 1, (0, 0, 3): Q(1, 2),
+                             (1, 2, 2): 3}),
+                  S(3, cap, {(2, 1, 0): -2, (1, 1, 1): 1, (2, 2, 0): 1}),
+                  S(3, cap, {(0, 0, 0): 5, (1, 0, 0): 1}),
+                  TruncatedSeries.zero(3, cap)]
+        args = [S(2, cap, {(1, 0): 1, (1, 1): 2}), S(2, cap, {(0, 1): 3}),
+                S(2, cap, {(1, 0): 1, (0, 2): Q(1, 3)})]
+        need = {}
+        for f in series:
+            for alpha, _ in f.terms():
+                c = cap
+                while sum(alpha) > 1:
+                    need[alpha] = max(need.get(alpha, 0), c)
+                    k = max(i for i, e in enumerate(alpha) if e)
+                    alpha = alpha[:k] + (alpha[k] - 1,) + alpha[k + 1:]
+                    c -= 1
+        caps = []
+        dot = jets._dot
+
+        def counted(pairs, num_vars, c):
+            caps.append(c)
+            return dot(pairs, num_vars, c)
+        monkeypatch.setattr(jets, "_dot", counted)
+        got = compose(series, args)
+        assert sorted(caps) == sorted([*need.values(), *[cap] * len(series)])
+        assert len(need) == 10
+        monkeypatch.setattr(jets, "_dot", dot)
+        assert got == [expanded_compose(f, args) for f in series]
 
 
 class TestPackedEdges:

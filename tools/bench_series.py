@@ -54,8 +54,9 @@ k_max + 4), whose field grows dense with k_max, and ``witness_validate``:
 runs them, and ``perturbed_validate``: the same of 2 x_n + Re(z1^2) + ... +
 Re(z_{n-1}^2) under ``perturbed_structure(n, k_max + 4, 1)``, n in
 PERTURBED_N, k_max = PERTURBED_K, as ``validate --J-perturb 1`` runs them;
-its search stops at bound 4 after two levels of d = 2n - 2 columns.  It
-writes
+its search stops at bound 4 after two levels of d = 2n - 2 columns, and,
+after every other row, ``witness_realize`` alone at k_max in REALIZE_K,
+where a ``witness_validate`` call would take seconds.  It writes
 ``BENCH_<label>.json`` (into ``--out``, default the checkout root).  The
 inputs are fixed by a seeded generator, so two kernels see the same
 operands; each row carries a digest of the result (of every component, for
@@ -129,6 +130,7 @@ LARGE_LEVI_N = (8, 16, 32)
 LARGE_LEVI_CAP = 4
 WITNESS_PHI = "2*x3+Re(z1^2)+Re(z2^3)+abs2(z1*z2)"  # type reaches the cap
 WITNESS_K = (12, 16)
+REALIZE_K = (20,)   # witness_realize rows only
 PERTURBED_N = (6, 8, 10)
 PERTURBED_K = 8
 
@@ -461,7 +463,9 @@ def grid(lev):
                   for n in LARGE_LEVI_N),
                  ((6, k + 4, witness_operands(lev, k)) for k in WITNESS_K),
                  ((2 * n, PERTURBED_K + 4, perturbed_operands(lev, n))
-                  for n in PERTURBED_N))
+                  for n in PERTURBED_N),
+                 ((6, k + 4, {"witness_realize": witness_operands(
+                     lev, k)["witness_realize"]}) for k in REALIZE_K))
 
 
 def load_tree(src: Path, name: str):
