@@ -175,9 +175,10 @@ class _Plan:
     rule of jets._parent, the first 2n being the u_k.  entries holds e(u)
     for each entry e of J - J_std with a term, as (constant, product)
     terms, the constant a degree-0 stratum ([c], den) (see _convolve), and
-    rows[a] the (entry, b) pairs of row a of R; phi holds phi . u as such terms.  Every term of positive
-    degree is planned, whatever the cap of a transport: a product above what
-    a cap reads is never filled, and reads as None.
+    rows[a] the (entry, b) pairs of row a of R; phi holds phi . u as such
+    terms.  Every term of positive degree is planned, whatever the cap of a
+    transport: a product above what a cap reads is never filled, and reads
+    as None.
     """
 
     __slots__ = ("table", "entries", "rows", "phi")

@@ -461,8 +461,8 @@ class _Stager:
         state holds the ell jets found, and u_{ell+1} = normals_next +
         tangential(t).  Row i is L^(ell-i, i) = 0, read from stratum ell + 2
         of phi . u, and is affine in t with coefficient row cycle[i % 4],
-        cycle = levi_row(c(u1)).  Two probes, each a copy of state extended by
-        u_{ell+1} and read one order past it (_Transport.read), give the
+        cycle = levi_row(c(u1)).  Two probes, each a copy of state extended
+        by u_{ell+1} and read one order past it (_Transport.read), give the
         right-hand side at t = 0 and check the formed matrix at
         t = weights.  Returns (u_next, nullspace) or None when the system is
         inconsistent.

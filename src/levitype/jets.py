@@ -56,8 +56,8 @@ budget rule).  It chooses its scheme by the number of series:
   rule ``disks._Plan`` follows too).  Each product is formed once, through
   the cap for a monomial that some series holds and one less for each step
   up to a product built from it, and each series is one ``_dot`` over its
-  (coefficient, u^alpha) pairs.  Every series that reads a product shares
-  it, where Horner would form it again in each.
+  (coefficient, u^alpha) pairs, where Horner would form a product again in
+  each series that reads it.
 From cap 256 on, no budget or needed cap drops below the least cap of the
 cap's key width, 1 << (cap.bit_length() - 1), so every product is laid out
 as the arguments are.
@@ -404,11 +404,10 @@ class TruncatedSeries:
 
         Every substituted series must share one num_vars and this series' cap,
         and must have zero constant term (composition with a unit constant
-        term is not a jet operation at the origin).  Each prefix that g^e
-        multiplies is formed through cap - e only, and from cap 256 on
-        through no less than the least cap of the cap's key width.  Several
-        series composed with one argument list go through ``compose``
-        instead, which shares one table of the arguments' products.
+        term is not a jet operation at the origin).  Several series
+        composed with one argument list go through ``compose`` instead,
+        which shares one table of the arguments' products (see
+        "Composition" in the module docstring).
         """
         return compose((self,), args)[0]
 
@@ -563,24 +562,16 @@ def _parent(key: int, num_vars: int, width: int):
 
 def compose(series, args) -> list:
     """[f.compose(args) for f in series]: each f with args[i] substituted
-    for its variable i, the products of the arguments shared.
+    for its variable i.
 
     Every series must share one num_vars and cap, there must be one
     argument per variable, and every argument must share one num_vars,
     have the series' cap and have zero constant term; all of this is
-    checked before any product is formed.
-
-    The scheme is chosen by the number of series.  One series runs the
-    budgeted Horner scheme (_horner): it multiplies prefix sums of the
-    series, each through cap - e where g^e multiplies it, and forms no
-    product of the arguments alone, so it does least for one sparse series
-    in a dense argument list.  Two or more share one table (_table): each
-    product u^alpha = u^(alpha - e_k) * u_k is formed once, through the cap
-    for a monomial some series holds and one less per step up to a product
-    built from it, and each series is one sum over its terms, so a product
-    that several series read is formed once instead of once in each.  From
-    cap 256 on, neither scheme forms a product below the least cap of the
-    cap's key width.
+    checked before any product is formed.  One series runs the budgeted
+    Horner scheme (_horner), which does least for one sparse series in a
+    dense argument list; two or more share one table of the arguments'
+    products (_table), so that a product several series read is formed
+    once instead of once in each (see "Composition" above).
     """
     series, args = list(series), list(args)
     if not series:
@@ -664,13 +655,9 @@ def _horner(f: TruncatedSeries, args: list, floor: int) -> TruncatedSeries:
 def _table(series: list, args: list, floor: int) -> list:
     """Every series of one num_vars and cap composed with args through one
     table of the products u^alpha = u^(alpha - e_k) * u_k (_parent) of the
-    arguments u (Brent and Kung, J. ACM 1978).
-
-    A product is formed once, with _dot, and only through the degree its
-    readers need: the cap for a monomial that some series holds, and one
-    less for each step up to a product built from it, since u_k has zero
-    constant term.  Needed caps stay at or above floor (see compose).  Each
-    series is then one _dot over its (coefficient, u^alpha) pairs.
+    arguments u (Brent and Kung, J. ACM 1978), each formed once, with _dot,
+    through the cap its readers need; each series is then one _dot over
+    its (coefficient, u^alpha) pairs.
     """
     f = series[0]
     num_vars, cap, width = f.num_vars, f.cap, _width(f.cap)
