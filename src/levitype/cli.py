@@ -203,7 +203,7 @@ def _document(spec: ProblemSpec, result: dict) -> dict:
 def _cmd_levi(spec, m, j):
     mat = levi.hermitian_levi_matrix(m, j)
     cls = mat.classify()
-    basis = [[str(c) for c in b.at_zero()] for b in mat.basis]
+    basis = [[str(c) for c in b] for b in mat.basis_at_zero]
     entries = [[[str(e.re), str(e.im)] for e in row] for row in mat.entries]
     return {
         "basis_at_zero": basis,

@@ -377,7 +377,7 @@ class _Stager:
         self.p0 = m.dphi_at_zero(self.n0)
         self.levi = hermitian_levi_matrix(m, j)
         self.r0 = self.levi.realified()
-        self.taus = [b.at_zero() for b in self.levi.basis]
+        self.taus = self.levi.basis_at_zero
         # tau_1, ..., tau_d, J_std tau_1, ..., J_std tau_d, as colmat's columns
         self.columns = [*self.taus, *(apply_jstd(t) for t in self.taus)]
         self.colmat = [list(row) for row in zip(*self.columns)]
@@ -398,13 +398,15 @@ class _Stager:
             raise GeometryError("vector is not complex tangential at 0")
         return tuple(sol.particular)
 
-    def normalize_u1(self, vec):
-        """(u1, c(u1)): vec scaled so that its first nonzero tangential
-        coordinate is 1, and its coordinates c = coords_of."""
-        coords = self.coords_of(vec)
+    def normalize_coords(self, coords):
+        """(u1, c(u1)) for the candidate of tangential coordinates coords,
+        scaled so that its first nonzero coordinate is 1.  Every candidate
+        but a user direction is built from its coordinates, so only those
+        are solved for (coords_of)."""
         for c in coords:
             if c != 0:
-                return _vec_scale(Q(1) / c, vec), _vec_scale(Q(1) / c, coords)
+                coords = _vec_scale(Q(1) / c, coords)
+                return tuple(self.tangential(coords)), coords
         raise GeometryError("candidate direction is zero")
 
     # -- trace probes
@@ -446,9 +448,9 @@ class _Stager:
         """The four rows 2 rho, -2 rho', -2 rho, 2 rho' that every level
         system of u1 cycles through (see attempt_level), from the
         coordinates a = c(u1) that the search started from: rho = R0 c(u1)
-        and rho' = R0 c(J_std u1), with c = coords_of and R0 =
-        levi.realified().  If c(u1) = (a, b), then c(J_std u1) = (-b, a), so
-        no solve is needed."""
+        and rho' = R0 c(J_std u1), with c the tangential coordinates and
+        R0 = levi.realified().  If c(u1) = (a, b), then
+        c(J_std u1) = (-b, a), so no solve is needed."""
         h = self.d // 2
         rho = mat_vec(self.r0, a)
         rho_j = mat_vec(self.r0, [*(-x for x in a[h:]), *a[:h]])
@@ -594,22 +596,20 @@ class _Stager:
             return self.run_from_u1(self.taus[0], e0, self.m.n == 2, True)
         if zero == 0 and (pos == 0 or neg == 0):
             sign = "positive" if neg == 0 else "negative"
-            u1, _ = self.normalize_u1(self.taus[0])
             return self.levi_witness(
-                self.start(u1), True,
+                self.start(self.taus[0]), True,
                 f"Levi form {sign} definite: no isotropic direction exists")
         if pos == 0 or neg == 0:
             kernel = solve_affine(r0, [ZERO] * self.d).nullspace
-            u1, coords = self.normalize_u1(self.tangential(kernel[0]))
+            u1, coords = self.normalize_coords(kernel[0])
             return self.run_from_u1(u1, coords, zero == 2, True)
         t = _rational_isotropic(r0)
         if t is None:
-            u1, _ = self.normalize_u1(self.taus[0])
             return self.levi_witness(
-                self.start(u1), False,
+                self.start(self.taus[0]), False,
                 "indefinite Levi form with no rational isotropic direction "
                 "found; bound is not certified")
-        u1, coords = self.normalize_u1(self.tangential(t))
+        u1, coords = self.normalize_coords(t)
         return self.run_from_u1(u1, coords, False, True)
 
 
@@ -663,27 +663,29 @@ def type_search(m: Hypersurface, j: ACStructure, k_max: int,
         rep = stager.run_exact()
     elif isinstance(strategy, tuple) and len(strategy) == 2:
         kind, arg = strategy
+        # each candidate by its tangential coordinates
         if kind == "grid":
-            candidates = (stager.tangential(c)
-                          for c in _grid_candidates(stager.d, arg))
+            candidates = _grid_candidates(stager.d, arg)
         elif kind == "directions":
             if not arg:
                 raise ValueError("empty direction list")
-            candidates = []
+            projections = []
             for v in arg:
                 # the value at 0 of a projection reads only values at 0
                 vf = VectorField.constant(m.n, [rat(c) for c in v], 0)
                 proj = project_to_complex_tangent(m, j, vf).at_zero()
                 if not _is_zero_vec(proj):
-                    candidates.append(proj)
-            if not candidates:
+                    projections.append(proj)
+            if not projections:
                 raise GeometryError(
                     "no direction has a nonzero tangential part")
+            candidates = map(stager.coords_of, projections)
         else:
             raise ValueError(f"unknown strategy {kind!r}")
         rep = None
         for cand in candidates:
-            r = stager.run_from_u1(*stager.normalize_u1(cand), False, False)
+            r = stager.run_from_u1(*stager.normalize_coords(cand), False,
+                                   False)
             if rep is None or r.lower_bound > rep.lower_bound:
                 rep = r
             if rep.lower_bound >= k_max:

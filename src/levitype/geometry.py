@@ -370,33 +370,39 @@ def _word_jet(word, n: int, k: int) -> FieldJet:
                            for p in range(k + 1) for q in range(k + 1 - p)})
 
 
+def _tangent_indices(grad):
+    """The coordinates i whose projections complex_tangent_basis keeps.
+
+    The greedy walks e_0, e_1, ... and keeps e_i when it lies outside
+    span{g, J_std g, e_c, J_std e_c} over the kept c, g = grad; it stops
+    at n - 1.  Each such span is J_std-invariant, so an odd i is never
+    kept (e_i = J_std e_(i-1)), and over C it is the line of g plus the
+    kept coordinate axes.  Axis c lies in the line of g plus axes 0..c-1
+    exactly when g has a nonzero (x_c, y_c) part and none past it.  So the
+    greedy skips the last axis c* where g is nonzero and keeps 2c for
+    every other c: read at 0 from which entries of g are zero, with no
+    elimination.
+    """
+    n = len(grad) // 2
+    if n < 2:
+        raise GeometryError("no complex tangent directions in complex dim 1")
+    last = max(c for c in range(n) if grad[2 * c] or grad[2 * c + 1])
+    return [2 * c for c in range(n) if c != last]
+
+
 def complex_tangent_basis(m: Hypersurface, j: ACStructure):
     """Projections of coordinate directions spanning T^J_0 M over C.
 
-    Greedy in coordinate order; returns n-1 fields whose values at 0 are
-    complex linearly independent.  Deterministic.  The projection P at 0
-    is onto T^J_0 M along span{N(0), JN(0)}; both are J(0)-invariant and
-    J(0) = J_std, so P commutes with J_std, and P e_i lies in the span of
-    the kept P e_c and J_std P e_c exactly when e_i lies in span{N(0),
-    JN(0), e_c, J_std e_c}.  That is decided at 0, and only the kept
-    coordinate fields are projected.
+    Greedy in coordinate order (_tangent_indices); returns n-1 fields whose
+    values at 0 are complex linearly independent.  Deterministic.  The
+    projection P at 0 is onto T^J_0 M along span{N(0), JN(0)}; both are
+    J(0)-invariant and J(0) = J_std, so P commutes with J_std, and P e_i
+    lies in the span of the kept P e_c and J_std P e_c exactly when e_i
+    lies in span{N(0), JN(0), e_c, J_std e_c}.  That is decided at 0, and
+    only the kept coordinate fields are projected.
     """
-    if m.n < 2:
-        raise GeometryError("no complex tangent directions in complex dim 1")
+    kept = _tangent_indices(m.grad_at_zero())
     cap = min(m.cap - 1, (j.cap if j.is_standard else j.cap - 1))
-    grad = m.grad_at_zero()
-    span = linalg.Span()
-    span.add(grad)
-    span.add(apply_jstd(grad))
-    kept = []
-    for i in range(2 * m.n):
-        if len(kept) == m.n - 1:
-            break
-        e = [ZERO] * (2 * m.n)
-        e[i] = Q(1)
-        if span.add(e):
-            span.add(apply_jstd(e))
-            kept.append(i)
     project = _projector(m, j, cap)
     return [project(VectorField.coordinate(m.n, i, cap)) for i in kept]
 

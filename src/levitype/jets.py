@@ -95,6 +95,17 @@ def _unpack(key: int, num_vars: int, width: int) -> tuple:
                  for i in range(num_vars))
 
 
+def _low_terms(s: "TruncatedSeries", degree: int) -> list:
+    """(variables, numerator) of each term of s of degree 1..degree, the
+    variables listed with multiplicity (x_a x_b -> (a, b)), the numerators
+    over s._den: read from the keys, whose top field is the degree."""
+    nv, width = s.num_vars, _width(s.cap)
+    top = width * nv
+    return [(tuple(v for v, e in enumerate(_unpack(k, nv, width))
+                   for _ in range(e)), c)
+            for k, c in s._terms.items() if 0 < k >> top <= degree]
+
+
 def _relayout(terms: dict, num_vars: int, old_cap: int, new_cap: int) -> dict:
     """Repack keys laid out for old_cap into the layout of new_cap."""
     old, new = _width(old_cap), _width(new_cap)

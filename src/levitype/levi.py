@@ -2,8 +2,11 @@
 
 The Levi form of a complex tangent field X is dphi(J[X,JX]) evaluated at the
 origin.  A second route expresses the same number through the flat Hessian of
-phi plus a correction built from first derivatives of J; the two routes share
-no code and are cross-checked in tests.  The higher forms L^{p,q} are computed
+phi plus a correction built from first derivatives of J: one bilinear form at
+0 (_levi_form), which the Hessian route and the Hermitian matrix on the
+complex tangent space both read.  The bracket route (levi_form_bracket,
+levi_polar) shares no code with that form, and the two routes are
+cross-checked in tests.  The higher forms L^{p,q} are computed
 by their defining contract: propagate a disk jet from prescribed x-derivatives,
 compose with phi, and read one derivative of its disk Laplacian at 0.
 """
@@ -11,21 +14,25 @@ compose with phi, and read one derivative of its disk Laplacian at 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from math import lcm
 
 from . import linalg
 from .disks import _read_held
-from .errors import CapError, ClosedFormMismatch, GeometryError
+from .errors import (CapError, ClosedFormMismatch, GeometryError,
+                     TheoremViolation)
 from .geometry import (
     ACStructure,
     Hypersurface,
     VectorField,
+    _tangent_indices,
     apply_jstd,
     complex_tangent_basis,
     is_complex_tangent,
     lie_bracket,
 )
-from .jets import TruncatedSeries
-from .rational import QC, ZERO, rat
+from .jets import TruncatedSeries, _low_terms
+from .rational import QC, ZERO, Q, rat
 
 
 @dataclass(frozen=True)
@@ -72,6 +79,57 @@ def _derivative_at_zero(series: TruncatedSeries, vectors):
     return s.constant_term()
 
 
+def _levi_form(m: Hypersurface, j: ACStructure):
+    """The bilinear form at 0 that the Hessian route and the matrix read.
+
+    With g = grad phi(0), H = D2phi(0), J0 = J_std and
+    C[k][b] = sum_a g_a d_k J_ab(0), let Q = H + J0'HJ0 + K with
+    K = J0'C - CJ0.  Then L(v) = v'Qv is levi_form_hessian's value and
+    v'Kv its correction term.  Returns (G, q, k, den): integer numerators
+    G of g over phi's denominator, and Q = q/den, K = k/den as integer
+    matrices.  g and H are read from the keys of phi's degree-1 and
+    degree-2 terms, C from the degree-1 terms of the rows a of J with
+    g_a != 0, over the lcm of their denominators.  J0 is a signed
+    permutation, (J0 v)_a = -s_a v_(a^1) with s_a = 1 for even a and -1
+    for odd a, so (J0'HJ0)[a][b] = s_a s_b H[a^1][b^1],
+    (J0'C)[a][b] = s_a C[a^1][b] and (CJ0)[a][b] = s_b C[a][b^1]: no
+    series operation and no matrix product.
+    """
+    if j.cap < 1:
+        raise CapError("derivative order exceeds the series' cap")
+    n2 = 2 * m.n
+    grad = [0] * n2
+    h = [[0] * n2 for _ in range(n2)]
+    for v, num in _low_terms(m.phi, 2):
+        if len(v) == 1:
+            grad[v[0]] = num
+        elif v[0] == v[1]:
+            h[v[0]][v[0]] = 2 * num
+        else:
+            h[v[0]][v[1]] = h[v[1]][v[0]] = num
+    read = [] if j.is_standard else [
+        (ga, b, e._den, terms) for a, ga in enumerate(grad) if ga
+        for b, e in enumerate(j.entries[a]) if (terms := _low_terms(e, 1))]
+    lden = lcm(*(d for _, _, d, _ in read))
+    c = [[0] * n2 for _ in range(n2)]
+    for ga, b, d, terms in read:
+        scale = ga * (lden // d)
+        for (i,), jn in terms:
+            c[i][b] += scale * jn
+    s = [1 - 2 * (a & 1) for a in range(n2)]
+    k = [[s[a] * c[a ^ 1][b] - s[b] * c[a][b ^ 1] for b in range(n2)]
+         for a in range(n2)]
+    q = [[lden * (h[a][b] + s[a] * s[b] * h[a ^ 1][b ^ 1]) + k[a][b]
+          for b in range(n2)] for a in range(n2)]
+    return grad, q, k, m.phi._den * lden
+
+
+def _quadratic(mat, v):
+    """v'Mv for a matrix and a vector of rationals."""
+    return sum((x * sum((r * y for r, y in zip(row, v) if y), ZERO)
+                for x, row in zip(v, mat) if x), ZERO)
+
+
 def levi_form_hessian(m: Hypersurface, j: ACStructure, x: VectorField) -> LeviReport:
     """L(X) via the flat Hessian of phi plus the first-jet correction of J.
 
@@ -79,24 +137,15 @@ def levi_form_hessian(m: Hypersurface, j: ACStructure, x: VectorField) -> LeviRe
          + dphi((D_{JX} J) X - (D_X J) JX)   at 0,
 
     where D is the flat connection and D_V J differentiates the matrix
-    entries.  Deliberately avoids lie_bracket so the two routes stay
-    independent.
+    entries.  With v = X(0) this is v'Qv for the form of _levi_form, its
+    correction term v'Kv.  Deliberately avoids lie_bracket so the two
+    routes stay independent.
     """
     _require_tangent(m, j, x, "levi_form_hessian")
+    _, q, k, den = _levi_form(m, j)
     x0 = x.at_zero()
-    jx0 = apply_jstd(x0)
-
-    def dj(v, w):
-        """(D_v J)(0) w, read over the entries of w that are not zero."""
-        return [sum((_derivative_at_zero(e, [v]) * wb
-                     for e, wb in zip(row, w) if wb != 0), ZERO)
-                for row in j.entries]
-
-    vec = [a - b for a, b in zip(dj(jx0, x0), dj(x0, jx0))]
-    correction = m.dphi_at_zero(vec)
-    value = (_derivative_at_zero(m.phi, [x0, x0])
-             + _derivative_at_zero(m.phi, [jx0, jx0]) + correction)
-    return LeviReport(value, "hessian", correction)
+    return LeviReport(_quadratic(q, x0) / den, "hessian",
+                      _quadratic(k, x0) / den)
 
 
 def _one_jets(m: Hypersurface, j: ACStructure, fields):
@@ -162,12 +211,30 @@ class Classification:
     zero: int
 
 
-@dataclass
 class HermitianLeviMatrix:
-    """Polar form on a basis of the complex tangent space at 0."""
+    """Polar form on a basis of the complex tangent space at 0.
 
-    basis: list  # complex tangent fields of cap 1
-    entries: list  # (n-1) x (n-1) complex rationals
+    basis_at_zero holds the basis vectors tau_i at 0 and entries the
+    (n-1) x (n-1) complex rationals Theta(tau_i, tau_k).  basis holds the
+    complex tangent fields of cap 1 whose values at 0 are the tau_i, the
+    fields of complex_tangent_basis on the 2-jet of phi; they are built,
+    and each checked tangent once, on first read.
+    """
+
+    def __init__(self, basis_at_zero, entries, m: Hypersurface,
+                 j: ACStructure):
+        self.basis_at_zero = basis_at_zero
+        self.entries = entries
+        self._problem = m, j
+
+    @cached_property
+    def basis(self) -> list:
+        m, j = self._problem
+        m = m.truncate(2)
+        fields = complex_tangent_basis(m, j)
+        for x in fields:
+            _require_tangent(m, j, x, "hermitian_levi_matrix")
+        return fields
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
@@ -215,35 +282,56 @@ class HermitianLeviMatrix:
 
 
 def hermitian_levi_matrix(m: Hypersurface, j: ACStructure) -> HermitianLeviMatrix:
-    """Polar form on complex_tangent_basis, from the jets it reads.
+    """Polar form on the basis of complex_tangent_basis, from the form at 0.
 
-    Theta(X, Y) reads dphi(0), J(0) and the 1-jets of X, Y, JX and JY, so
-    the 2-jet of phi and the 1-jet of J.  The basis and the entries are built
-    on the 2-jet of phi; the basis fields have cap 1 (or 0, for a
-    non-standard J of cap 1) and agree with the full-cap ones through
-    degree 1, and J.apply reads J through the fields' cap.  Each field is
-    checked tangent once; an entry is the covector formula of levi_polar,
-    (w_JY.X0 - w_X.JY0 + w_JX.Y0 - w_Y.JX0) / 2
-    + i (w_Y.X0 - w_X.Y0 + w_JY.JX0 - w_JX.JY0) / 2, w_F = dphi(0) J_std DF(0).
+    Theta(X, Y) reads X(0) and Y(0) only: with M = (Q + Q')/2 for the
+    form Q of _levi_form, Theta(tau_i, tau_k) = tau_i' M tau_k
+    - i tau_i' M J0 tau_k, J0 = J_std.  The basis at 0 is the projection
+    of e_i along g and J0 g, g = grad phi(0),
+    tau_i = e_i - (g_i g + (J0 g)_i J0 g) / |g|^2, over the coordinates i
+    of _tangent_indices.  Everything is summed on integers: T_i = |G|^2
+    tau_i for the numerators G of g, and W_k = (Q + Q') T_k, so that
+    Theta(tau_i, tau_k) = (T_i.W_k - i T_i.J0 W_k) / (2 den |G|^4).  As
+    J0'MJ0 = M, MJ0 is antisymmetric and the diagonal is real; that, and
+    g.T_i = (J0 g).T_i = 0, are checked.  No series operation runs: the
+    basis fields are built only when read (HermitianLeviMatrix.basis).
+    A basis cap (complex_tangent_basis) below 1 raises CapError, as
+    differentiating its fields would.
     """
-    m = m.truncate(2)
-    basis = complex_tangent_basis(m, j)
-    for x in basis:
-        _require_tangent(m, j, x, "hermitian_levi_matrix")
-    jets = _one_jets(m, j, basis)
-    d = len(basis)
+    kept = _tangent_indices(m.grad_at_zero())
+    if (j.cap if j.is_standard else j.cap - 1) < 1:
+        raise CapError("cannot differentiate a field with cap 0")
+    grad, q, _, den = _levi_form(m, j)
+    n2 = len(grad)
+    jgrad = apply_jstd(grad)
+    norm = sum(x * x for x in grad)
+    sym = [[q[a][b] + q[b][a] for b in range(n2)] for a in range(n2)]
+    taus, sparse, images = [], [], []
+    for i in kept:
+        t = [-grad[i] * x - jgrad[i] * y for x, y in zip(grad, jgrad)]
+        t[i] += norm
+        if (sum(x * y for x, y in zip(grad, t))
+                or sum(x * y for x, y in zip(jgrad, t))):
+            raise TheoremViolation("basis vector at 0 is not complex tangent")
+        taus.append(tuple(Q(x, norm) for x in t))
+        nz = [(b, x) for b, x in enumerate(t) if x]
+        sparse.append(nz)
+        images.append([sum(row[b] * x for b, x in nz) for row in sym])
+    scale = 2 * den * norm * norm
+    d = len(kept)
     entries = [[None] * d for _ in range(d)]
     for i in range(d):
         for k in range(i, d):
-            v = _theta(jets[i], jets[k])
-            entries[i][k] = v
+            w = images[k]
+            re = sum(x * w[b] for b, x in sparse[i])
+            # -T_i.J0 w, as (J0 w)_b = -s_b w_(b^1)
+            im = sum(x * w[b ^ 1] * (1 - 2 * (b & 1)) for b, x in sparse[i])
+            v = entries[i][k] = QC(Q(re, scale), Q(im, scale))
             if k != i:
                 entries[k][i] = v.conj()
-    mat = HermitianLeviMatrix(list(basis), entries)
-    for i in range(d):
-        if entries[i][i].im != 0:
-            raise ArithmeticError("polar form has non-real diagonal")
-    return mat
+            elif im:
+                raise ArithmeticError("polar form has non-real diagonal")
+    return HermitianLeviMatrix(taus, entries, m, j)
 
 
 def classify_point(m: Hypersurface, j: ACStructure) -> Classification:

@@ -800,7 +800,7 @@ class TestWitnessFromState:
 
     def test_self_check_fires(self):
         stager = engine._Stager(SPHERE, JSTD, 6)
-        u1, _ = stager.normalize_u1(stager.taus[0])
+        u1 = stager.taus[0]
         assert higher_levi(SPHERE, JSTD, [u1], 0, 0) != 0
         # stratum 2 of phi . u is nonzero whatever u2 is
         with pytest.raises(TheoremViolation, match="stratum at 2"):
@@ -973,9 +973,9 @@ class TestLevelSystemIsTheLeviRow:
         assert max(ell for _, ell, _ in seen) == 5
 
     def test_levi_row_reuses_the_coordinates_of_u1(self, monkeypatch):
-        # a search solves colmat (2n rows) only where u1 is found, not
-        # again for its Levi row; every other solve is a level system of
-        # ell + 1 rows, or the kernel of R0 (2n - 2 rows)
+        # u1 is built from its coordinates, so a search solves colmat
+        # (2n rows) neither for u1 nor for its Levi row; every solve is a
+        # level system of ell + 1 rows, or the kernel of R0 (2n - 2 rows)
         rows = []
         solve = engine.solve_affine
 
@@ -989,7 +989,31 @@ class TestLevelSystemIsTheLeviRow:
         semi = Hypersurface(3, parse_expression(
             "2*x3+abs2(z1)+Re(z2^4)", 3, cap=8))
         type_search(semi, JSTD3, 6)  # u1 from the kernel, then normalized
-        assert rows == [4, 6, 2, 3, 4]
+        assert rows == [4, 2, 3, 4]
+
+    def test_only_user_directions_are_solved_for(self, monkeypatch):
+        # grid candidates are built from their coordinates and solve no
+        # colmat (2n rows); a user direction is given by its value, so its
+        # coordinates are solved for, and a direction outside the tangent
+        # space is refused
+        rows = []
+        solve = engine.solve_affine
+
+        def counted(a, b):
+            rows.append(len(a))
+            return solve(a, b)
+        monkeypatch.setattr(engine, "solve_affine", counted)
+        semi = Hypersurface(3, parse_expression(
+            "2*x3+abs2(z1)+Re(z2^4)", 3, cap=8))
+        type_search(semi, JSTD3, 6, strategy=("grid", 1))
+        assert rows == [2, 3, 4]
+        rows.clear()
+        type_search(semi, JSTD3, 6,
+                    strategy=("directions", [(0, 0, 1, 0, 0, 0)]))
+        assert rows == [6, 2, 3, 4]
+        stager = engine._Stager(semi, JSTD3, 6)
+        with pytest.raises(GeometryError, match="not complex tangential"):
+            stager.coords_of((0, 0, 0, 0, 1, 0))
 
     def test_check_probe_weighs_every_column(self):
         # a wrong entry in any column, the last included, fails the check

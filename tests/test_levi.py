@@ -12,6 +12,7 @@ import sympy as sp
 
 import levitype.disks as disks
 import levitype.geometry as geometry
+import levitype.jets as jets
 import levitype.levi as levi
 from levitype import (
     ACStructure,
@@ -86,6 +87,12 @@ def coordinate_scaled_tangent(rng, m, j, cap):
     """Tangent field vanishing at 0: coordinate series times a tangent field."""
     w = random_tangent_field(rng, m, j, cap, nonzero_at_0=False)
     return scale_field(w, TruncatedSeries.variable(0, 2 * m.n, cap))
+
+
+def rational_form(m, j):
+    """The matrices Q and K of levi._levi_form, as rationals."""
+    _, q, k, den = levi._levi_form(m, j)
+    return [[Q(x, den) for x in row] for row in q + k]
 
 
 class TestTwoRoutes:
@@ -732,6 +739,109 @@ class TestPolarForm:
             mat = hermitian_levi_matrix(quadratic_surface(rng, n, 6), j)
             assert len(mat.basis) == n - 1
             assert [id(x) for x in checked] == [id(x) for x in mat.basis]
+
+    def test_matrix_is_the_polar_form_of_the_basis_fields(self):
+        # the form at 0 reads the 2-jet of phi and the 1-jet of J: terms of
+        # phi of degree >= 3 and of J of degree >= 2 change nothing, while
+        # the polar form on the full-cap basis fields reads them
+        rng = make_rng("levi-form")
+        structures = (lambda n: ACStructure.standard(n, 6),
+                      lambda n: random_structure(rng, n, 6),
+                      lambda n: nonlinear_structure(rng, n, 6))
+        nonzero_im = high_j = 0
+        for n, make_j, _ in iproduct((2, 3, 4), structures, range(2)):
+            m = quadratic_surface(rng, n, 6)
+            j = make_j(n)
+            high = {}
+            for degree in (3, 4, 5):
+                exps = [0] * (2 * n)
+                for _ in range(degree):
+                    exps[rng.randrange(2 * n)] += 1
+                high[tuple(exps)] = Q(rng.choice((-2, -1, 1, 2)),
+                                      rng.choice((1, 3)))
+            m = Hypersurface(n, m.phi + TruncatedSeries(2 * n, 6, high))
+            assert m.phi.total_degree() == 5
+            high_j += max(e.total_degree() or 0
+                          for row in j.entries for e in row) >= 2
+            mat = hermitian_levi_matrix(m, j)
+            basis = complex_tangent_basis(m, j)
+            assert mat.basis_at_zero == [x.at_zero() for x in basis]
+            assert mat.entries == [[levi_polar(m, j, x, y) for y in basis]
+                                   for x in basis]
+            low = hermitian_levi_matrix(m.truncate(2), j)
+            assert low.basis_at_zero == mat.basis_at_zero
+            assert low.entries == mat.entries
+            assert rational_form(m, j) == \
+                rational_form(m.truncate(2), j.truncate(1))
+            nonzero_im += any(e.im for row in mat.entries for e in row)
+        # the 6 nonlinear structures have terms of degree >= 2
+        assert nonzero_im and high_j >= 6
+
+    @staticmethod
+    def forbid_series_work(mp):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the Levi matrix runs no series operation")
+        for module in (jets, geometry):
+            mp.setattr(module, "_dot", forbidden)
+        for name in ("__mul__", "__add__", "__sub__", "__neg__", "partial",
+                     "truncate", "compose", "inverse", "scale"):
+            mp.setattr(TruncatedSeries, name, forbidden)
+
+    def test_errors_match_the_basis_and_come_before_any_work(
+            self, monkeypatch):
+        # n = 1 raises complex_tangent_basis's error; a basis cap of 0
+        # raises what differentiating the cap-0 basis fields raises
+        rng = make_rng("levi-form-errors")
+        line = surface(1, 4, {(1, 0): 2})
+        j1 = ACStructure.standard(1, 4)
+        with pytest.raises(GeometryError) as want:
+            complex_tangent_basis(line, j1)
+        cases = []
+        for n in (2, 3):
+            m = quadratic_surface(rng, n, 4)
+            for j in (ACStructure.standard(n, 0), random_structure(rng, n, 1)):
+                x = complex_tangent_basis(m, j)[0]
+                assert x.cap == 0
+                with pytest.raises(CapError) as cap_error:
+                    levi_polar(m, j, x, x)
+                cases.append((m, j, cap_error))
+        with monkeypatch.context() as mp:
+            self.forbid_series_work(mp)
+            with pytest.raises(GeometryError) as got:
+                hermitian_levi_matrix(line, j1)
+            assert str(got.value) == str(want.value) == \
+                "no complex tangent directions in complex dim 1"
+            for m, j, cap_error in cases:
+                with pytest.raises(CapError) as got:
+                    hermitian_levi_matrix(m, j)
+                assert str(got.value) == str(cap_error.value) == \
+                    "cannot differentiate a field with cap 0"
+
+    def test_matrix_forms_no_series_and_builds_basis_on_read(
+            self, monkeypatch):
+        rng = make_rng("levi-form-lazy")
+        calls = []
+        build = levi.complex_tangent_basis
+
+        def counted(m, j):
+            calls.append(m.cap)
+            return build(m, j)
+        monkeypatch.setattr(levi, "complex_tangent_basis", counted)
+        for n, perturbed in iproduct((2, 3, 4), (False, True)):
+            m = quadratic_surface(rng, n, 6)
+            j = (random_structure(rng, n, 6) if perturbed
+                 else ACStructure.standard(n, 6))
+            with monkeypatch.context() as mp:
+                self.forbid_series_work(mp)
+                mat = hermitian_levi_matrix(m, j)
+                taus = mat.basis_at_zero
+                label = mat.classify()
+            assert calls == [] and len(taus) == n - 1
+            fields = mat.basis
+            assert calls == [2] and mat.basis is fields
+            assert [x.at_zero() for x in fields] == taus
+            assert hermitian_levi_matrix(m, j).classify() == label
+            calls.clear()
 
 
 class TestClassification:
