@@ -10,7 +10,7 @@ overflow.
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from . import engine, levi
 from .disks import DiskJet
@@ -148,17 +148,6 @@ def _type_doc(rep: engine.TypeReport):
     }
 
 
-def _validation_doc(rec: engine.ValidationRecord):
-    return {
-        "k": rec.k,
-        "contact_order": rec.contact_order,
-        "realized_order": rec.realized_order,
-        "commutation_order": rec.commutation_order,
-        "levi_slots_checked": rec.levi_slots_checked,
-        "derivative_matches": rec.derivative_matches,
-    }
-
-
 def _spec_parameters(spec: ProblemSpec):
     jspec = spec.j_specification
     if jspec == "standard":
@@ -215,9 +204,7 @@ def _cmd_levi(spec, m, j):
 
 
 def _cmd_classify(spec, m, j):
-    cls = levi.classify_point(m, j)
-    return {"label": cls.label, "positive": cls.positive,
-            "negative": cls.negative, "zero": cls.zero}
+    return asdict(levi.classify_point(m, j))
 
 
 def _cmd_type(spec, m, j):
@@ -235,7 +222,7 @@ def _cmd_validate(spec, m, j, point):
     rep = engine.type_search(m, j, spec.k_max, strategy=spec.strategy)
     rec = engine.cross_validate(m, j, rep)
     return {"report": _type_doc(replace(rep, point=tuple(point))),
-            "validation": _validation_doc(rec)}
+            "validation": asdict(rec)}
 
 
 CATALOG = (

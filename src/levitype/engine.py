@@ -50,21 +50,15 @@ def _is_zero_vec(v):
 # disk <-> field conversion
 
 
-def _dual_pair_forms(v, w):
-    """Linear forms l1, l2 with l1(v)=1, l1(w)=0, l2(v)=0, l2(w)=1.
-
-    Supported on two coordinates chosen as the first pair of indices where
-    the 2x2 minor of (v, w) is invertible; v, w independent is required.
-    """
-    m2n = len(v)
-    for i1 in range(m2n):
-        for i2 in range(i1 + 1, m2n):
-            det = v[i1] * w[i2] - v[i2] * w[i1]
-            if det != 0:
-                c = [[w[i2] / det, -w[i1] / det],
-                     [-v[i2] / det, v[i1] / det]]
-                return (i1, i2), c
-    raise GeometryError("field value and its rotation are not independent")
+def _dual_pair_forms(v):
+    """Linear forms l1, l2 with l1(v)=1, l1(J_std v)=0, l2(v)=0 and
+    l2(J_std v)=1 for v != 0, on (x_c, y_c) for the first c where v is
+    nonzero: with (a, b) = (v[2c], v[2c+1]), J_std v is (-b, a) there, so
+    the forms are [[a, b], [-b, a]] / (a^2 + b^2)."""
+    i1 = next(i for i in range(0, len(v), 2) if v[i] or v[i + 1])
+    a, b = v[i1], v[i1 + 1]
+    norm = a * a + b * b
+    return (i1, i1 + 1), [[a / norm, b / norm], [-b / norm, a / norm]]
 
 
 def _disk_triangle(u: DiskJet, k: int) -> FieldJet:
@@ -120,7 +114,7 @@ def realize_field_from_disk(m: Hypersurface, j: ACStructure, u: DiskJet,
     ux = [c.partial(0) for c in disk]
     v = VectorField.constant(m.n, u1, k)
     if k > 0:
-        (i1, i2), dual = _dual_pair_forms(u1, apply_jstd(u1))
+        (i1, i2), dual = _dual_pair_forms(u1)
         ident = TruncatedSeries.variables(2, k)
         # psi - id = O(2); each round of sigma = id - (psi - id) o sigma
         # fixes one more degree, from degree 1 up to k

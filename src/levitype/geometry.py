@@ -35,9 +35,13 @@ def standard_matrix(n: int):
 
 
 def constant_matrix(mat, num_vars: int, cap: int):
-    """A rational matrix as a matrix of constant series."""
-    return [[TruncatedSeries.constant(v, num_vars, cap) for v in row]
-            for row in mat]
+    """A rational matrix as a matrix of constant series, one series per
+    distinct value, shared by the entries that equal it.  Values are keyed
+    by (numerator, denominator), which hashes faster than a Fraction."""
+    keys = [[(v.numerator, v.denominator) for v in row] for row in mat]
+    made = {k: TruncatedSeries.constant(Q(*k), num_vars, cap)
+            for k in set().union(*keys)}
+    return [[made[k] for k in row] for row in keys]
 
 
 def apply_jstd(vec):

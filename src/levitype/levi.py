@@ -4,18 +4,20 @@ The Levi form of a complex tangent field X is dphi(J[X,JX]) evaluated at the
 origin.  A second route expresses the same number through the flat Hessian of
 phi plus a correction built from first derivatives of J: one bilinear form at
 0 (_levi_form), which the Hessian route and the Hermitian matrix on the
-complex tangent space both read.  The bracket route (levi_form_bracket,
-levi_polar) shares no code with that form, and the two routes are
-cross-checked in tests.  The higher forms L^{p,q} are computed
-by their defining contract: propagate a disk jet from prescribed x-derivatives,
-compose with phi, and read one derivative of its disk Laplacian at 0.
+complex tangent space both read.  The bracket route, levi_form_bracket and
+levi_polar, brackets fields of cap 1 (_bracket_at_zero), shares no code with
+that form, and is cross-checked against it in tests.  The higher forms
+L^{p,q} are computed by their defining contract: propagate a disk jet from
+prescribed x-derivatives, compose with phi, and read one derivative of its
+disk Laplacian at 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from math import lcm
+from functools import cache, cached_property
+from itertools import permutations
+from math import lcm, prod
 
 from . import linalg
 from .disks import _read_held
@@ -50,33 +52,33 @@ def _require_tangent(m: Hypersurface, j: ACStructure, x: VectorField, who: str):
         )
 
 
+def _bracket_at_zero(m: Hypersurface, a: VectorField, b: VectorField):
+    """dphi(J_std [A, B](0)) by lie_bracket, for fields of one cap <= 1:
+    [A, B](0) = DB(0)A(0) - DA(0)B(0) reads only their 1-jets."""
+    return m.dphi_at_zero(apply_jstd(lie_bracket(a, b).at_zero()))
+
+
 def levi_form_bracket(m: Hypersurface, j: ACStructure, x: VectorField) -> LeviReport:
     """L(X) = dphi(J[X, JX]) at 0, where J(0) = J_std."""
     _require_tangent(m, j, x, "levi_form_bracket")
-    jx = j.apply(x)
-    cap = min(x.cap, jx.cap)
-    br = lie_bracket(x.truncate(cap), jx.truncate(cap))
-    value = m.dphi_at_zero(apply_jstd(br.at_zero()))
-    return LeviReport(value, "bracket", ZERO)
-
-
-def _dir_derivative(series: TruncatedSeries, vec):
-    out = TruncatedSeries.zero(series.num_vars, series.cap - 1)
-    for i, v in enumerate(vec):
-        if v != 0:
-            out = out + series.partial(i).scale(v)
-    return out
+    x = x.truncate(min(x.cap, 1))
+    return LeviReport(_bracket_at_zero(m, x, j.apply(x)), "bracket", ZERO)
 
 
 def _derivative_at_zero(series: TruncatedSeries, vectors):
-    """D^k f(v_1, ..., v_k) at 0 for constant directions, k = len(vectors)
-    <= f's cap: only the degree-k part of f is differentiated."""
-    if len(vectors) > series.cap:
+    """D^k f(v_1, ..., v_k) at 0, 1 <= k = len(vectors) <= f's cap, from
+    f's degree-k terms: c x_(a_1)...x_(a_k) adds c times the permanent
+    sum over permutations s of prod_i v_(s_i)[a_i]."""
+    k = len(vectors)
+    if k > series.cap:
         raise CapError("derivative order exceeds the series' cap")
-    s = series.truncate(len(vectors))
-    for vec in vectors:
-        s = _dir_derivative(s, vec)
-    return s.constant_term()
+    total = ZERO
+    for v, num in _low_terms(series, k):
+        if len(v) == k:
+            total += num * sum(
+                (prod(vectors[i][a] for i, a in zip(perm, v))
+                 for perm in permutations(range(k))), ZERO)
+    return total / series._den
 
 
 def _levi_form(m: Hypersurface, j: ACStructure):
@@ -148,59 +150,23 @@ def levi_form_hessian(m: Hypersurface, j: ACStructure, x: VectorField) -> LeviRe
                       _quadratic(k, x0) / den)
 
 
-def _one_jets(m: Hypersurface, j: ACStructure, fields):
-    """[X(0), w_X, JX(0), w_JX] per field X: the 1-jet data Theta reads.
-
-    w_F = c DF(0) for the row vector c = dphi(0) J_std, kept as {k: value}
-    over its nonzero entries.  As [A, B](0) = DB(0)A(0) - DA(0)B(0),
-    dphi(J_std [A, B](0)) = w_B.A(0) - w_A.B(0).
-    """
-    c = [(i, -v) for i, v in enumerate(apply_jstd(m.grad_at_zero())) if v]
-    out = []
-    for x in fields:
-        if x.cap == 0:
-            raise CapError("cannot differentiate a field with cap 0")
-        x1 = x.truncate(1)
-        data = []
-        for f in (x1, j.apply(x1)):
-            w = {}
-            for i, ci in c:
-                for exps, v in f.components[i].terms():
-                    if any(exps):
-                        k = exps.index(1)
-                        w[k] = w.get(k, ZERO) + ci * v
-            data += [f.at_zero(), w]
-        out.append(data)
-    return out
-
-
-def _theta(a, b) -> QC:
-    """Theta(X, Y) from the _one_jets data a of X and b of Y."""
-    x0, wx, jx0, wjx = a
-    y0, wy, jy0, wjy = b
-
-    def dot(w, v):
-        return sum((wk * v[k] for k, wk in w.items()), ZERO)
-
-    re = (dot(wjy, x0) - dot(wx, jy0) + dot(wjx, y0) - dot(wy, jx0)) / 2
-    im = (dot(wy, x0) - dot(wx, y0) + dot(wjy, jx0) - dot(wjx, jy0)) / 2
-    return QC(re, im)
-
-
 def levi_polar(m: Hypersurface, j: ACStructure, x: VectorField,
                y: VectorField) -> QC:
     """Polar form: Theta(X,Y) with Theta(X,X) = L(X).
 
     Real part: dphi(J[X,JY] + J[Y,JX]) / 2; imaginary part:
-    dphi(J[X,Y] + J[JX,JY]) / 2, all at 0.  Antilinear in the first slot.
-    Each term reads one value and one covector w_F = c DF(0) per field, with
-    c = dphi(0) J_std (see _one_jets):
-      Re = (w_JY.X0 - w_X.JY0 + w_JX.Y0 - w_Y.JX0) / 2,
-      Im = (w_Y.X0 - w_X.Y0 + w_JY.JX0 - w_JX.JY0) / 2.
+    dphi(J[X,Y] + J[JX,JY]) / 2, all at 0, where J(0) = J_std.  Antilinear
+    in the first slot.  Each bracket is one _bracket_at_zero, as in
+    levi_form_bracket.
     """
     _require_tangent(m, j, x, "levi_polar")
     _require_tangent(m, j, y, "levi_polar")
-    return _theta(*_one_jets(m, j, (x, y)))
+    cap = min(x.cap, y.cap, 1)
+    x, y = x.truncate(cap), y.truncate(cap)
+    jx, jy = j.apply(x), j.apply(y)
+    re = (_bracket_at_zero(m, x, jy) + _bracket_at_zero(m, y, jx)) / 2
+    im = (_bracket_at_zero(m, x, y) + _bracket_at_zero(m, jx, jy)) / 2
+    return QC(re, im)
 
 
 @dataclass(frozen=True)
@@ -396,6 +362,13 @@ def higher_levi(m: Hypersurface, j: ACStructure, x_jet, p: int, q: int):
     return a[q] + a[q + 2]
 
 
+@cache
+def _standard(n: int) -> ACStructure:
+    """One J_std per n, whose held transport state (see levi_trace) the
+    closed forms' calls on one surface share; no transport reads its cap."""
+    return ACStructure.standard(n, 2)
+
+
 def higher_levi_closed_form(p: int, q: int, m: Hypersurface, *vectors):
     """The printed closed forms for L^{0,0}, L^{1,0}, L^{0,1}, standard J only.
 
@@ -410,28 +383,24 @@ def higher_levi_closed_form(p: int, q: int, m: Hypersurface, *vectors):
     vecs = [tuple(rat(c) for c in v) for v in vectors]
     if len(vecs) != p + q + 1:
         raise ValueError(f"need {p + q + 1} vectors, got {len(vecs)}")
-    j = ACStructure.standard(m.n, 2)
+    j = _standard(m.n)
 
-    def i(v):
-        return tuple(apply_jstd(list(v)))
+    i = apply_jstd  # multiplication by i on C^n
 
-    def d2(a, b):
-        return _derivative_at_zero(m.phi, [a, b])
-
-    def d3(a, b, c):
-        return _derivative_at_zero(m.phi, [a, b, c])
+    def d(*vecs):
+        return _derivative_at_zero(m.phi, vecs)
 
     if (p, q) == (0, 0):
         x1 = vecs[0]
-        value = d2(x1, x1) + d2(i(x1), i(x1))
+        value = d(x1, x1) + d(i(x1), i(x1))
     elif (p, q) == (1, 0):
         x1, x2 = vecs
-        value = (d3(x1, x1, x1) + d3(x1, i(x1), i(x1))
-                 + 2 * d2(x2, x1) + 2 * d2(i(x2), i(x2)))
+        value = (d(x1, x1, x1) + d(x1, i(x1), i(x1))
+                 + 2 * d(x2, x1) + 2 * d(i(x2), i(x2)))
     else:
         x1, x2 = vecs
-        value = (d3(i(x1), x1, x1) + d3(i(x1), i(x1), i(x1))
-                 + 2 * d2(i(x2), x1) - 2 * d2(x2, i(x2)))
+        value = (d(i(x1), x1, x1) + d(i(x1), i(x1), i(x1))
+                 + 2 * d(i(x2), x1) - 2 * d(x2, i(x2)))
     reference = higher_levi(m, j, vecs, p, q)
     if value != reference:
         raise ClosedFormMismatch(p, q, value, reference)

@@ -235,6 +235,26 @@ def one_word_table(monkeypatch):
     return tables
 
 
+class TestDualPairForms:
+    def test_forms_are_dual_to_v_and_its_rotation(self):
+        # leading complex coordinates zero, and pairs with a = 0 or b = 0
+        rng = make_rng("engine-dual-pair-forms")
+        cases = [(0, 0, 0, 3), (0, 0, Q(-2, 3), 0), (0, 5, 1, 1), (1, 0, 0, 0)]
+        for n in (2, 3, 4):
+            for lead in range(n):
+                v = [0] * (2 * lead) + list(random_vector(rng, 2 * (n - lead)))
+                v[2 * lead + rng.randrange(2)] = rng.choice((1, Q(-3, 2)))
+                cases.append(tuple(v))
+        for v in cases:
+            v = tuple(Q(c) for c in v)
+            (i1, i2), forms = engine._dual_pair_forms(v)
+            c = next(c for c in range(len(v) // 2) if v[2 * c] or v[2 * c + 1])
+            assert (i1, i2) == (2 * c, 2 * c + 1)
+            jv = apply_jstd(v)
+            for (a, b), want in zip(forms, ((1, 0), (0, 1))):
+                assert (a * v[i1] + b * v[i2], a * jv[i1] + b * jv[i2]) == want
+
+
 class TestRealizeFieldFromDisk:
     def test_flat_straight_disk(self):
         u = propagate_cr_jet([E1], JSTD, 6)

@@ -630,6 +630,23 @@ class TestPrintedClosedForms:
         with pytest.raises(ValueError):
             higher_levi_closed_form(1, 1, SPHERE, E1, E1, E1)
 
+    def test_calls_on_one_surface_share_one_transport(self, monkeypatch):
+        # one J_std per n: its plan of the surface and its held state serve
+        # every call with the same vectors
+        m = surface(2, CAP, {(0, 0, 1, 0): 2, (2, 0, 0, 0): 1, (0, 2, 0, 0): 1})
+        built = {"_Plan": 0, "_Transport": 0}
+        for name in built:
+            cls = getattr(disks, name)
+
+            def counted(self, *args, _init=cls.__init__, _name=name):
+                built[_name] += 1
+                _init(self, *args)
+            monkeypatch.setattr(cls, "__init__", counted)
+        for _ in range(5):
+            assert higher_levi_closed_form(1, 0, m, E1, E1) == 8
+            assert higher_levi_closed_form(0, 1, m, E1, E1) == 0
+        assert built == {"_Plan": 1, "_Transport": 1}
+
 
 class TestPolarForm:
     def test_diagonal_is_the_levi_form(self):
