@@ -364,8 +364,9 @@ def higher_levi(m: Hypersurface, j: ACStructure, x_jet, p: int, q: int):
 
 @cache
 def _standard(n: int) -> ACStructure:
-    """One J_std per n, whose held transport state (see levi_trace) the
-    closed forms' calls on one surface share; no transport reads its cap."""
+    """One J_std per n for the life of the process, whose held transport
+    state (see levi_trace) the closed forms' calls on one surface share; no
+    transport reads its cap."""
     return ACStructure.standard(n, 2)
 
 
