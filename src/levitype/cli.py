@@ -12,15 +12,13 @@ import json
 import sys
 from dataclasses import asdict, dataclass, replace
 
-from . import engine, levi
+from . import __version__, engine, levi
 from .disks import DiskJet
 from .errors import CapError, GeometryError, ParseError
 from .geometry import (ACStructure, Hypersurface, perturbed_structure,
                        project_point_to_surface, recenter)
 from .parser import parse_expression, series_to_expression
 from .rational import Q
-
-VERSION = "0.1.0"
 
 
 @dataclass(frozen=True)
@@ -178,7 +176,7 @@ def _spec_parameters(spec: ProblemSpec):
 def _document(spec: ProblemSpec, result: dict) -> dict:
     return {
         "tool": "levitype",
-        "version": VERSION,
+        "version": __version__,
         "command": spec.command,
         "parameters": _spec_parameters(spec),
         "result": result,

@@ -245,7 +245,7 @@ def _transport_plan(j: ACStructure, cap: int, m: Hypersurface | None):
     transport makes: m and J live on one C^n, and J reaches order cap."""
     if m is not None and m.n != j.n:
         raise ValueError(f"surface in C^{m.n}, structure on C^{j.n}")
-    if not j.is_standard and j.cap < max(cap - 1, 0):
+    if j.known < cap - 1:
         raise CapError(
             f"structure cap {j.cap} too small to transport to order {cap}")
     return _plan(j, m)
@@ -483,7 +483,7 @@ def _read_held(j: ACStructure, m: Hypersurface, jet):
                 return record[3]
             state, new = record[1], jet[len(record[2]):]
         else:
-            cap = m.cap if j.is_standard else min(m.cap, j.cap + 1)
+            cap = min(m.cap, j.known + 1)
             state, new = _Transport(j, cap, m), jet
         held.pop("_held", None)  # a failed extension leaves no state behind
         state.extend(*new)
@@ -524,7 +524,12 @@ def propagate_cr_jet(x_derivs, j: ACStructure, order: int | None = None) -> Disk
 
 
 def is_cr_jet(u: DiskJet, j: ACStructure) -> bool:
-    """Check du/dy = J(u) du/dx coefficientwise through cap-1."""
+    """Check du/dy = J(u) du/dx coefficientwise through cap-1.
+
+    The check composes J's entries with u, so its guard is on the cap of
+    those entries, not on the order J is known through (ACStructure.known):
+    a J_std whose entries have a cap below cap-1 is refused too.
+    """
     if u.cap == 0:
         return True
     low = u.cap - 1

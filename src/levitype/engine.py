@@ -85,14 +85,15 @@ def realize_field_from_disk(m: Hypersurface, j: ACStructure, u: DiskJet,
     Contact k+2 makes dphi(u_x) o u = d(phi o u)/dx and dphi(J u_x) o u =
     d(phi o u)/dy vanish to order k+1, so X o u = u_x + O(k+1) and
     JX o u = u_y + O(k+1).  Those identities read only the k-jet of X, so X
-    is built in one pass on phi and J truncated at max(k+1, 2) and has cap
-    k.  They are checked as written, on the k-jets of X, JX and u, and they
-    give the triangle by the chain rule: (D_Z F) o u = dF(u)(Z o u), so a
-    word in X and JX of length m pulls back to its derivative of u up to
-    O(k+2-m), exact at 0 for m <= k+1.  A field that misses them is a
-    TheoremViolation.  Each round of sigma, the components of V and the
-    pullback of X and JX together are one jets.compose of a list of series
-    with one argument list, so each product of the arguments is formed once.
+    is built in one pass on phi truncated at max(k+1, 2), J read through
+    the caps of the fields it acts on, and has cap k.  They are checked as
+    written, on the k-jets of X, JX and u, and they give the triangle by
+    the chain rule: (D_Z F) o u = dF(u)(Z o u), so a word in X and JX of
+    length m pulls back to its derivative of u up to O(k+2-m), exact at 0
+    for m <= k+1.  A field that misses them is a TheoremViolation.  Each
+    round of sigma, the components of V and the pullback of X and JX
+    together are one jets.compose of a list of series with one argument
+    list, so each product of the arguments is formed once.
     """
     co = contact_order(m, u)
     max_k = co.order - 2
@@ -108,7 +109,7 @@ def realize_field_from_disk(m: Hypersurface, j: ACStructure, u: DiskJet,
         raise GeometryError("disk is not regular at 0")
     # contact k+2 needs phi.cap >= k+1
     cap = max(k + 1, 2)
-    m, j = m.truncate(cap), j.truncate(min(j.cap, cap))
+    m = m.truncate(cap)
     disk = u.truncate(k + 1).components
     base = [c.truncate(k) for c in disk]
     ux = [c.partial(0) for c in disk]
@@ -359,7 +360,7 @@ class _Stager:
             raise CapError(
                 f"K_max={k_max} needs a defining function cap of at least "
                 f"{k_max + 2}, have {m.cap}")
-        if not j.is_standard and j.cap < k_max - 1:
+        if j.known < k_max - 1:
             raise CapError(
                 f"K_max={k_max} needs the structure through order {k_max - 1}")
         self.m = m

@@ -6,14 +6,19 @@ J_std acts per 2x2 block as J(d/dx_i) = d/dy_i, J(d/dy_i) = -d/dx_i.
 All ingestion normalizes the base point to the origin.  A hypersurface is a
 defining polynomial jet phi with phi(0) = 0 and grad phi(0) != 0; an almost
 complex structure is a matrix of series with J(0) = J_std and J*J = -I as a
-series identity through the cap.  Vector fields are tuples of series sharing
-one cap.  The flat symmetric connection of the coordinates is used for all
-covariant derivatives, so iterated derivatives are plain directional
-derivatives of components.
+series identity through the cap.  Its constructor, the one way to build one,
+checks both and decides once whether J is J_std, every entry its constant
+(is_standard).  J_std is known at every order and any other J through its
+cap (ACStructure.known); each cap check on a structure reads that, and
+ACStructure.apply keeps its own J_std path.  Vector fields are tuples of
+series sharing one cap.  The flat symmetric connection of the coordinates
+is used for all covariant derivatives, so iterated derivatives are plain
+directional derivatives of components.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -165,68 +170,66 @@ class Hypersurface:
 
 
 class ACStructure:
-    """Almost complex structure: 2n x 2n matrix of series, J(0)=J_std, J*J=-I."""
+    """Almost complex structure: 2n x 2n matrix of series, J(0)=J_std, J*J=-I.
 
-    def __init__(self, n: int, entries, _validated: bool = False):
+    The constructor is the one way to build one, and it decides what J is
+    in one row-major pass over the entries: each entry's constant, read
+    as an integer numerator over the entry's denominator, must be the
+    J_std entry (0 or +-1), and J is standard (is_standard) when every
+    entry is exactly that integer constant.  J*J = -I is then checked as
+    a series identity through the cap, for a non-standard J only.  J_std
+    is known at every order, any other J through its cap (known).  apply
+    keeps a J_std path, which reads no entry and keeps the field's cap.
+    """
+
+    def __init__(self, n: int, entries):
+        n2 = 2 * n
         entries = tuple(tuple(row) for row in entries)
-        if len(entries) != 2 * n or any(len(r) != 2 * n for r in entries):
-            raise GeometryError(f"J must be a {2 * n} x {2 * n} matrix")
+        if len(entries) != n2 or any(len(r) != n2 for r in entries):
+            raise GeometryError(f"J must be a {n2} x {n2} matrix")
         cap = entries[0][0].cap
-        for row in entries:
-            for e in row:
-                if e.num_vars != 2 * n or e.cap != cap:
-                    raise GeometryError("J entries must share num_vars and cap")
         self.n = n
         self.entries = entries
-        std = standard_matrix(n)
-        # J_std's entries are 0 and +-1: integer constants, stored as such
-        self.is_standard = all(
-            e._den == 1 and e._terms == ({0: int(v)} if v else {})
-            for row, std_row in zip(entries, std)
-            for e, v in zip(row, std_row)
-        )
-        if not _validated:
-            self._validate(std)
-
-    def _validate(self, std):
-        n2 = 2 * self.n
-        for i in range(n2):
-            for j in range(n2):
-                if self.entries[i][j].constant_term() != std[i][j]:
-                    raise GeometryError(
-                        "J(0) != J_std; conjugate the structure at ingestion"
-                    )
-        if self.is_standard:
+        at_std = standard = True
+        for a, row in enumerate(entries):
+            for b, e in enumerate(row):
+                if e.num_vars != n2 or e.cap != cap:
+                    raise GeometryError("J entries must share num_vars and cap")
+                # J_std is -1 at (2c, 2c+1), 1 at (2c+1, 2c) and 0 elsewhere
+                v = (a & 1) - (b & 1) if a ^ b == 1 else 0
+                if e._terms.get(0, 0) != v * e._den:
+                    at_std = False
+                elif e._den != 1 or len(e._terms) != (v != 0):
+                    standard = False
+        if not at_std:
+            raise GeometryError(
+                "J(0) != J_std; conjugate the structure at ingestion")
+        self.is_standard = standard
+        if standard:
             return
         # columns of J*J, scanned in row-major order for the error message
-        cols = [mat_vec(self.entries, [row[j] for row in self.entries])
-                for j in range(n2)]
-        one = TruncatedSeries.constant(1, n2, self.cap)
-        for i in range(n2):
-            for j in range(n2):
-                acc = cols[j][i] + one if i == j else cols[j][i]
+        cols = [mat_vec(entries, [row[b] for row in entries])
+                for b in range(n2)]
+        one = TruncatedSeries.constant(1, n2, cap)
+        for a in range(n2):
+            for b in range(n2):
+                acc = cols[b][a] + one if a == b else cols[b][a]
                 if not acc.is_zero():
                     raise GeometryError(
-                        f"J*J != -I through cap {self.cap} at entry ({i},{j})"
-                    )
+                        f"J*J != -I through cap {cap} at entry ({a},{b})")
 
     @property
     def cap(self) -> int:
         return self.entries[0][0].cap
 
+    @property
+    def known(self):
+        """The order J is known through: math.inf for J_std, else the cap."""
+        return math.inf if self.is_standard else self.cap
+
     @classmethod
     def standard(cls, n: int, cap: int) -> "ACStructure":
-        entries = constant_matrix(standard_matrix(n), 2 * n, cap)
-        return cls(n, entries, _validated=True)
-
-    def truncate(self, cap: int) -> "ACStructure":
-        if cap == self.cap:
-            return self
-        return ACStructure(
-            self.n,
-            [[e.truncate(cap) for e in row] for row in self.entries],
-            _validated=True,
-        )
+        return cls(n, constant_matrix(standard_matrix(n), 2 * n, cap))
 
     def apply(self, x: VectorField) -> VectorField:
         """J applied to a field; standard structures keep the field's cap."""
@@ -362,7 +365,7 @@ def field_jet(x: VectorField, j: ACStructure, k: int) -> FieldJet:
     """All D^(p,q)X(0), p + q <= k, on the word table of (X, JX) at cap k."""
     if k > x.cap:
         raise CapError(f"order {k} exceeds the field's cap {x.cap}")
-    if not j.is_standard and k > j.cap:
+    if k > j.known:
         raise CapError(f"order {k} exceeds the structure's cap {j.cap}")
     return _word_jet(word_table((x.truncate(k), j.apply(x).truncate(k))),
                      x.n, k)

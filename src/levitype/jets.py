@@ -71,9 +71,8 @@ from __future__ import annotations
 from math import comb, gcd, lcm
 
 from .errors import CapError
-from .rational import Q, ZERO
+from .rational import Q, ZERO, rat
 
-_QTYPE = type(ZERO)
 _WIDTH = 8                 # field width, in bits, for every cap below _WIDE
 _WIDE = 1 << _WIDTH
 
@@ -134,14 +133,6 @@ def _reduced(num_vars: int, cap: int, terms: dict, den: int):
     return _new(num_vars, cap, terms, den)
 
 
-def _coerce_scalar(c):
-    if isinstance(c, _QTYPE):
-        return c
-    if isinstance(c, float):
-        raise TypeError("floats are not exact rationals")
-    return Q(c)
-
-
 class TruncatedSeries:
     __slots__ = ("num_vars", "cap", "_terms", "_den")
 
@@ -175,7 +166,7 @@ class TruncatedSeries:
                 key = (key << width) | e
             if degree > cap:
                 raise ValueError(f"term of degree {degree} exceeds cap {cap}")
-            c = _coerce_scalar(c)
+            c = rat(c)
             if c != 0:
                 key |= degree << top
                 acc = clean.get(key)
@@ -204,7 +195,7 @@ class TruncatedSeries:
     @classmethod
     def constant(cls, c, num_vars: int, cap: int) -> "TruncatedSeries":
         res = cls(num_vars, cap)
-        c = _coerce_scalar(c)
+        c = rat(c)
         if c != 0:
             res._terms = {0: int(c.numerator)}
             res._den = int(c.denominator)
@@ -334,7 +325,7 @@ class TruncatedSeries:
                     {k: -c for k, c in self._terms.items()}, self._den)
 
     def scale(self, c) -> "TruncatedSeries":
-        c = _coerce_scalar(c)
+        c = rat(c)
         if c == 0:
             return _new(self.num_vars, self.cap, {}, 1)
         p = int(c.numerator)
@@ -429,7 +420,7 @@ class TruncatedSeries:
         treats the stored polynomial as exact, which is the contract for user
         supplied defining data.
         """
-        point = [_coerce_scalar(p) for p in point]
+        point = [rat(p) for p in point]
         if len(point) != self.num_vars:
             raise ValueError("point arity mismatch")
         out = {}
@@ -459,7 +450,7 @@ class TruncatedSeries:
 
     def evaluate(self, point):
         """Exact value of the stored polynomial at a rational point."""
-        point = [_coerce_scalar(p) for p in point]
+        point = [rat(p) for p in point]
         if len(point) != self.num_vars:
             raise ValueError("point arity mismatch")
         total = ZERO

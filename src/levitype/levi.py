@@ -109,7 +109,8 @@ def _levi_form(m: Hypersurface, j: ACStructure):
             h[v[0]][v[0]] = 2 * num
         else:
             h[v[0]][v[1]] = h[v[1]][v[0]] = num
-    read = [] if j.is_standard else [
+    # a constant entry, as every entry of J_std, has no degree-1 term
+    read = [
         (ga, b, e._den, terms) for a, ga in enumerate(grad) if ga
         for b, e in enumerate(j.entries[a]) if (terms := _low_terms(e, 1))]
     lden = lcm(*(d for _, _, d, _ in read))

@@ -62,6 +62,12 @@ def random_structure(rng, n: int, cap: int) -> ACStructure:
     return perturbed_structure(n, cap, rng.randrange(1_000_000))
 
 
+def truncated_structure(j: ACStructure, cap: int) -> ACStructure:
+    """J with every entry truncated to cap, built and checked afresh."""
+    return ACStructure(j.n, [[e.truncate(cap) for e in row]
+                             for row in j.entries])
+
+
 def random_vector(rng, nv: int, span=3):
     return tuple(random_rational(rng, span) for _ in range(nv))
 

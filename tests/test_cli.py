@@ -46,7 +46,7 @@ class TestRunCommand:
     def test_document_envelope(self):
         doc = run_command(spec_for("classify", phi=SPHERE_PHI))
         assert doc["tool"] == "levitype"
-        assert doc["version"] == "0.1.0"
+        assert doc["version"] == "0.1.0" == levitype.__version__
         assert doc["command"] == "classify"
         p = doc["parameters"]
         assert p["n"] == 2 and p["phi"] == SPHERE_PHI

@@ -3,6 +3,8 @@
 from dataclasses import replace
 from itertools import combinations, product
 
+import math
+
 import pytest
 
 import levitype.disks as disks
@@ -40,11 +42,13 @@ from levitype import (
 )
 from levitype import classify_point
 from levitype.cli import CATALOG
+from levitype.disks import _Transport
 from levitype.geometry import apply_jstd
 
 from conftest import (make_rng, monomials, nonlinear_structure, random_field,
                       random_phi, random_rational, random_structure,
-                      random_vector, reference_solve_affine, scale_field)
+                      random_vector, reference_solve_affine, scale_field,
+                      truncated_structure)
 
 CAP = 10
 JSTD = ACStructure.standard(2, CAP)
@@ -344,12 +348,66 @@ class TestRealizeFieldFromDisk:
             x = realize_field_from_disk(m, j, rep.witness_disk, k)
             assert x == rep.witness_field
 
+    def test_reads_the_structure_it_is_given(self, monkeypatch):
+        # J is read through the caps of the fields it is applied to, so no
+        # truncated copy of J is built, and none is needed
+        j = perturbed_structure(3, 8, 1)
+        rep = type_search(INDEF3, j, 6)
+        k = rep.lower_bound - 2
+        assert j.cap > k + 1
+        low = truncated_structure(j, k + 1)
+        built = []
+        init = ACStructure.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            init(self, *args)
+        monkeypatch.setattr(ACStructure, "__init__", counting)
+        x = realize_field_from_disk(INDEF3, j, rep.witness_disk, k)
+        assert built == []
+        monkeypatch.undo()
+        assert x == realize_field_from_disk(INDEF3, low, rep.witness_disk, k)
+
     def test_structure_below_the_order(self):
-        # the field's cap is the truncated structure's, below k
+        # the field's cap is the structure's, below k
         rep = type_search(FLAT, perturbed_structure(2, 10, 0), 8)
         with pytest.raises(CapError, match="order 6 exceeds the field's cap 5"):
             realize_field_from_disk(FLAT, perturbed_structure(2, 5, 0),
                                     rep.witness_disk, 6)
+
+
+class TestKnownOrder:
+    """J_std is known at every order and any other J through its cap: the
+    field jet, the staged search, the transport and the transport state
+    that J holds (higher_levi) refuse past that order."""
+
+    @pytest.mark.parametrize("cap", (0, 1, 2))
+    def test_standard_structure_of_any_cap(self, cap):
+        j = ACStructure.standard(2, cap)
+        assert j.known == math.inf
+        rng = make_rng(f"known-standard-{cap}")
+        assert propagate_cr_jet([E1], j, 6).cap == 6
+        assert field_jet(random_field(rng, 2, 5), j, 5).order == 5
+        assert higher_levi(QUARTIC, j, [E1] * 5, 2, 2) == \
+            higher_levi(QUARTIC, JSTD, [E1] * 5, 2, 2)
+
+    @pytest.mark.parametrize("cap", (2, 3))
+    def test_other_structure_through_its_cap(self, cap):
+        j = perturbed_structure(2, cap, 3)
+        assert not j.is_standard and j.known == cap
+        x = random_field(make_rng(f"known-other-{cap}"), 2, cap + 2)
+        assert field_jet(x, j, cap).order == cap
+        assert type_search(QUARTIC, j, cap + 1).lower_bound >= 2
+        assert _Transport(j, cap + 1).cap == cap + 1
+        higher_levi(QUARTIC, j, [E1] * cap, cap - 1, 0)
+        with pytest.raises(CapError, match="structure's cap"):
+            field_jet(x, j, cap + 1)
+        with pytest.raises(CapError, match="needs the structure through"):
+            type_search(QUARTIC, j, cap + 2)
+        with pytest.raises(CapError, match="too small to transport"):
+            _Transport(j, cap + 2)
+        with pytest.raises(CapError, match="too small to transport"):
+            higher_levi(QUARTIC, j, [E1] * (cap + 1), cap, 0)
 
 
 def disks_under_test(rng, n, cap):
@@ -515,7 +573,7 @@ class TestCommutation:
         with pytest.raises(ValueError):
             commutation_defect(x, JSTD, 0)
         with pytest.raises(CapError):
-            commutation_defect(x, JSTD.truncate(2), 5)
+            commutation_defect(x, ACStructure.standard(2, 2), 5)
 
 
 class TestFieldJetReference:

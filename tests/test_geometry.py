@@ -1,5 +1,7 @@
 """Surfaces, structures, tangent projections, brackets, jets, recentering."""
 
+import math
+
 import pytest
 from conftest import (
     SEED,
@@ -10,6 +12,7 @@ from conftest import (
     random_tangent_field,
     random_vector,
     scale_field,
+    truncated_structure,
 )
 
 from levitype import (
@@ -30,10 +33,12 @@ from levitype import (
     project_to_complex_tangent,
     recenter,
 )
+import levitype.geometry as geometry
 from levitype.geometry import (
     FieldJet,
     _rational_roots,
     apply_jstd,
+    constant_matrix,
     project_point_to_surface,
     standard_matrix,
 )
@@ -329,9 +334,9 @@ class TestACStructure:
         for n in (1, 2, 3):
             for seed in range(SEED, SEED + 4):
                 j = perturbed_structure(n, 5, seed)
-                assert j.truncate(0).is_standard
+                assert truncated_structure(j, 0).is_standard
                 for cap in range(j.cap + 1):
-                    jc = j.truncate(cap)
+                    jc = truncated_structure(j, cap)
                     assert jc.is_standard == self.constant_std(jc)
 
     def test_truncation_below_the_perturbation_is_standard(self):
@@ -340,8 +345,47 @@ class TestACStructure:
         j = ACStructure(1, [[parse_expression(e, 1, cap=4) for e in row]
                             for row in rows])
         assert not j.is_standard
-        assert not j.truncate(2).is_standard
-        assert j.truncate(1).is_standard and self.constant_std(j.truncate(1))
+        assert not truncated_structure(j, 2).is_standard
+        low = truncated_structure(j, 1)
+        assert low.is_standard and self.constant_std(low)
+
+    @staticmethod
+    def x1_structure(n, cap):
+        """J_std with J[2][1] = J[3][0] = -x1: J*J = -I exactly."""
+        entries = [list(row) for row in
+                   constant_matrix(standard_matrix(n), 2 * n, cap)]
+        entries[2][1] = entries[3][0] = -TruncatedSeries.variable(0, 2 * n,
+                                                                  cap)
+        return entries
+
+    @pytest.mark.parametrize("n", (2, 40))
+    def test_built_without_a_standard_matrix(self, n, monkeypatch):
+        std = constant_matrix(standard_matrix(n), 2 * n, 3)
+        bent = self.x1_structure(n, 3)
+
+        def forbidden(*args):
+            raise AssertionError("the constructor builds no J_std matrix")
+        monkeypatch.setattr(geometry, "standard_matrix", forbidden)
+        j = ACStructure(n, std)
+        assert j.is_standard and j.known == math.inf
+        j = ACStructure(n, bent)
+        assert not j.is_standard and j.known == 3
+
+    def test_first_failing_entry_and_messages(self):
+        bent = self.x1_structure(2, 3)
+        half = [row[:] for row in bent]
+        half[3][0] = half[0][0]
+        with pytest.raises(GeometryError,
+                           match=r"^J\*J != -I through cap 3 at entry \(2,0\)$"):
+            ACStructure(2, half)
+        # J(0) is checked in the same pass, after every entry's cap
+        moved = [row[:] for row in bent]
+        moved[0][0] = moved[0][0] + TruncatedSeries.constant(Q(1, 2), 4, 3)
+        with pytest.raises(GeometryError, match=r"^J\(0\) != J_std; conjugate"):
+            ACStructure(2, moved)
+        moved[3][3] = TruncatedSeries.zero(4, 2)
+        with pytest.raises(GeometryError, match="share num_vars and cap"):
+            ACStructure(2, moved)
 
     def test_apply_below_the_structure_cap(self):
         rng = make_rng("acstructure-apply")

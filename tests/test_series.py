@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import levitype.jets as jets
-from levitype import Q, TruncatedSeries
+from levitype import (ACStructure, Hypersurface, Q, TruncatedSeries,
+                      higher_levi, propagate_cr_jet)
+from levitype.disks import holomorphic_reparam_series
 from levitype.jets import compose
 
 X = TruncatedSeries.variable
@@ -576,3 +578,23 @@ class TestPackedEdges:
         unit = {(0, 0): 2, (100, 0): Q(1, 3), (0, 129): -1}
         assert_matches(S(2, cap, unit).inverse(), ref_inverse(unit, 2, cap),
                        2, cap)
+
+
+def test_floats_are_refused_at_every_boundary():
+    # one refusal (rational.rat) for every entry point that takes scalars
+    f = S(2, 4, {(1, 0): 1})
+    j = ACStructure.standard(2, 4)
+    m = Hypersurface(2, S(4, 4, {(0, 0, 1, 0): 2, (2, 0, 0, 0): 1}))
+    refused = [
+        lambda: S(2, 4, {(1, 0): 0.5}),
+        lambda: TruncatedSeries.constant(0.5, 2, 4),
+        lambda: f.scale(0.5),
+        lambda: f.shift((0.5, 0)),
+        lambda: f.evaluate((0.5, 0)),
+        lambda: propagate_cr_jet([(0.5, 0, 0, 0)], j, 2),
+        lambda: higher_levi(m, j, [(0.5, 0, 0, 0)], 0, 0),
+        lambda: holomorphic_reparam_series([0.5], 3),
+    ]
+    for call in refused:
+        with pytest.raises(TypeError, match="floats are not exact"):
+            call()

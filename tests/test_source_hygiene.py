@@ -2,7 +2,8 @@
 
 Two kinds of leftovers are refused: a module-level import that its module
 never uses, and a private module-level function or class that no module of
-the package references.  A call of the builtin id() is refused too.
+the package references.  A call of the builtin id() is refused too, and so
+is a private parameter, a bypass that only the package itself would pass.
 """
 
 import ast
@@ -96,3 +97,16 @@ def test_no_builtin_id_calls():
              if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Name) and node.func.id == "id"]
     assert not calls, f"calls of builtin id(): {calls}"
+
+
+def test_no_private_parameters():
+    # a private keyword such as a constructor's "already checked" flag lets
+    # one caller skip a check that every other caller runs; a class decides
+    # what its input is in one place instead
+    private = [f"{name}:{node.lineno}:{arg.arg}"
+               for name, tree in MODULES.items() for node in ast.walk(tree)
+               if isinstance(node, ast.arguments)
+               for arg in (*node.posonlyargs, *node.args, *node.kwonlyargs,
+                           *filter(None, (node.vararg, node.kwarg)))
+               if arg.arg.startswith("_")]
+    assert not private, f"private parameters: {private}"

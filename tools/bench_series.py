@@ -56,12 +56,15 @@ Re(z_{n-1}^2) under ``perturbed_structure(n, k_max + 4, 1)``, n in
 PERTURBED_N, k_max = PERTURBED_K, as ``validate --J-perturb 1`` runs them;
 its search stops at bound 4 after two levels of d = 2n - 2 columns, and,
 after every other row, ``witness_realize`` alone at k_max in REALIZE_K,
-where a ``witness_validate`` call would take seconds.  It writes
+where a ``witness_validate`` call would take seconds, and last
+``field_jet``: ``field_jet`` of that witness field at each k_max of
+``witness_realize``, under J_std.  It writes
 ``BENCH_<label>.json`` (into ``--out``, default the checkout root).  The
 inputs are fixed by a seeded generator, so two kernels see the same
 operands; each row carries a digest of the result (of every component, for
 a disk, of every entry, for ``build_structure``, of every value, for
-``levi_trace`` and the ``higher_levi`` rows, of every value and every
+``levi_trace``, the ``higher_levi`` rows and ``field_jet``, of every
+value and every
 disk term, for ``held_disk``, of every solution's
 consistency and values, for ``solve_affine``, of the orders of criteria
 2-4, for
@@ -330,12 +333,18 @@ def large_levi_operands(lev, n, seed):
                          (surface.phi,))}
 
 
-def witness_operands(lev, k_max):
-    """The witness rows at k_max, off the grid: fixed inputs, no draws."""
+def witness(lev, k_max):
+    """The surface of WITNESS_PHI at n = 3, cap k_max + 4, J_std and the
+    report of its search to k_max."""
     n, cap = 3, k_max + 4
     m = lev.Hypersurface(n, lev.parse_expression(WITNESS_PHI, n, cap=cap))
     j_std = lev.ACStructure.standard(n, cap)
-    rep = lev.type_search(m, j_std, k_max)
+    return m, j_std, lev.type_search(m, j_std, k_max)
+
+
+def witness_operands(lev, k_max):
+    """The witness rows at k_max, off the grid: fixed inputs, no draws."""
+    m, j_std, rep = witness(lev, k_max)
     u, k = rep.witness_disk, rep.lower_bound - 2
     return {
         "witness_realize": (
@@ -344,6 +353,16 @@ def witness_operands(lev, k_max):
         "witness_validate": (
             lambda: validation_values(lev, m, j_std, k_max), (m.phi,)),
     }
+
+
+def field_jet_operands(lev, k_max):
+    """The field_jet row at k_max: the triangle of the witness field."""
+    _, j_std, rep = witness(lev, k_max)
+    x, k = rep.witness_field, rep.lower_bound - 2
+    return {"field_jet": (
+        lambda: [list(v) for _, v in
+                 sorted(lev.field_jet(x, j_std, k).entries.items())],
+        x.components)}
 
 
 def perturbed_operands(lev, n):
@@ -419,8 +438,8 @@ def seconds_per_call(fn) -> float:
 def parts(result) -> tuple:
     """The series of a result: itself, a disk's components, those of a
     type report's witness disk, or those of a Levi matrix's basis fields;
-    levi_trace, higher_levi, held_disk and solve_affine values and a
-    commutation report hold none."""
+    levi_trace, higher_levi, held_disk, solve_affine and field_jet values
+    and a commutation report hold none."""
     if isinstance(result, list) or hasattr(result, "criterion_orders"):
         return ()
     if isinstance(result, tuple):
@@ -436,7 +455,7 @@ def digest(result) -> str:
     h = hashlib.sha256()
     for s in parts(result):
         h.update(repr((s.num_vars, s.cap, s.as_list())).encode())
-    # levi_trace, the higher_levi rows, held_disk and solve_affine
+    # levi_trace, the higher_levi rows, held_disk, solve_affine, field_jet
     if isinstance(result, list):
         h.update(repr([[str(v) for v in row] for row in result]).encode())
     if hasattr(result, "entries"):  # a Levi matrix's polar form
@@ -465,7 +484,9 @@ def grid(lev):
                  ((2 * n, PERTURBED_K + 4, perturbed_operands(lev, n))
                   for n in PERTURBED_N),
                  ((6, k + 4, {"witness_realize": witness_operands(
-                     lev, k)["witness_realize"]}) for k in REALIZE_K))
+                     lev, k)["witness_realize"]}) for k in REALIZE_K),
+                 ((6, k + 4, field_jet_operands(lev, k))
+                  for k in (*WITNESS_K, *REALIZE_K)))
 
 
 def load_tree(src: Path, name: str):
