@@ -1,9 +1,8 @@
 """Engine-level behavior: realizability, commutation, staged search, scans."""
 
+import math
 from dataclasses import replace
 from itertools import combinations, product
-
-import math
 
 import pytest
 

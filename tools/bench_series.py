@@ -58,14 +58,13 @@ its search stops at bound 4 after two levels of d = 2n - 2 columns, and,
 after every other row, ``witness_realize`` alone at k_max in REALIZE_K,
 where a ``witness_validate`` call would take seconds, and last
 ``field_jet``: ``field_jet`` of that witness field at each k_max of
-``witness_realize``, under J_std.  It writes
-``BENCH_<label>.json`` (into ``--out``, default the checkout root).  The
-inputs are fixed by a seeded generator, so two kernels see the same
-operands; each row carries a digest of the result (of every component, for
-a disk, of every entry, for ``build_structure``, of every value, for
-``levi_trace``, the ``higher_levi`` rows and ``field_jet``, of every
-value and every
-disk term, for ``held_disk``, of every solution's
+``witness_realize``, under J_std.  It writes ``BENCH_<label>.json`` (into
+``--out``, default the checkout root).  The inputs are fixed by a seeded
+generator, so two kernels see the same operands; each row carries a digest
+of the result (of every component, for a disk, of every entry, for
+``build_structure``, of every value, for ``levi_trace``, the
+``higher_levi`` rows and ``field_jet``, of every value and every disk
+term, for ``held_disk``, of every solution's
 consistency and values, for ``solve_affine``, of the orders of criteria
 2-4, for
 ``commutation``, of the witness disk's components and the bound, its flags
