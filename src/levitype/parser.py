@@ -9,6 +9,7 @@ imaginary part survives the expansion is rejected.
 """
 
 import re as _re
+from math import gcd
 
 from .errors import ParseError
 from .jets import TruncatedSeries, _new, _width
@@ -30,10 +31,11 @@ _FUNCTIONS = ("Re", "Im", "conj", "abs2")
 # of a minute, and a constant is multiplied out once per unit of exponent.
 MAX_DEGREE = 64
 
-# Largest constant, in bits of numerator plus denominator, that a product,
-# power or abs2 may produce: a little above a literal of 4,300 digits.  The
-# degree limit bounds how often a nonconstant term is multiplied; constants
-# escape it, and abs2 nested on a literal squares it at every level.
+# Largest coefficient, in bits of its reduced numerator plus denominator,
+# of any term a product, power or abs2 may produce: a little above a literal
+# of 4,300 digits.  The degree limit bounds how often a variable is
+# multiplied, but constant factors escape it, in front of a variable as
+# alone, and abs2 nested on a literal squares it at every level.
 MAX_CONSTANT_BITS = 1 << 14
 
 # Deepest nesting of parentheses and function calls: each level costs a few
@@ -198,15 +200,27 @@ def _degree(node) -> int:
 
 
 def _bounded(pair):
-    """The (real, imaginary) pair, refusing a constant above the limit."""
+    """The (real, imaginary) pair, refusing a coefficient above the limit."""
     for part in pair:
-        if part is not None and part._terms.keys() == {0}:
-            # a reduced constant: its numerator and _den are coprime
-            bits = part._terms[0].bit_length() + part._den.bit_length()
-            if bits > MAX_CONSTANT_BITS:
-                raise ParseError(f"constant of {bits} bits is above the limit "
-                                 f"of {MAX_CONSTANT_BITS}")
+        if part is None:
+            continue
+        den = part._den
+        # a coefficient's bits over den bound those of its reduced form, so
+        # only a term beyond the limit unreduced needs a gcd
+        room = MAX_CONSTANT_BITS - den.bit_length()
+        for c in part._terms.values():
+            if c.bit_length() > room:
+                g = gcd(c, den)
+                _check_bits(c // g, den // g)
     return pair
+
+
+def _check_bits(num, den):
+    """Refuse the reduced coefficient num/den if it is above the limit."""
+    bits = num.bit_length() + den.bit_length()
+    if bits > MAX_CONSTANT_BITS:
+        raise ParseError(f"constant of {bits} bits is above the limit "
+                         f"of {MAX_CONSTANT_BITS}")
 
 
 def _mul(ar, ai, br, bi):

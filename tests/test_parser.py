@@ -108,6 +108,21 @@ class TestGrammar:
             with pytest.raises(ParseError, match="above the limit of 16384"):
                 parse_expression(text, 1)
 
+    def test_constant_limit_behind_a_variable(self):
+        # the limit holds for the coefficient of every term a product
+        # forms, not only for a product that is still a constant
+        for text in ("*".join(["(2^64+1)^64"] * 4),
+                     "x1*" + "*".join(["(2^64+1)^64"] * 4),
+                     "x1*" + "*".join(["(2^64+1)^64"] * 800),
+                     "x1*" + "*".join(["7" * 4000] * 2),
+                     "(x1 + " + "7" * 4000 + ")^2",
+                     "abs2(x1*" + "7" * 2500 + ")^2"):
+            with pytest.raises(ParseError, match="above the limit of 16384"):
+                parse_expression(text, 1)
+        c = (2 ** 64 + 1) ** 64 * 7
+        assert parse_expression("x1*(2^64+1)^64*7", 1) == \
+            series(2, 2, {(1, 0): c})
+
     def test_long_chains_parse_flat(self):
         x1 = series(2, 2, {(1, 0): 1})
         assert parse_expression("+".join(["x1"] * 3000), 1) == x1.scale(3000)
