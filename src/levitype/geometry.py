@@ -207,14 +207,15 @@ class ACStructure:
         self.is_standard = standard
         if standard:
             return
-        # columns of J*J, scanned in row-major order for the error message
-        cols = [mat_vec(entries, [row[b] for row in entries])
-                for b in range(n2)]
-        one = TruncatedSeries.constant(1, n2, cap)
-        for a in range(n2):
+        # each nonzero entry sorted once into a _dot operand; each entry of
+        # J*J is one _dot, scanned in row-major order for the error message
+        ops = [[_operand(e, n2, cap) if e._terms else None for e in row]
+               for row in entries]
+        for a, row in enumerate(ops):
             for b in range(n2):
-                acc = cols[b][a] + one if a == b else cols[b][a]
-                if not acc.is_zero():
+                acc = _dot([(e, ops[k][b]) for k, e in enumerate(row)
+                            if e and ops[k][b]], n2, cap)
+                if acc._terms != ({0: -1} if a == b else {}) or acc._den != 1:
                     raise GeometryError(
                         f"J*J != -I through cap {cap} at entry ({a},{b})")
 
@@ -229,7 +230,20 @@ class ACStructure:
 
     @classmethod
     def standard(cls, n: int, cap: int) -> "ACStructure":
-        return cls(n, constant_matrix(standard_matrix(n), 2 * n, cap))
+        # J_std's entries 0, -1 at (2c, 2c+1) and 1 at (2c+1, 2c), one
+        # shared series each
+        n2 = 2 * n
+        zero, minus, one = (_new(n2, cap, terms, 1)
+                            for terms in ({}, {0: -1}, {0: 1}))
+        rows = []
+        for a in range(n2):
+            row = [zero] * n2
+            if a & 1:
+                row[a - 1] = one
+            else:
+                row[a + 1] = minus
+            rows.append(row)
+        return cls(n, rows)
 
     def apply(self, x: VectorField) -> VectorField:
         """J applied to a field; standard structures keep the field's cap."""

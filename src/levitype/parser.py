@@ -6,14 +6,28 @@ functions Re, Im, conj, abs2, and parentheses.  No general division; a
 slash is only part of a rational literal.  Expressions are expanded into
 exact truncated series over the 2n real coordinates; an expression whose
 imaginary part survives the expansion is rejected.
+
+Evaluation.  A real monomial (a number, x_i or y_i, or a power, product or
+negation of real monomials) is one packed term, read in one pass: its
+coefficient is the product of its numbers, its key the sum of its factors'
+keys, with no series product.  A sum gathers its real monomials into one
+dict over the lcm of their denominators, reduced once.  Every other node
+(z_i, Re, Im, conj, abs2, and powers and products of sums) is expanded by
+products of (real, imaginary) series.
+
+Limits.  The degree and exponent limit (MAX_DEGREE) and the nesting limit
+(MAX_NESTING) are checked before any expansion.  The coefficient limit
+(MAX_CONSTANT_BITS) holds for every term that a product, power or abs2
+forms, on both paths alike: it is checked after each multiplication, so
+the monomial path refuses the inputs the series path refuses, with the
+same message.
 """
 
 import re as _re
-from math import gcd
+from math import gcd, lcm
 
 from .errors import ParseError
-from .jets import TruncatedSeries, _new, _width
-from .rational import Q
+from .jets import TruncatedSeries, _new, _reduced, _width
 
 _TOKEN = _re.compile(r"""
     (?P<num>\d+(?:\s*/\s*\d+)?)
@@ -23,7 +37,6 @@ _TOKEN = _re.compile(r"""
   | (?P<bad>.)
 """, _re.VERBOSE)
 
-_VAR = _re.compile(r"^([xyz])([1-9][0-9]*)$")
 _FUNCTIONS = ("Re", "Im", "conj", "abs2")
 
 # Largest total degree, and largest exponent, parse_expression expands: it
@@ -54,6 +67,9 @@ def _int(text, at):
 
 
 def _tokenize(text):
+    """(kind, text, position) of each token, then an end token.  The kind
+    of an operator or parenthesis is its own character, so the grammar
+    tests one field per token."""
     out = []
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
@@ -61,7 +77,8 @@ def _tokenize(text):
             continue
         if kind == "bad":
             raise ParseError(f"unexpected character {m.group()!r}", m.start())
-        out.append((kind, m.group(), m.start()))
+        val = m.group()
+        out.append((val if kind == "op" else kind, val, m.start()))
     out.append(("end", "", len(text)))
     return out
 
@@ -70,7 +87,8 @@ class _Parser:
     """Recursive descent over the token list, building a small tree.
 
     Sums and products are n-ary nodes, so only parentheses and function
-    calls nest, at most MAX_NESTING deep.
+    calls nest, at most MAX_NESTING deep.  Each method reads the tokens
+    by index at self.pos and leaves self.pos after what it read.
     """
 
     def __init__(self, tokens, n):
@@ -79,58 +97,48 @@ class _Parser:
         self.n = n
         self.depth = 0
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self):
-        t = self.tokens[self.pos]
-        self.pos += 1
-        return t
-
-    def at_op(self, ops):
-        kind, val, _ = self.peek()
-        return kind == "op" and val in ops
-
-    def expect_op(self, op):
-        kind, val, at = self.peek()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", at)
-        return self.take()
-
     def parse(self):
         node = self.expr()
-        kind, val, at = self.peek()
+        kind, val, at = self.tokens[self.pos]
         if kind != "end":
             raise ParseError(f"unexpected {val!r}", at)
         return node
 
     def expr(self):
+        tokens = self.tokens
         terms = [self.term()]
-        while self.at_op("+-"):
-            op = self.take()[1]
-            terms.append(self.term() if op == "+" else ("neg", self.term()))
-        return terms[0] if len(terms) == 1 else ("sum", terms)
+        while True:
+            op = tokens[self.pos][0]
+            if op == "+":
+                self.pos += 1
+                terms.append(self.term())
+            elif op == "-":
+                self.pos += 1
+                terms.append(("neg", self.term()))
+            else:
+                return terms[0] if len(terms) == 1 else ("sum", terms)
 
     def term(self):
-        factors = [self.unary()]
-        while self.at_op("*"):
-            self.take()
-            factors.append(self.unary())
+        tokens = self.tokens
+        factors = [self.factor()]
+        while tokens[self.pos][0] == "*":
+            self.pos += 1
+            factors.append(self.factor())
         return factors[0] if len(factors) == 1 else ("prod", factors)
 
-    def unary(self):
+    def factor(self):
+        """Unary minus signs, an atom and its exponents."""
+        tokens = self.tokens
+        pos = self.pos
         negate = False
-        while self.at_op("-"):
-            self.take()
+        while tokens[pos][0] == "-":
+            pos += 1
             negate = not negate
-        node = self.power()
-        return ("neg", node) if negate else node
-
-    def power(self):
+        self.pos = pos
         node = self.atom()
-        while self.at_op("^"):
-            self.take()
-            nk, nv, at = self.take()
+        while tokens[self.pos][0] == "^":
+            nk, nv, at = tokens[self.pos + 1]
+            self.pos += 2
             if nk != "num" or "/" in nv:
                 raise ParseError("exponent must be a natural number", at)
             exponent = _int(nv, at)
@@ -140,7 +148,7 @@ class _Parser:
                 raise ParseError(f"exponent {exponent} is above the limit of "
                                  f"{MAX_DEGREE}", at)
             node = ("pow", node, exponent)
-        return node
+        return ("neg", node) if negate else node
 
     def nested(self, at):
         """The expression inside an opened parenthesis, up to its close."""
@@ -149,32 +157,42 @@ class _Parser:
             raise ParseError(
                 f"nesting is deeper than the limit of {MAX_NESTING}", at)
         inner = self.expr()
-        self.expect_op(")")
+        kind, _, close = self.tokens[self.pos]
+        if kind != ")":
+            raise ParseError("expected ')'", close)
+        self.pos += 1
         self.depth -= 1
         return inner
 
     def atom(self):
-        kind, val, at = self.take()
-        if kind == "num":
+        kind, val, at = self.tokens[self.pos]
+        self.pos += 1
+        if kind == "num":  # ("num", numerator, denominator), reduced
             if "/" in val:
                 a, b = (_int(t, at) for t in val.split("/"))
                 if b == 0:
                     raise ParseError("zero denominator", at)
-                return ("num", Q(a, b))
-            return ("num", Q(_int(val, at)))
+                g = gcd(a, b)
+                return ("num", a // g, b // g)
+            return ("num", _int(val, at), 1)
         if kind == "name":
             if val in _FUNCTIONS:
-                _, _, paren = self.expect_op("(")
-                return ("fun", val, self.nested(paren))
-            m = _VAR.match(val)
-            if m:
-                idx = _int(m.group(2), at)
+                paren, _, open_at = self.tokens[self.pos]
+                if paren != "(":
+                    raise ParseError("expected '('", open_at)
+                self.pos += 1
+                return ("fun", val, self.nested(open_at))
+            # x, y or z and an index without a leading zero; a name token
+            # holds ASCII only, so isdigit reads 0-9 only
+            if (len(val) > 1 and val[0] in "xyz" and val[1] != "0"
+                    and val[1:].isdigit()):
+                idx = _int(val[1:], at)
                 if idx > self.n:
                     raise ParseError(
                         f"variable {val} out of range for n={self.n}", at)
-                return ("var", m.group(1), idx)
+                return ("var", val[0], idx)
             raise ParseError(f"unknown name {val!r}", at)
-        if kind == "op" and val == "(":
+        if kind == "(":
             return self.nested(at)
         raise ParseError(f"unexpected {val!r}", at)
 
@@ -223,6 +241,71 @@ def _check_bits(num, den):
                          f"of {MAX_CONSTANT_BITS}")
 
 
+def _monomial(node, n, width):
+    """A real monomial node as (numerator, denominator, key), or None.
+
+    A real monomial is a number, x_i or y_i, a power or a product of real
+    monomials, or the negation of one.  Its coefficient is the product of
+    its numbers, kept reduced, and its key the sum of its factors' keys
+    (see jets), laid out with field width width.  The coefficient is
+    checked after each multiplication, where the series path checks each
+    product it forms, so both refuse the same inputs with the same error;
+    any other node gives None once the monomial factors before it are
+    read.
+    """
+    tag = node[0]
+    if tag == "num":
+        return node[1], node[2], 0
+    if tag == "var":
+        kind, idx = node[1], node[2]
+        if kind == "z":
+            return None
+        # degree 1 and one exponent 1, x_idx's field left of y_idx's
+        field = 2 * (n - idx) + (kind == "x")
+        return 1, 1, 1 << 2 * n * width | 1 << width * field
+    if tag == "neg":
+        m = _monomial(node[1], n, width)
+        return None if m is None else (-m[0], m[1], m[2])
+    if tag == "pow":
+        m = _monomial(node[1], n, width)
+        if m is None:
+            return None
+        a, b, key = m
+        e = node[2]
+        if b == 1 and -1 <= a <= 1:
+            return a ** e, 1, key * e
+        num = den = 1
+        for _ in range(e):  # powers of coprime a and b stay coprime
+            num *= a
+            den *= b
+            if num.bit_length() + den.bit_length() > MAX_CONSTANT_BITS:
+                _check_bits(num, den)
+        return num, den, key * e
+    if tag == "prod":
+        factors = iter(node[1])
+        m = _monomial(next(factors), n, width)
+        if m is None:
+            return None
+        num, den, key = m
+        for f in factors:
+            m = _monomial(f, n, width)
+            if m is None:
+                return None
+            a, b, k = m
+            num *= a
+            den *= b
+            key += k
+            if den != 1:
+                g = gcd(num, den)
+                if g != 1:
+                    num //= g
+                    den //= g
+            if num.bit_length() + den.bit_length() > MAX_CONSTANT_BITS:
+                _check_bits(num, den)
+        return num, den, key
+    return None
+
+
 def _mul(ar, ai, br, bi):
     """(ar + i ai)(br + i bi); a real factor has ai or bi None."""
     if ai is None:
@@ -233,37 +316,61 @@ def _mul(ar, ai, br, bi):
 
 
 def _eval(node, n, cap):
-    """Evaluate to a (real, imaginary) pair; a real value's second is None."""
+    """Evaluate to a (real, imaginary) pair; a real value's second is None.
+
+    A real monomial (see _monomial) is one packed term, formed with no
+    series product.  A sum gathers its real monomials into one dict of
+    terms over the lcm of their denominators, reduced once, and adds the
+    series of its other terms.  Every other node (z_i, Re, Im, conj, abs2,
+    and powers and products of sums) is expanded by series products, each
+    checked by _bounded.
+    """
+    m = _monomial(node, n, _width(cap))
+    if m is None:
+        return _series(node, n, cap)
+    num, den, key = m
+    return _new(2 * n, cap, {key: num} if num else {}, den), None
+
+
+def _series(node, n, cap):
+    """_eval of a node that is not a real monomial."""
     tag = node[0]
-    if tag == "num":
-        c = node[1]
-        num = int(c.numerator)
-        return _new(2 * n, cap, {0: num} if num else {},
-                    int(c.denominator)), None
-    if tag == "var":
-        kind, idx = node[1], node[2]
+    if tag == "sum":
         width = _width(cap)
-        # x_idx and y_idx, each one packed key: degree 1, one exponent 1
-        xs, ys = (_new(2 * n, cap, {1 << 2 * n * width | 1 << width * e: 1}, 1)
-                  for e in (2 * (n - idx) + 1, 2 * (n - idx)))
-        if kind == "z":
-            return xs, ys  # z_i = x_i + i y_i
-        return (xs if kind == "x" else ys), None
+        monomials = []
+        ar = ai = None
+        for t in node[1]:
+            m = _monomial(t, n, width)
+            if m is not None:
+                monomials.append(m)
+                continue
+            br, bi = _series(t, n, cap)
+            ar = br if ar is None else ar + br
+            ai = ai if bi is None else bi if ai is None else ai + bi
+        if monomials:
+            den = lcm(*(b for _, b, _ in monomials))
+            out = {}
+            get = out.get
+            for a, b, key in monomials:
+                out[key] = get(key, 0) + a * (den // b)
+            if not all(out.values()):
+                out = {k: c for k, c in out.items() if c}
+            mr = _reduced(2 * n, cap, out, den)
+            ar = mr if ar is None else ar + mr
+        return ar, ai
+    if tag == "var":  # z_i = x_i + i y_i
+        return tuple(_eval(("var", c, node[2]), n, cap)[0] for c in "xy")
     if tag == "neg":
-        re_, im_ = _eval(node[1], n, cap)
+        re_, im_ = _series(node[1], n, cap)
         return -re_, None if im_ is None else -im_
-    if tag in ("sum", "prod"):
+    if tag == "prod":
         ar, ai = _eval(node[1][0], n, cap)
         for t in node[1][1:]:
             br, bi = _eval(t, n, cap)
-            if tag == "sum":
-                ar = ar + br
-                ai = ai if bi is None else bi if ai is None else ai + bi
-            else:
-                ar, ai = _bounded(_mul(ar, ai, br, bi))
+            ar, ai = _bounded(_mul(ar, ai, br, bi))
         return ar, ai
     if tag == "pow":
-        ar, ai = _eval(node[1], n, cap)
+        ar, ai = _series(node[1], n, cap)
         rr, ri = _new(2 * n, cap, {0: 1}, 1), None
         for _ in range(node[2]):
             rr, ri = _bounded(_mul(rr, ri, ar, ai))
@@ -289,8 +396,8 @@ def parse_expression(text: str, n: int, cap: int | None = None) -> TruncatedSeri
     so the expansion is an exact polynomial identity; the result is then
     re-capped to the requested truncation order.  A degree or an exponent
     above MAX_DEGREE, or nesting above MAX_NESTING, raises ParseError before
-    any expansion; a constant above MAX_CONSTANT_BITS raises it as soon as
-    it is formed.
+    any expansion; a coefficient above MAX_CONSTANT_BITS raises it as soon
+    as a product, power or abs2 forms it.
     """
     if n < 1:
         raise ValueError("n must be positive")

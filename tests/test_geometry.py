@@ -42,6 +42,7 @@ from levitype.geometry import (
     project_point_to_surface,
     standard_matrix,
 )
+import levitype.jets as jets
 from levitype.jets import mat_vec
 from levitype.linalg import identity, mat_mul
 
@@ -386,6 +387,22 @@ class TestACStructure:
         moved[3][3] = TruncatedSeries.zero(4, 2)
         with pytest.raises(GeometryError, match="share num_vars and cap"):
             ACStructure(2, moved)
+
+    @pytest.mark.parametrize("n, nonzero", ((2, 9), (3, 20), (4, 32)))
+    def test_each_entry_sorted_once(self, n, nonzero, monkeypatch):
+        """J*J = -I reads each nonzero entry as a _dot operand once."""
+        entries = [list(row) for row in perturbed_structure(n, 6, 1).entries]
+        assert sum(not e.is_zero() for row in entries for e in row) == nonzero
+        calls = []
+        operand = jets._operand
+
+        def counted(s, *args):
+            calls.append(s)
+            return operand(s, *args)
+        monkeypatch.setattr(jets, "_operand", counted)
+        monkeypatch.setattr(geometry, "_operand", counted)
+        assert not ACStructure(n, entries).is_standard
+        assert len(calls) <= nonzero
 
     def test_apply_below_the_structure_cap(self):
         rng = make_rng("acstructure-apply")

@@ -2,7 +2,10 @@
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import levitype.jets as jets
 from levitype import ParseError, Q, TruncatedSeries, parse_expression, series_to_expression
 from levitype.parser import MAX_CONSTANT_BITS, MAX_DEGREE, MAX_NESTING
 
@@ -255,3 +258,73 @@ def test_expansion_matches_sympy():
                         e: c for e, c in expected.items() if sum(e) <= cap}, \
                         text
     assert seen["real"] >= 10 and seen["complex"] >= 10, seen
+
+
+@st.composite
+def monomial_sums(draw):
+    """(text, n, cap, oracle) of a random sum of real monomials: repeated
+    variables, powers of variables and of literals, literals over several
+    denominators, terms that cancel, and caps below the degree and at 256
+    and 300.  The oracle is the same sum formed with TruncatedSeries
+    operators at the parser's work cap, then truncated to cap."""
+    n = draw(st.integers(1, 3))
+    factor = st.tuples(st.sampled_from("xy"), st.integers(1, n),
+                       st.sampled_from((None, 0, 1, 2, 3, 4)))
+    literal = st.tuples(st.integers(0, 7), st.sampled_from((1, 2, 3, 4, 6, 9)),
+                        st.sampled_from((None, 0, 2, 3)))
+    term = st.tuples(st.sampled_from("+-"), st.one_of(st.none(), literal),
+                     st.lists(factor, max_size=4), st.integers(0, 4))
+    terms = draw(st.lists(term, min_size=1, max_size=6))
+    if draw(st.booleans()):  # a term and its negation, as in x1 - x1
+        sign, lit, factors, at = draw(st.sampled_from(terms))
+        terms.append(("-" if sign == "+" else "+", lit, factors, at))
+    cap = draw(st.sampled_from((None, 0, 1, 2, 3, 256, 300)))
+    pieces, degree = [], 0
+    for sign, lit, factors, at in terms:
+        texts = [f"{letter}{idx}" + ("" if e is None else f"^{e}")
+                 for letter, idx, e in factors]
+        if lit is not None or not texts:
+            a, b, e = lit or (1, 1, None)
+            text = f"{a}/{b}" if b > 1 else f"{a}"
+            texts.insert(min(at, len(texts)),
+                         text if e is None else f"({text})^{e}")
+        pieces.append((sign, "*".join(texts)))
+        degree = max(degree, sum(1 if e is None else e
+                                 for _, _, e in factors))
+    text = " ".join(f"{sign} {body}" for sign, body in pieces)
+    text = text[2:] if text[0] == "+" else text
+    work = max(degree, cap or 0, 2)
+    total = TruncatedSeries.zero(2 * n, work)
+    for sign, lit, factors, _ in terms:
+        a, b, e = lit or (1, 1, None)
+        value = TruncatedSeries.constant(Q(a, b) ** (1 if e is None else e),
+                                         2 * n, work)
+        for letter, idx, e in factors:
+            v = TruncatedSeries.variable(2 * (idx - 1) + (letter == "y"),
+                                         2 * n, work)
+            for _ in range(1 if e is None else e):
+                value = value * v
+        total = total + value if sign == "+" else total - value
+    if cap is not None and cap < work:
+        total = total.truncate(cap)
+    return text, n, cap, total
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(monomial_sums())
+def test_monomial_sums_match_series_operators(case):
+    text, n, cap, expected = case
+    assert parse_expression(text, n, cap=cap) == expected, text
+
+
+def test_real_monomials_form_no_series_product(monkeypatch):
+    """A sum of real monomials is read into packed terms, with no series
+    product."""
+    def forbidden(*args):
+        raise AssertionError("a series product was formed")
+    monkeypatch.setattr(jets, "_dot", forbidden)
+    text = "2*x2 + 3*x1*y2^2 + 2/3*x1^2*y2"
+    terms = {(0, 0, 1, 0): 2, (1, 0, 0, 2): 3, (2, 0, 0, 1): Q(2, 3)}
+    assert parse_expression(text, 2) == series(4, 3, terms)
+    assert parse_expression(text, 2, cap=1) == series(4, 1, {(0, 0, 1, 0): 2})
+    assert parse_expression(text, 2, cap=300) == series(4, 300, terms)

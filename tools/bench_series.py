@@ -56,9 +56,12 @@ Re(z_{n-1}^2) under ``perturbed_structure(n, k_max + 4, 1)``, n in
 PERTURBED_N, k_max = PERTURBED_K, as ``validate --J-perturb 1`` runs them;
 its search stops at bound 4 after two levels of d = 2n - 2 columns, and,
 after every other row, ``witness_realize`` alone at k_max in REALIZE_K,
-where a ``witness_validate`` call would take seconds, and last
+where a ``witness_validate`` call would take seconds, and then
 ``field_jet``: ``field_jet`` of that witness field at each k_max of
-``witness_realize``, under J_std.  It writes ``BENCH_<label>.json`` (into
+``witness_realize``, under J_std, and last ``parse_z``:
+``parse_expression`` at cap PARSE_Z_CAP of a phi shaped like the
+``standard`` workload's, 2 x_n plus Re, Im and abs2 of z-monomials up to
+degree 8, at each n of PARSE_Z.  It writes ``BENCH_<label>.json`` (into
 ``--out``, default the checkout root).  The inputs are fixed by a seeded
 generator, so two kernels see the same operands; each row carries a digest
 of the result (of every component, for a disk, of every entry, for
@@ -135,6 +138,14 @@ WITNESS_K = (12, 16)
 REALIZE_K = (20,)   # witness_realize rows only
 PERTURBED_N = (6, 8, 10)
 PERTURBED_K = 8
+PARSE_Z = {         # n -> the parse_z row's phi
+    2: "2*x2 - 3*Re(conj(z1)^2) + 1/2*Im(z1^3*conj(z1)) + 2*abs2(z1)^2"
+       " - 2/3*Re(z1^5*conj(z1)^3) + Im(z1^2*conj(z1)^5) - abs2(z1)^4",
+    3: "2*x3 + abs2(z1) - abs2(z2) + Re(z1^2*conj(z2))"
+       " - 1/3*Im(z1^3*z2^2*conj(z1)) + 2*abs2(z1*z2)^2"
+       " + 3/2*Re(z2^4*conj(z1)^4)",
+}
+PARSE_Z_CAP = 10
 
 
 def git(src: Path, *args) -> str | None:
@@ -375,6 +386,13 @@ def perturbed_operands(lev, n):
         lambda: validation_values(lev, m, j, PERTURBED_K), (m.phi,))}
 
 
+def parse_z_operands(lev, n):
+    """The parse_z row at n, off the grid: a fixed text, no draws."""
+    text = PARSE_Z[n]
+    return {"parse_z": (
+        lambda: lev.parse_expression(text, n, cap=PARSE_Z_CAP), ())}
+
+
 def validation_values(lev, m, j, k_max) -> list:
     """type_search and cross_validate: the terms of the report's disk and
     field, its triangle, point, bound, flags and obstruction, and the
@@ -485,7 +503,9 @@ def grid(lev):
                  ((6, k + 4, {"witness_realize": witness_operands(
                      lev, k)["witness_realize"]}) for k in REALIZE_K),
                  ((6, k + 4, field_jet_operands(lev, k))
-                  for k in (*WITNESS_K, *REALIZE_K)))
+                  for k in (*WITNESS_K, *REALIZE_K)),
+                 ((2 * n, PARSE_Z_CAP, parse_z_operands(lev, n))
+                  for n in PARSE_Z))
 
 
 def load_tree(src: Path, name: str):
