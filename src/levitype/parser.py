@@ -47,8 +47,8 @@ MAX_DEGREE = 64
 # Largest coefficient, in bits of its reduced numerator plus denominator,
 # of any term a product, power or abs2 may produce: a little above a literal
 # of 4,300 digits.  The degree limit bounds how often a variable is
-# multiplied, but constant factors escape it, in front of a variable as
-# alone, and abs2 nested on a literal squares it at every level.
+# multiplied, but constant factors escape it, alone or in front of a
+# variable, and abs2 nested on a literal squares it at every level.
 MAX_CONSTANT_BITS = 1 << 14
 
 # Deepest nesting of parentheses and function calls: each level costs a few
@@ -96,6 +96,13 @@ class _Parser:
         self.pos = 0
         self.n = n
         self.depth = 0
+
+    def expect_op(self, op):
+        kind, _, at = self.tokens[self.pos]
+        if kind != op:
+            raise ParseError(f"expected {op!r}", at)
+        self.pos += 1
+        return at
 
     def parse(self):
         node = self.expr()
@@ -157,10 +164,7 @@ class _Parser:
             raise ParseError(
                 f"nesting is deeper than the limit of {MAX_NESTING}", at)
         inner = self.expr()
-        kind, _, close = self.tokens[self.pos]
-        if kind != ")":
-            raise ParseError("expected ')'", close)
-        self.pos += 1
+        self.expect_op(")")
         self.depth -= 1
         return inner
 
@@ -177,11 +181,7 @@ class _Parser:
             return ("num", _int(val, at), 1)
         if kind == "name":
             if val in _FUNCTIONS:
-                paren, _, open_at = self.tokens[self.pos]
-                if paren != "(":
-                    raise ParseError("expected '('", open_at)
-                self.pos += 1
-                return ("fun", val, self.nested(open_at))
+                return ("fun", val, self.nested(self.expect_op("(")))
             # x, y or z and an index without a leading zero; a name token
             # holds ASCII only, so isdigit reads 0-9 only
             if (len(val) > 1 and val[0] in "xyz" and val[1] != "0"
@@ -322,8 +322,9 @@ def _eval(node, n, cap):
     series product.  A sum gathers its real monomials into one dict of
     terms over the lcm of their denominators, reduced once, and adds the
     series of its other terms.  Every other node (z_i, Re, Im, conj, abs2,
-    and powers and products of sums) is expanded by series products, each
-    checked by _bounded.
+    and powers and products of sums) is expanded by series products.  On
+    both paths every coefficient a product, power or abs2 forms is held
+    to MAX_CONSTANT_BITS as it is formed (_monomial, _bounded).
     """
     m = _monomial(node, n, _width(cap))
     if m is None:
